@@ -24,7 +24,7 @@ def kase_family_fan(ell, m):
     m <= 3, which makes the family a convenient non-front-end test source.
     """
     if ell < 1 or m < 1:
-        raise ValueError("both family parameters must be >= 1")
+        raise TiltfanError("both family parameters must be >= 1")
     rays = [(1, -i) for i in range(ell)] + [(0, -1)]
     rays += [(-j, 1) for j in range(m)] + [(-1, 0)]
     rays = sorted(set(rays))
@@ -89,12 +89,7 @@ def fan_svg(fan, g_poly=None, size=400):
             f'y2="{p[1]:.2f}" stroke="#3465a4" stroke-width="1.5"/>'
         )
     if g_poly is not None:
-        def angle(v):
-            x, y = v
-            half = 0 if y > 0 or (y == 0 and x > 0) else 1
-            return (half, 0 if y == 0 else 1, Fraction(-x, y) if y else Fraction(0))
-
-        ordered = sorted(g_poly.vertices, key=angle)
+        ordered = sorted(g_poly.vertices, key=polytope.angle_key)
         path = " ".join(f"{xy(v)[0]:.2f},{xy(v)[1]:.2f}" for v in ordered)
         lines.append(f'<polygon points="{path}" fill="none" stroke="#a40000" stroke-width="2"/>')
     lines.append(f'<circle cx="{origin[0]:.2f}" cy="{origin[1]:.2f}" r="3" fill="black"/>')
@@ -126,9 +121,15 @@ def _budget(args):
     env = os.environ.get("TILTFAN_BUDGET")
     if args.budget is not None:
         return args.budget
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise TiltfanError(f"TILTFAN_BUDGET must be an integer >= 1, got {env!r}")
+    return budget
 
 
 def cmd_cluster(args):
@@ -179,12 +180,12 @@ def cmd_weyl(args):
             f"Weyl group did not close within {enum.budget} elements", file=sys.stderr
         )
         return 2
-    fan_obj = weyl.coxeter_fan(cartan)
+    fan_obj = weyl.coxeter_fan(cartan, elements=enum)
     status = _emit_fan_outputs(fan_obj, args)
     if args.eulerian:
-        print(json.dumps(list(weyl.descent_histogram(cartan))))
+        print(json.dumps(list(weyl.descent_histogram(cartan, elements=enum))))
     if args.roots:
-        roots, short = weyl.root_system(cartan)
+        roots, short = weyl.root_system(cartan, elements=enum)
         json.dump(
             {
                 "schema_version": 1,
@@ -258,7 +259,6 @@ def _add_common(p, fan_out=True):
 def build_parser():
     ap = argparse.ArgumentParser(prog="tiltfan",
                                  description="g-fans and g-polytopes, exactly")
-    ap.add_argument("--schema-version", type=int, default=1, choices=[1])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cluster", help="g-fan of a skew-symmetric exchange matrix")

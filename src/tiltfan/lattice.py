@@ -1,7 +1,8 @@
 """Exact integer and rational linear algebra on plain tuples.
 
-Vectors are tuples of ints (or Fractions), matrices are tuples of row
-tuples.  Everything is arbitrary precision; no floats anywhere.
+Vectors are tuples of ints, matrices are tuples of row tuples.  Everything
+is arbitrary precision; no floats anywhere.  Elimination is fraction-free
+on integers; only the result of `solve_exact` is made of Fractions.
 """
 
 from fractions import Fraction
@@ -108,84 +109,85 @@ def determinant(m):
     return sign * a[n - 1][n - 1]
 
 
+def _eliminate(a, ncols):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in place.
+
+    Pivots go down columns 0..ncols-1, each in the first nonzero row at or
+    below the current one.  Every step divides exactly by the previous pivot,
+    so all entries stay integers.  At the end the k-th row carries the k-th
+    pivot, every pivot entry equals the last pivot d (1 if there is none),
+    other pivot columns are zero, and so are the rows without a pivot left of
+    ncols.  Returns (pivot columns, d, sign of the row permutation).
+    """
+    piv_cols = []
+    prev = sign = 1
+    for c in range(ncols):
+        r = len(piv_cols)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        d = top[c]
+        for i, row in enumerate(a):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                a[i] = [(d * x - f * y) // prev for x, y in zip(row, top)]
+            elif d != prev:
+                a[i] = [d * x // prev for x in row]
+        piv_cols.append(c)
+        prev = d
+        if r + 1 == len(a):
+            break
+    return piv_cols, prev, sign
+
+
 def solve_exact(m, rhs):
     """Solve m x = rhs over the rationals; None if singular or inconsistent."""
-    n = len(m)
-    cols_n = len(m[0]) if n else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
-    piv_cols = []
-    r = 0
-    for c in range(cols_n):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][cols_n] != 0:
-            return None
-    if len(piv_cols) < cols_n:
+    cols_n = len(m[0]) if m else 0
+    a = [list(row) + [b] for row, b in zip(m, rhs)]
+    piv_cols, d, _sign = _eliminate(a, cols_n)
+    if len(piv_cols) < cols_n or any(row[cols_n] for row in a[len(piv_cols):]):
         return None
-    x = [Fraction(0)] * cols_n
-    for i, c in enumerate(piv_cols):
-        x[c] = a[i][cols_n]
-    return tuple(x)
+    return tuple(Fraction(row[cols_n], d) for row in a[:cols_n])
 
 
 def invert_unimodular(m):
     """Integer inverse of a matrix with determinant +-1."""
     n = len(m)
-    d = determinant(m)
-    if d not in (1, -1):
-        raise DetNotUnit(f"determinant is {d}, not a unit")
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        sol = solve_exact(m, e)
-        cols.append(tuple(int(x) for x in sol))
-    return from_columns(cols)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    piv_cols, d, sign = _eliminate(a, n)
+    det = sign * d if len(piv_cols) == n else 0
+    if det not in (1, -1):
+        raise DetNotUnit(f"determinant is {det}, not a unit")
+    # the row operations took [m | 1] to [d 1 | d m^-1], and d * d = 1
+    return tuple(tuple(d * x for x in row[n:]) for row in a)
 
 
 def kernel_functional(rows, n):
     """Primitive integer functional vanishing on the span of `rows` in rank n.
 
-    `rows` must span a hyperplane (rank n-1); the result is unique up to sign.
+    `rows` must span a hyperplane (rank n-1).  The sign is fixed: the last
+    nonzero entry is positive.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
-    piv = {}
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv[c] = r
-        r += 1
-    free = [c for c in range(n) if c not in piv]
+    a = [list(row) for row in rows]
+    piv_cols, d, _sign = _eliminate(a, n)
+    free = [c for c in range(n) if c not in piv_cols]
     if len(free) != 1:
         raise ValueError(f"span has corank {len(free)}, expected a hyperplane")
     c0 = free[0]
-    sol = [Fraction(0)] * n
-    sol[c0] = Fraction(1)
-    for c, i in piv.items():
-        sol[c] = -a[i][c0]
-    den = 1
-    for x in sol:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return primitive(tuple(int(x * den) for x in sol))
+    s = 1 if d > 0 else -1
+    sol = [0] * n
+    sol[c0] = s * d
+    for i, c in enumerate(piv_cols):
+        sol[c] = -s * a[i][c0]
+    return primitive(tuple(sol))
 
 
 def _smith_normal_form(m):

@@ -89,20 +89,7 @@ def convex_hull(points, rank=None):
 
 
 def _rank_of(vectors, n):
-    a = [[Fraction(x) for x in v] for v in vectors]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [u - f * w for u, w in zip(a[i], a[r])]
-        r += 1
-    return r
+    return len(la._eliminate([list(v) for v in vectors], n)[0])
 
 
 # -- convexity of the fan polytope ------------------------------------------
@@ -230,14 +217,15 @@ def canonical_rank2_fan(klass):
     return rank2_fan_from_rays(rays)
 
 
+def angle_key(v):
+    """Sort key of a nonzero rank-2 vector by its angle from e1, in [0, 2 pi)."""
+    x, y = v
+    half = 0 if y > 0 or (y == 0 and x > 0) else 1
+    return (half, 0 if y == 0 else 1, Fraction(-x, y) if y != 0 else Fraction(0))
+
+
 def rank2_fan_from_rays(rays, base_pair=((1, 0), (0, 1))):
     """Complete rank-2 fan with chambers the angularly consecutive ray pairs."""
-
-    def angle_key(v):
-        x, y = v
-        half = 0 if y > 0 or (y == 0 and x > 0) else 1
-        return (half, 0 if y == 0 else 1, Fraction(-x, y) if y != 0 else Fraction(0))
-
     ordered = sorted(rays, key=angle_key)
     k = len(ordered)
     rays_sorted = sorted(ordered)
@@ -390,18 +378,12 @@ def lattice_iso(p, q):
 def _rational_matmul_inverse(img_mat, a_mat):
     """Integer matrix M with M a_mat = img_mat, or None."""
     n = len(a_mat)
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        sol = la.solve_exact(a_mat, e)
-        if sol is None:
-            return None
-        cols.append(sol)
-    a_inv = la.from_columns(cols)  # rational entries
-    m = tuple(
-        tuple(sum(img_mat[i][k] * a_inv[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    if any(x.denominator != 1 for row in m for x in row):
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a_mat)]
+    piv_cols, d, _sign = la._eliminate(a, n)
+    if len(piv_cols) < n:
         return None
-    return tuple(tuple(int(x) for x in row) for row in m)
+    # the right block is d * a_mat^{-1}, so img_mat times it is d * M
+    m = la.matmul(img_mat, tuple(tuple(row[n:]) for row in a))
+    if any(x % d for row in m for x in row):
+        return None
+    return tuple(tuple(x // d for x in row) for row in m)

@@ -4,6 +4,13 @@ root systems and descent statistics.
 Everything is computed in the simple-root basis: the reflection s_i sends
 alpha_j to alpha_j - c_ij alpha_i, and the Coxeter fan lives in the dual
 basis, so the chamber of w has ray matrix (M_w^T)^{-1}.
+
+The enumeration tracks the inverse of each element alongside its matrix:
+it reaches w s_i from w, and (M_w s_i)^{-1} = s_i M_w^{-1} since s_i is an
+involution.  The chamber rays are then the rows of M_w^{-1} and the
+descents are read off its columns, with no inversion per element.  The
+functions that need the whole group accept an already enumerated element
+list, so one enumeration can serve a fan, its descents and its roots.
 """
 
 from dataclasses import dataclass
@@ -87,6 +94,7 @@ def cartan_from_json(data):
 class WeylElement:
     matrix: tuple  # action on the simple-root basis
     word: tuple  # one shortest word of generator indices (1-based)
+    inverse: tuple  # matrix of the inverse element
 
     @property
     def length(self):
@@ -108,37 +116,43 @@ def weyl_enumerate(cartan, budget=2_000_000):
     n = cartan.n
     gens = [cartan.reflection(i) for i in range(n)]
     identity = la.identity(n)
-    elements = {identity: ()}
+    elements = {identity: ((), identity)}
     frontier = [identity]
     while frontier:
         nxt = []
         for m in frontier:
-            word = elements[m]
+            word, inverse = elements[m]
             for i in range(n):
                 m2 = la.matmul(m, gens[i])
                 if m2 not in elements:
                     if len(elements) >= budget:
                         return BudgetExhausted(len(elements), budget)
-                    elements[m2] = word + (i + 1,)
+                    elements[m2] = (word + (i + 1,), la.matmul(gens[i], inverse))
                     nxt.append(m2)
         frontier = nxt
-    return [WeylElement(m, w) for m, w in elements.items()]
+    return [WeylElement(m, w, inv) for m, (w, inv) in elements.items()]
 
 
-def _require_finite(result):
-    if isinstance(result, BudgetExhausted):
-        raise NotFiniteType(f"Weyl group did not close within {result.budget} elements")
-    return result
+def _finite_elements(cartan, budget, elements):
+    """The given element list, else a fresh enumeration that must close."""
+    if elements is None:
+        elements = weyl_enumerate(cartan, budget)
+    if isinstance(elements, BudgetExhausted):
+        raise NotFiniteType(f"Weyl group did not close within {elements.budget} elements")
+    return elements
 
 
-def coxeter_fan(cartan, budget=2_000_000):
-    """Fan of Weyl chambers in dominant-weight coordinates; |W| chambers."""
-    elements = _require_finite(weyl_enumerate(cartan, budget))
+def coxeter_fan(cartan, budget=2_000_000, elements=None):
+    """Fan of Weyl chambers in dominant-weight coordinates; |W| chambers.
+
+    `elements` is the output of `weyl_enumerate`; without it the group is
+    enumerated here under `budget`.
+    """
+    elements = _finite_elements(cartan, budget, elements)
     rays = set()
     chamber_keys = []
     for w in elements:
-        r = la.invert_unimodular(la.transpose(w.matrix))
-        cols = la.columns(r)
+        cols = w.inverse  # the columns of (M_w^T)^{-1}
         rays.update(cols)
         chamber_keys.append(frozenset(cols))
     rays = sorted(rays)
@@ -153,9 +167,9 @@ def coxeter_fan(cartan, budget=2_000_000):
     return build_fan(rays, chambers, chambers.index(base_key), require_complete=True)
 
 
-def root_system(cartan, budget=2_000_000):
+def root_system(cartan, budget=2_000_000, elements=None):
     """(all roots, short roots) as vectors in the simple-root basis."""
-    _require_finite(weyl_enumerate(cartan, budget))
+    _finite_elements(cartan, budget, elements)
     n = cartan.n
     gens = [cartan.reflection(i) for i in range(n)]
     roots = {tuple(1 if i == j else 0 for j in range(n)) for i in range(n)}
@@ -174,17 +188,16 @@ def root_system(cartan, budget=2_000_000):
     return roots, short
 
 
-def descent_histogram(cartan, budget=2_000_000):
+def descent_histogram(cartan, budget=2_000_000, elements=None):
     """W-Eulerian numbers: counts of elements by number of left descents.
 
     s_i is a descent of w iff w^{-1}(alpha_i) is a negative root.
     """
-    elements = _require_finite(weyl_enumerate(cartan, budget))
+    elements = _finite_elements(cartan, budget, elements)
     n = cartan.n
     hist = [0] * (n + 1)
     for w in elements:
-        inv = la.invert_unimodular(w.matrix)
-        cols = la.columns(inv)
+        cols = la.columns(w.inverse)
         des = sum(1 for c in cols if all(x <= 0 for x in c))
         hist[des] += 1
     return tuple(hist)

@@ -1,6 +1,8 @@
 import pytest
 
 from tiltfan import lattice as la
+from tiltfan import weyl
+from tiltfan.cli import main
 from tiltfan.combinatorics import f_vector, h_vector
 from tiltfan.errors import NotFiniteType
 from tiltfan.weyl import (
@@ -129,3 +131,43 @@ def test_reflections_are_involutions():
     for i in range(3):
         s = cd.reflection(i)
         assert la.matmul(s, s) == la.identity(3)
+
+
+@pytest.mark.parametrize("type_, n", [("A", 3), ("B", 3)])
+def test_tracked_inverses(type_, n):
+    elements = weyl_enumerate(cartan_preset(type_, n))
+    for w in elements:
+        assert la.matmul(w.matrix, w.inverse) == la.identity(n)
+        assert w.inverse == la.invert_unimodular(w.matrix)
+
+
+@pytest.mark.parametrize("type_, n", [("A", 3), ("B", 3)])
+def test_functions_accept_the_enumerated_elements(type_, n):
+    cd = cartan_preset(type_, n)
+    elements = weyl_enumerate(cd)
+    fan = coxeter_fan(cd, elements=elements)
+    assert fan == coxeter_fan(cd)
+    assert fan.walls == coxeter_fan(cd).walls
+    assert descent_histogram(cd, elements=elements) == descent_histogram(cd)
+    assert root_system(cd, elements=elements) == root_system(cd)
+
+
+def test_weyl_command_enumerates_once(monkeypatch, capsys):
+    calls = []
+    original = weyl.weyl_enumerate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(weyl, "weyl_enumerate", counting)
+    argv = ["weyl", "--type", "A", "--n", "3", "--eulerian", "--roots", "--analyze"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert "[1, 11, 11, 1]" in capsys.readouterr().out
+
+
+def test_weyl_command_honours_the_budget(capsys):
+    assert main(["weyl", "--type", "A", "--n", "3", "--budget", "3"]) == 2
+    assert "did not close within 3 elements" in capsys.readouterr().err
+    assert main(["weyl", "--type", "A", "--n", "3", "--budget", "24", "--eulerian"]) == 0
