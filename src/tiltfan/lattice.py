@@ -85,28 +85,10 @@ def primitive(v):
 def determinant(m):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    piv_cols, d, sign = _eliminate([list(row) for row in m], n)
+    return sign * d if len(piv_cols) == n else 0
 
 
 def _eliminate(a, ncols):
@@ -156,18 +138,30 @@ def solve_exact(m, rhs):
     return tuple(Fraction(row[cols_n], d) for row in a[:cols_n])
 
 
-def invert_unimodular(m):
-    """Integer inverse of a matrix with determinant +-1."""
+def rank(rows, ncols):
+    """Rank of the integer matrix with the given rows and ncols columns."""
+    return len(_eliminate([list(row) for row in rows], ncols)[0])
+
+
+def scaled_inverse(m):
+    """(det m, det m * m^-1) as integers for a square matrix m; None if singular."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     piv_cols, d, sign = _eliminate(a, n)
-    det = sign * d if len(piv_cols) == n else 0
+    if len(piv_cols) < n:
+        return None
+    # the row operations took [m | 1] to [d 1 | d m^-1], and det m = sign * d
+    return sign * d, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def invert_unimodular(m):
+    """Integer inverse of a matrix with determinant +-1."""
+    det, adj = scaled_inverse(m) or (0, None)
     if det not in (1, -1):
         raise DetNotUnit(f"determinant is {det}, not a unit")
-    # the row operations took [m | 1] to [d 1 | d m^-1], and d * d = 1
-    return tuple(tuple(d * x for x in row[n:]) for row in a)
+    return adj if det == 1 else tuple(tuple(-x for x in row) for row in adj)
 
 
 def kernel_functional(rows, n):

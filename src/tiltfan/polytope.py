@@ -83,13 +83,9 @@ def convex_hull(points, rank=None):
     vertices = []
     for p in points:
         active = [n for (n, off) in facets if la.dot(n, p) == off]
-        if len(active) >= rank and _rank_of(active, rank) == rank:
+        if len(active) >= rank and la.rank(active, rank) == rank:
             vertices.append(p)
     return LatticePolytope(tuple(sorted(vertices)), tuple(sorted(facets)))
-
-
-def _rank_of(vectors, n):
-    return len(la._eliminate([list(v) for v in vectors], n)[0])
 
 
 # -- convexity of the fan polytope ------------------------------------------
@@ -377,13 +373,11 @@ def lattice_iso(p, q):
 
 def _rational_matmul_inverse(img_mat, a_mat):
     """Integer matrix M with M a_mat = img_mat, or None."""
-    n = len(a_mat)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a_mat)]
-    piv_cols, d, _sign = la._eliminate(a, n)
-    if len(piv_cols) < n:
+    inv = la.scaled_inverse(a_mat)
+    if inv is None:
         return None
-    # the right block is d * a_mat^{-1}, so img_mat times it is d * M
-    m = la.matmul(img_mat, tuple(tuple(row[n:]) for row in a))
+    d, adj = inv
+    m = la.matmul(img_mat, adj)  # d * M
     if any(x % d for row in m for x in row):
         return None
     return tuple(tuple(x // d for x in row) for row in m)

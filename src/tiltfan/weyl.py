@@ -5,12 +5,14 @@ Everything is computed in the simple-root basis: the reflection s_i sends
 alpha_j to alpha_j - c_ij alpha_i, and the Coxeter fan lives in the dual
 basis, so the chamber of w has ray matrix (M_w^T)^{-1}.
 
-The enumeration tracks the inverse of each element alongside its matrix:
-it reaches w s_i from w, and (M_w s_i)^{-1} = s_i M_w^{-1} since s_i is an
-involution.  The chamber rays are then the rows of M_w^{-1} and the
-descents are read off its columns, with no inversion per element.  The
-functions that need the whole group accept an already enumerated element
-list, so one enumeration can serve a fan, its descents and its roots.
+The enumeration also returns the inverse of each element: it reaches w s_i
+from w, and (M_w s_i)^{-1} = s_i M_w^{-1} since s_i is an involution.  The
+inverses are built only once the group has closed, so a search that runs
+out of budget pays for no more than the matrices and words.  The chamber
+rays are the rows of M_w^{-1} and the descents are read off its columns,
+with no inversion per element.  The functions that need the whole group
+accept an already enumerated element list, so one enumeration can serve a
+fan, its descents and its roots.
 """
 
 from dataclasses import dataclass
@@ -116,21 +118,27 @@ def weyl_enumerate(cartan, budget=2_000_000):
     n = cartan.n
     gens = [cartan.reflection(i) for i in range(n)]
     identity = la.identity(n)
-    elements = {identity: ((), identity)}
+    elements = {identity: ((), None)}  # matrix -> (word, matrix it was reached from)
     frontier = [identity]
     while frontier:
         nxt = []
         for m in frontier:
-            word, inverse = elements[m]
+            word = elements[m][0]
             for i in range(n):
                 m2 = la.matmul(m, gens[i])
                 if m2 not in elements:
                     if len(elements) >= budget:
                         return BudgetExhausted(len(elements), budget)
-                    elements[m2] = (word + (i + 1,), la.matmul(gens[i], inverse))
+                    elements[m2] = (word + (i + 1,), m)
                     nxt.append(m2)
         frontier = nxt
-    return [WeylElement(m, w, inv) for m, (w, inv) in elements.items()]
+    # (M_w s_i)^-1 = s_i M_w^-1, in BFS order so every parent comes first
+    inverses = {}
+    result = []
+    for m, (word, parent) in elements.items():
+        inverses[m] = la.matmul(gens[word[-1] - 1], inverses[parent]) if word else identity
+        result.append(WeylElement(m, word, inverses[m]))
+    return result
 
 
 def _finite_elements(cartan, budget, elements):

@@ -1,12 +1,6 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-
-import tiltfan
 
 from tiltfan.brauer import graph_to_json
 from tiltfan.cli import fan_svg, kase_family_fan, main, polytope_to_json
@@ -140,30 +134,18 @@ def test_fan_command_paranoid(tmp_path, capsys):
     assert "complete=certified" in capsys.readouterr().out
 
 
-def run_cli(args, **env):
-    """Run the CLI in a fresh interpreter; returns the CompletedProcess."""
-    src = str(Path(tiltfan.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "tiltfan.cli", *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **env},
-    )
-
-
 @pytest.mark.parametrize("budget", ["abc", "0"])
-def test_bad_env_budget_is_a_one_line_error(tmp_path, budget):
+def test_bad_env_budget_is_a_one_line_error(tmp_path, monkeypatch, capsys, budget):
     matrix = write(tmp_path, "a2.json", {"n": 2, "B": [[0, 1], [-1, 0]]})
-    proc = run_cli(["cluster", "--matrix", matrix], TILTFAN_BUDGET=budget)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: TILTFAN_BUDGET") and proc.stderr.count("\n") == 1
+    monkeypatch.setenv("TILTFAN_BUDGET", budget)
+    assert main(["cluster", "--matrix", matrix]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: TILTFAN_BUDGET") and err.count("\n") == 1
 
 
-def test_kase_zero_parameter_is_a_one_line_error():
-    proc = run_cli(["kase", "--ell", "0", "--m", "2"])
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr == "error: both family parameters must be >= 1\n"
+def test_kase_zero_parameter_is_a_one_line_error(capsys):
+    assert main(["kase", "--ell", "0", "--m", "2"]) == 1
+    assert capsys.readouterr().err == "error: both family parameters must be >= 1\n"
 
 
 def test_schema_version_flag_is_gone(capsys):

@@ -300,3 +300,32 @@ def test_kernel_functional_sign_convention():
         la.kernel_functional([(1, 0, 0)], 3)
     with pytest.raises(ValueError, match="corank 0"):
         la.kernel_functional([(1, 0), (0, 1)], 2)
+
+
+@given(st.integers(0, 5).flatmap(lambda n: small_matrix(n, n)))
+def test_determinant_matches_laplace(m):
+    assert la.determinant(m) == ref_det(m)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: small_matrix(n, n)))
+def test_scaled_inverse_is_the_adjugate(m):
+    det = ref_det(m)
+    got = la.scaled_inverse(m)
+    if det == 0:
+        assert got is None
+    else:
+        inv = ref_rref([list(row) + list(e) for row, e in zip(m, la.identity(len(m)))], len(m))[0]
+        assert got == (det, tuple(tuple(det * x for x in row[len(m):]) for row in inv))
+
+
+@given(st.tuples(st.integers(0, 5), st.integers(1, 5)).flatmap(lambda rc: small_matrix(*rc)))
+def test_rank_matches_reference(rows):
+    n = len(rows[0]) if rows else 1
+    assert la.rank(rows, n) == len(ref_rref(rows, n)[1])
+
+
+def test_non_square_is_rejected():
+    with pytest.raises(ValueError, match="non-square"):
+        la.determinant(((1, 2),))
+    with pytest.raises(ValueError, match="non-square"):
+        la.scaled_inverse(((1, 2),))
