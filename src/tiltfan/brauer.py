@@ -120,29 +120,15 @@ class BrauerGraph:
             return TREE
         if betti != 1:
             return OTHER
-        # strip leaves; the surviving edges form the unique cycle
-        deg = [0] * self.n_vertices
-        alive = set(range(self.n_edges))
-        for e, (h, hb) in enumerate(self.edges):
-            deg[self.vertex_of[h]] += 1
-            deg[self.vertex_of[hb]] += 1
-        changed = True
-        while changed:
-            changed = False
-            for e in sorted(alive):
-                h, hb = self.edges[e]
-                u, v = self.vertex_of[h], self.vertex_of[hb]
-                if u != v and (deg[u] == 1 or deg[v] == 1):
-                    alive.discard(e)
-                    deg[u] -= 1
-                    deg[v] -= 1
-                    changed = True
-        return ODD_CYCLE if len(alive) % 2 == 1 else OTHER
+        return ODD_CYCLE if len(self.cycle_edges()) % 2 == 1 else OTHER
 
     def cycle_edges(self):
-        """Edge indices on the unique cycle (empty for a tree)."""
-        if self.classify() == TREE:
-            return frozenset()
+        """Edge indices on the unique cycle (empty for a tree).
+
+        These are the edges that survive repeatedly stripping non-loop edges
+        at a degree-1 vertex; with more than one cycle, all edges on cycles
+        or on paths between them survive.
+        """
         deg = [0] * self.n_vertices
         alive = set(range(self.n_edges))
         for h, hb in self.edges:

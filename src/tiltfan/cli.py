@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from . import brauer, cluster, combinatorics, polytope, weyl
-from .errors import TiltfanError
+from .errors import NotRank2, ParseError, TiltfanError
 from .fan import fan_from_json, fan_to_json, verify_pairwise_intersections
 
 DEFAULT_BUDGET = 100_000
@@ -39,7 +39,10 @@ def _write_json(path, data):
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _rat(x):
@@ -60,7 +63,7 @@ def polytope_to_json(poly):
 def fan_svg(fan, g_poly=None, size=400):
     """Deterministic SVG of a rank-2 fan: chamber simplices, rays, polygon."""
     if fan.rank != 2:
-        raise ValueError("SVG output is rank-2 only")
+        raise NotRank2(f"SVG output is rank-2 only; the fan has rank {fan.rank}")
     pts = list(fan.rays)
     if g_poly is not None:
         pts += list(g_poly.vertices)
@@ -109,12 +112,17 @@ def _emit_fan_outputs(fan_obj, args):
             json.dump(report, sys.stdout, indent=1, sort_keys=True)
             print()
     if getattr(args, "plot", None):
-        poly = None
-        if fan_obj.rank == 2 and polytope.convexity_report(fan_obj).convex:
-            poly = polytope.g_polytope(fan_obj)
-        with open(args.plot, "w") as fh:
-            fh.write(fan_svg(fan_obj, poly))
+        _write_plot(fan_obj, args.plot)
     return 0
+
+
+def _write_plot(fan_obj, path):
+    poly = None
+    if fan_obj.rank == 2 and polytope.convexity_report(fan_obj).convex:
+        poly = polytope.g_polytope(fan_obj)
+    svg = fan_svg(fan_obj, poly)
+    with open(path, "w") as fh:
+        fh.write(svg)
 
 
 def _budget(args):
@@ -134,12 +142,14 @@ def _budget(args):
 
 def cmd_cluster(args):
     data = _load_json(args.matrix)
+    if not isinstance(data, dict) or "B" not in data:
+        raise ParseError(f'{args.matrix} has no "B" key')
     b = tuple(tuple(int(x) for x in row) for row in data["B"])
     result = cluster.enumerate_gfan(b, budget=_budget(args))
     if isinstance(result, cluster.BudgetExhausted):
         print(
-            f"budget exhausted after {result.explored} chambers "
-            f"(budget {result.budget}); writing partial fan",
+            f"budget exhausted: explored {result.explored} chambers, "
+            f"frontier {result.frontier}, budget {result.budget}; writing partial fan",
             file=sys.stderr,
         )
         if args.fan:
@@ -231,12 +241,7 @@ def cmd_classify(args):
 
 
 def cmd_plot(args):
-    fan_obj = fan_from_json(_load_json(args.input))
-    poly = None
-    if polytope.convexity_report(fan_obj).convex:
-        poly = polytope.g_polytope(fan_obj)
-    with open(args.out, "w") as fh:
-        fh.write(fan_svg(fan_obj, poly))
+    _write_plot(fan_from_json(_load_json(args.input)), args.out)
     return 0
 
 

@@ -45,6 +45,27 @@ def initial_seed(b):
     return ExtendedSeed(b, la.identity(n), la.identity(n))
 
 
+def _exchanged_g(b, c, g_cols, k):
+    """The g-vector that replaces column k (0-based) under mutation at k.
+
+    The update branches on the sign of the k-th c-vector, which is well
+    defined by sign-coherence.
+    """
+    ck = [row[k] for row in c]
+    if all(x >= 0 for x in ck):
+        sign = 1
+    elif all(x <= 0 for x in ck):
+        sign = -1
+    else:
+        raise SignIncoherence(k + 1)
+    new_gk = la.vneg(g_cols[k])
+    for i, row in enumerate(b):
+        coeff = _pos(-sign * row[k])
+        if coeff:
+            new_gk = la.vadd(new_gk, la.vscale(coeff, g_cols[i]))
+    return new_gk
+
+
 def mutate(seed, k):
     """Mutate in direction k (1-based), returning a new seed."""
     n = seed.n
@@ -73,19 +94,8 @@ def mutate(seed, k):
         for i in range(n)
     )
 
-    ck = tuple(c[i][k] for i in range(n))
-    if all(x >= 0 for x in ck):
-        sign = 1
-    elif all(x <= 0 for x in ck):
-        sign = -1
-    else:
-        raise SignIncoherence(k + 1)
     g_cols = la.columns(g)
-    new_gk = la.vneg(g_cols[k])
-    for i in range(n):
-        coeff = _pos(-sign * b[i][k])
-        if coeff:
-            new_gk = la.vadd(new_gk, la.vscale(coeff, g_cols[i]))
+    new_gk = _exchanged_g(b, c, g_cols, k)
     new_g = la.from_columns([new_gk if j == k else g_cols[j] for j in range(n)])
 
     return ExtendedSeed(new_b, new_c, new_g, seed.history + (k + 1,))
@@ -105,9 +115,12 @@ def enumerate_gfan(b, budget=100_000):
     """Breadth-first closure of mutation; a Fan on closure, else BudgetExhausted.
 
     Chambers are deduplicated by their unordered g-column sets, so distinct
-    mutation-tree vertices giving the same cluster collapse.  Directions are
-    explored in increasing order with a FIFO frontier, which makes the
-    enumeration deterministic.
+    mutation-tree vertices giving the same cluster collapse.  Each direction
+    first computes only the exchanged g-vector; the full seed is mutated
+    only for a new chamber.  Directions are explored in increasing order
+    with a FIFO frontier, which makes the enumeration deterministic.  On
+    exhaustion, `frontier` counts the chambers found whose neighbours were
+    not all examined.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -116,29 +129,30 @@ def enumerate_gfan(b, budget=100_000):
     base_key = seed0.chamber_key()
     seen = {base_key}
     queue = deque([seed0])
-    exhausted = False
-    while queue:
+    frontier = 0
+    while queue and not frontier:
         seed = queue.popleft()
-        for k in range(1, n + 1):
-            nxt = mutate(seed, k)
-            key = nxt.chamber_key()
+        g_cols = la.columns(seed.g)
+        for k in range(n):
+            key = tuple(sorted(g_cols[:k] + [_exchanged_g(seed.b, seed.c, g_cols, k)]
+                               + g_cols[k + 1:]))
             if key in seen:
                 continue
             if len(seen) >= budget:
-                exhausted = True
-                queue.clear()
+                # the seed under expansion has unexamined neighbours too
+                frontier = len(queue) + 1
                 break
             seen.add(key)
-            queue.append(nxt)
+            queue.append(mutate(seed, k + 1))
 
     rays = sorted({r for key in seen for r in key})
     ray_index = {r: i for i, r in enumerate(rays)}
     chambers = sorted({frozenset(ray_index[r] for r in key) for key in seen},
                       key=lambda c: tuple(sorted(c)))
     base = chambers.index(frozenset(ray_index[r] for r in base_key))
-    if exhausted:
+    if frontier:
         partial = Fan(n, tuple(rays), tuple(chambers), base, (), INCOMPLETE)
-        return BudgetExhausted(partial, len(seen), len(queue), budget)
+        return BudgetExhausted(partial, len(seen), frontier, budget)
     fan = build_fan(rays, chambers, base, require_complete=True)
     return fan
 

@@ -18,6 +18,7 @@ from .errors import (
     NonUnimodularChamber,
     NotAFace,
     OrderViolation,
+    ParseError,
     SignCoherenceViolation,
 )
 
@@ -61,27 +62,15 @@ class Fan:
         return tuple(sorted(self.rays[i] for i in self.chambers[chamber_index]))
 
 
-def _wall_normal(shared_rays, free_a, free_b, rank):
-    """Primitive normal of the hyperplane spanned by shared_rays, or None if
-    the two free rays do not lie strictly on opposite sides."""
-    if rank == 0:
-        return None
-    f = la.kernel_functional(shared_rays, rank) if shared_rays else tuple(
-        1 if i == 0 else 0 for i in range(rank)
-    )
-    a = la.dot(f, free_a)
-    b = la.dot(f, free_b)
-    if a == 0 or b == 0 or (a > 0) == (b > 0):
-        return None
-    return f
-
-
 def build_fan(rays, chambers, base, require_complete=False):
     """Validate and assemble a Fan.
 
     Checks ray primitivity/distinctness, chamber unimodularity, wall
     adjacency (free rays strictly on opposite sides of the shared
-    hyperplane) and sign-coherence relative to the base chamber.
+    hyperplane) and sign-coherence relative to the base chamber.  Each
+    chamber's ray matrix is inverted once over the integers; a wall's normal
+    is the row of its first chamber's inverse at the ray off the wall, with
+    the sign fixed so that the last nonzero entry is positive.
     Completeness is certified iff every codimension-1 face lies in exactly
     two chambers and the wall graph is connected.
     """
@@ -110,9 +99,36 @@ def build_fan(rays, chambers, base, require_complete=False):
     for ci, c in enumerate(chambers):
         if len(c) != rank:
             raise TiltfanError(f"chamber {ci} has {len(c)} rays, expected {rank}")
-        d = la.determinant(la.from_columns([rays[i] for i in sorted(c)]))
-        if d not in (1, -1):
-            raise NonUnimodularChamber(ci, d)
+
+    # wall detection via shared (rank-1)-subsets
+    facet_owners = {}
+    for ci, c in enumerate(chambers):
+        for sub in combinations(sorted(c), rank - 1):
+            facet_owners.setdefault(frozenset(sub), []).append(ci)
+    first_owned = [[] for _ in chambers]
+    for sub, owners in facet_owners.items():
+        if len(owners) == 2:
+            first_owned[owners[0]].append(sub)
+
+    # one integer inverse per chamber, kept only while its walls are filled:
+    # row p of the inverse vanishes on every ray but the p-th, where it is 1,
+    # so it is the primitive normal of the facet opposite that ray; None
+    # marks a wall whose two free rays are not strictly on opposite sides
+    normals = {}
+    for ci, c in enumerate(chambers):
+        idx = sorted(c)
+        det, adj = la.scaled_inverse(la.from_columns([rays[i] for i in idx])) or (0, None)
+        if det not in (1, -1):
+            raise NonUnimodularChamber(ci, det)
+        for sub in first_owned[ci]:
+            (free_a,) = c - sub
+            (free_b,) = chambers[facet_owners[sub][1]] - sub
+            row = adj[idx.index(free_a)]  # det times the inverse row
+            if det * la.dot(row, rays[free_b]) >= 0:
+                normals[sub] = None
+            else:
+                last = next(x for x in reversed(row) if x)
+                normals[sub] = row if last > 0 else la.vneg(row)
 
     # sign-coherence: every chamber sits in one closed orthant of the
     # base-chamber coordinates
@@ -125,12 +141,6 @@ def build_fan(rays, chambers, base, require_complete=False):
             if any(v > 0 for v in vals) and any(v < 0 for v in vals):
                 raise SignCoherenceViolation(ci, coord)
 
-    # wall detection via shared (rank-1)-subsets
-    facet_owners = {}
-    for ci, c in enumerate(chambers):
-        for sub in combinations(sorted(c), rank - 1):
-            facet_owners.setdefault(frozenset(sub), []).append(ci)
-
     walls = []
     dangling = []
     for sub, owners in sorted(facet_owners.items(), key=lambda kv: tuple(sorted(kv[0]))):
@@ -140,9 +150,7 @@ def build_fan(rays, chambers, base, require_complete=False):
             dangling.append(sub)
             continue
         ca, cb = owners
-        free_a = next(iter(chambers[ca] - sub))
-        free_b = next(iter(chambers[cb] - sub))
-        normal = _wall_normal([rays[i] for i in sorted(sub)], rays[free_a], rays[free_b], rank)
+        normal = normals[sub]
         if normal is None:
             raise TiltfanError(
                 f"chambers {ca} and {cb} share face {tuple(sorted(sub))} but overlap"
@@ -374,6 +382,8 @@ def fan_to_json(fan):
 
 
 def fan_from_json(data):
+    if not isinstance(data, dict) or not {"rays", "chambers", "base"} <= data.keys():
+        raise ParseError("not a fan: expected an object with rays, chambers and base")
     version = data.get("schema_version", 1)
     if version != 1:
         raise TiltfanError(f"unsupported schema version {version}")

@@ -82,6 +82,16 @@ B_D4 = ((0, 1, 1, 1), (-1, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, 0))
 B_KRONECKER = ((0, 2), (-2, 0))
 
 
+def b_type_a(n, perm=None):
+    """Exchange matrix of linearly oriented A_n, vertices relabelled by perm."""
+    perm = list(perm or range(n))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        b[perm[i]][perm[i + 1]] = 1
+        b[perm[i + 1]][perm[i]] = -1
+    return tuple(tuple(r) for r in b)
+
+
 @pytest.fixture(scope="session")
 def pentagon_fan():
     return enumerate_gfan(B_A2)

@@ -184,3 +184,11 @@ def test_graph_json_round_trip():
     f1 = f_vector(chambers_by_cliques(g))
     f2 = f_vector(chambers_by_cliques(g2))
     assert f1 == f2
+
+
+def test_cycle_edges():
+    assert path_tree(4).cycle_edges() == frozenset()
+    assert star_tree(3).cycle_edges() == frozenset()
+    assert loop_graph().cycle_edges() == frozenset({1})
+    assert odd_cycle_5().cycle_edges() == frozenset({0, 1, 2})
+    assert double_edge().cycle_edges() == frozenset({0, 1})

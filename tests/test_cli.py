@@ -7,7 +7,7 @@ from tiltfan.cli import fan_svg, kase_family_fan, main, polytope_to_json
 from tiltfan.fan import fan_from_json, fan_to_json
 from tiltfan.polytope import convex_hull, g_polytope
 
-from conftest import gamma3, path_tree
+from conftest import b_type_a, gamma3, path_tree
 
 
 def write(tmp_path, name, data):
@@ -151,3 +151,42 @@ def test_kase_zero_parameter_is_a_one_line_error(capsys):
 def test_schema_version_flag_is_gone(capsys):
     with pytest.raises(SystemExit):
         main(["--schema-version", "1", "kase", "--ell", "1", "--m", "1"])
+
+
+def test_cluster_budget_line_reports_explored_frontier_and_budget(tmp_path, capsys):
+    matrix = write(tmp_path, "a6.json", {"n": 6, "B": b_type_a(6)})
+    assert main(["cluster", "--matrix", matrix, "--budget", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("budget exhausted: explored 10 chambers, frontier ")
+    assert err.endswith(", budget 10; writing partial fan\n")
+    assert int(err.split("frontier ")[1].split(",")[0]) > 0
+
+
+def _bad_inputs(tmp_path):
+    no_b = write(tmp_path, "no_b.json", {"n": 2})
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"rays": [')
+    not_a_fan = write(tmp_path, "a3.json", {"n": 3, "B": b_type_a(3)})
+    rank3 = str(tmp_path / "rank3.json")
+    assert main(["weyl", "--type", "A", "--n", "3", "--fan", rank3]) == 0
+    svg = str(tmp_path / "out.svg")
+    return [
+        (["cluster", "--matrix", no_b], f'error: {no_b} has no "B" key\n'),
+        (["cluster", "--matrix", str(broken)], f"error: {broken} is not valid JSON: "),
+        (["analyze", "--input", str(broken)], f"error: {broken} is not valid JSON: "),
+        (["analyze", "--input", not_a_fan],
+         "error: not a fan: expected an object with rays, chambers and base\n"),
+        (["plot", "--input", rank3, "--out", svg],
+         "error: SVG output is rank-2 only; the fan has rank 3\n"),
+        (["cluster", "--matrix", not_a_fan, "--plot", svg],
+         "error: SVG output is rank-2 only; the fan has rank 3\n"),
+    ]
+
+
+def test_bad_inputs_are_one_line_errors(tmp_path, capsys):
+    for argv, expected in _bad_inputs(tmp_path):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(expected) and err.count("\n") == 1, (argv, err)
+    assert not (tmp_path / "out.svg").exists()

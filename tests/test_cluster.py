@@ -10,7 +10,7 @@ from tiltfan.cluster import (
 )
 from tiltfan.errors import NotSkewSymmetric
 
-from conftest import B_A2, B_A3, B_D4, B_KRONECKER
+from conftest import B_A2, B_A3, B_D4, B_KRONECKER, b_type_a
 
 
 def test_initial_seed():
@@ -140,3 +140,72 @@ def test_dedup_collapses_permuted_clusters():
     a = mutate(mutate(s, 1), 2)
     key = a.chamber_key()
     assert key == tuple(sorted(la.columns(a.g)))
+
+
+def _full_mutation_bfs(b):
+    """Reference search: mutate every seed in every direction, one seed per
+    chamber key."""
+    from collections import deque
+
+    seed0 = initial_seed(b)
+    seeds = {seed0.chamber_key(): seed0}
+    queue = deque([seed0])
+    while queue:
+        seed = queue.popleft()
+        for k in range(1, seed.n + 1):
+            nxt = mutate(seed, k)
+            if nxt.chamber_key() not in seeds:
+                seeds[nxt.chamber_key()] = nxt
+                queue.append(nxt)
+    return seeds
+
+
+def _chamber_keys(fan):
+    return {fan.chamber_key(ci) for ci in range(len(fan.chambers))}
+
+
+CLUSTER_CASES = [
+    b_type_a(2, (1, 0)),
+    b_type_a(3, (2, 0, 1)),
+    b_type_a(4, (1, 3, 0, 2)),
+    b_type_a(5, (4, 1, 3, 0, 2)),
+    B_D4,
+]
+
+
+@pytest.mark.parametrize("b", CLUSTER_CASES)
+def test_g_first_search_matches_full_mutation_bfs(b, monkeypatch):
+    import tiltfan.cluster as cluster
+
+    calls = []
+
+    def counting_mutate(seed, k):
+        calls.append(k)
+        return mutate(seed, k)
+
+    monkeypatch.setattr(cluster, "mutate", counting_mutate)
+    fan = enumerate_gfan(b)
+    reference = _full_mutation_bfs(b)
+    assert _chamber_keys(fan) == set(reference)
+    assert len(calls) == len(fan.chambers) - 1
+
+
+@pytest.mark.parametrize("b", CLUSTER_CASES)
+def test_wall_normals_are_the_c_vectors(b):
+    """Tropical duality: up to sign, the wall normals of the g-fan are the
+    c-vectors of all seeds."""
+    fan = enumerate_gfan(b)
+    normals = {frozenset((w.normal, la.vneg(w.normal))) for w in fan.walls}
+    c_vectors = {
+        frozenset((c, la.vneg(c)))
+        for seed in _full_mutation_bfs(b).values()
+        for c in la.columns(seed.c)
+    }
+    assert normals == c_vectors
+
+
+def test_budget_exhaustion_reports_the_frontier():
+    result = enumerate_gfan(b_type_a(6), budget=10)
+    assert isinstance(result, BudgetExhausted)
+    assert (result.explored, result.budget) == (10, 10)
+    assert result.frontier > 0

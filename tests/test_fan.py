@@ -223,3 +223,61 @@ def test_json_round_trip(a3_cluster_fan):
     assert fan_to_json(again) == data
     assert data["schema_version"] == 1
     assert data["rays"] == sorted(data["rays"])
+
+
+def _wall_fans():
+    import json
+    from pathlib import Path
+
+    from tiltfan.brauer import chambers_by_cliques
+    from tiltfan.cluster import enumerate_gfan
+    from tiltfan.weyl import cartan_preset, coxeter_fan
+
+    from conftest import B_D4, b_type_a, odd_cycle_5, path_tree, triangle
+
+    for n in (2, 3, 4, 5):
+        yield f"cluster A{n}", enumerate_gfan(b_type_a(n))
+    yield "cluster D4", enumerate_gfan(B_D4)
+    yield "weyl A3", coxeter_fan(cartan_preset("A", 3))
+    yield "weyl B3", coxeter_fan(cartan_preset("B", 3))
+    yield "brauer path 4", chambers_by_cliques(path_tree(4))
+    yield "brauer triangle", chambers_by_cliques(triangle())
+    yield "brauer odd 5", chambers_by_cliques(odd_cycle_5())
+    fans = Path(__file__).resolve().parent.parent / "benchmarks" / "fans"
+    for path in sorted(fans.glob("*.json")):
+        yield path.name, fan_from_json(json.loads(path.read_text()))
+
+
+def test_wall_normals_match_kernel_functional():
+    """The normals taken from chamber inverses equal the kernel functional of
+    the shared rays, and the two free rays lie strictly on opposite sides."""
+    from tiltfan import lattice as la
+
+    names = []
+    for name, fan in _wall_fans():
+        names.append(name)
+        assert fan.walls, name
+        for w in fan.walls:
+            shared = [fan.rays[i] for i in sorted(w.shared)]
+            assert w.normal == la.kernel_functional(shared, fan.rank), (name, w)
+            ca, cb = w.chambers
+            (free_a,) = fan.chambers[ca] - w.shared
+            (free_b,) = fan.chambers[cb] - w.shared
+            assert la.dot(w.normal, fan.rays[free_a]) * la.dot(w.normal, fan.rays[free_b]) < 0
+    assert sum(name.endswith(".json") for name in names) == 12
+
+
+def test_overlapping_chambers_sharing_a_ray_are_rejected():
+    from tiltfan.errors import TiltfanError
+
+    # cone{e1, e2} and cone{e2, e1 + e2} share e2 but both lie right of it
+    with pytest.raises(TiltfanError, match=r"share face \(1,\) but overlap"):
+        build_fan([(1, 0), (0, 1), (1, 1)], [{0, 1}, {1, 2}], 0)
+
+
+def test_fan_from_json_rejects_a_non_fan():
+    from tiltfan.errors import ParseError
+
+    for data in ({"B": [[0, 1], [-1, 0]]}, [1, 2], {"rays": [], "chambers": []}):
+        with pytest.raises(ParseError, match="not a fan"):
+            fan_from_json(data)
