@@ -16,7 +16,7 @@ tests exactly like real half-edges.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import Disconnected, UnsupportedGraph
+from .errors import Disconnected, TiltfanError, UnsupportedGraph, reading
 from .fan import build_fan
 
 TREE = "Tree"
@@ -33,16 +33,16 @@ class BrauerGraph:
         self.half_edges = tuple(half_edges)
         hs = set(self.half_edges)
         if len(hs) != len(self.half_edges):
-            raise ValueError("duplicate half-edge names")
+            raise TiltfanError("duplicate half-edge names")
         self.sigma = dict(sigma)
         self.bar = dict(bar)
         if set(self.sigma) != hs or set(self.sigma.values()) != hs:
-            raise ValueError("sigma is not a permutation of the half-edges")
+            raise TiltfanError("sigma is not a permutation of the half-edges")
         if set(self.bar) != hs:
-            raise ValueError("bar must be defined on every half-edge")
+            raise TiltfanError("bar must be defined on every half-edge")
         for h in self.half_edges:
             if self.bar[h] == h or self.bar[self.bar[h]] != h:
-                raise ValueError("bar must be a fixed-point-free involution")
+                raise TiltfanError("bar must be a fixed-point-free involution")
 
         # vertices = sigma-orbits, canonically ordered by their least member
         seen = set()
@@ -157,16 +157,27 @@ def graph_to_json(graph):
     }
 
 
+def _half_edge(h):
+    if not isinstance(h, str):
+        raise TypeError(f"half-edge names are strings, got {h!r}")
+    return h
+
+
 def graph_from_json(data):
-    sigma = {}
-    for cyc in data["sigma"]:
-        for i, h in enumerate(cyc):
-            sigma[h] = cyc[(i + 1) % len(cyc)]
-    bar = {}
-    for a, b in data["bar"]:
-        bar[a] = b
-        bar[b] = a
-    return BrauerGraph(data["half_edges"], sigma, bar)
+    with reading("not a Brauer graph"):
+        if not isinstance(data, dict):
+            raise TypeError("expected a JSON object")
+        half_edges = [_half_edge(h) for h in data["half_edges"]]
+        sigma = {}
+        for cyc in data["sigma"]:
+            cyc = [_half_edge(h) for h in cyc]
+            for i, h in enumerate(cyc):
+                sigma[h] = cyc[(i + 1) % len(cyc)]
+        bar = {}
+        for a, b in data["bar"]:
+            bar[_half_edge(a)] = _half_edge(b)
+            bar[b] = a
+    return BrauerGraph(half_edges, sigma, bar)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from . import brauer, cluster, combinatorics, polytope, weyl
-from .errors import NotRank2, ParseError, TiltfanError
+from .errors import NotRank2, ParseError, TiltfanError, parse_int, reading
 from .fan import fan_from_json, fan_to_json, verify_pairwise_intersections
 
 DEFAULT_BUDGET = 100_000
@@ -41,7 +41,7 @@ def _load_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -144,7 +144,8 @@ def cmd_cluster(args):
     data = _load_json(args.matrix)
     if not isinstance(data, dict) or "B" not in data:
         raise ParseError(f'{args.matrix} has no "B" key')
-    b = tuple(tuple(int(x) for x in row) for row in data["B"])
+    with reading(f"{args.matrix} is not an exchange matrix"):
+        b = tuple(tuple(map(parse_int, row)) for row in data["B"])
     result = cluster.enumerate_gfan(b, budget=_budget(args))
     if isinstance(result, cluster.BudgetExhausted):
         print(
@@ -187,7 +188,9 @@ def cmd_weyl(args):
     enum = weyl.weyl_enumerate(cartan, budget=_budget(args))
     if isinstance(enum, weyl.BudgetExhausted):
         print(
-            f"Weyl group did not close within {enum.budget} elements", file=sys.stderr
+            f"budget exhausted: explored {enum.explored} elements, "
+            f"frontier {enum.frontier}, budget {enum.budget}",
+            file=sys.stderr,
         )
         return 2
     fan_obj = weyl.coxeter_fan(cartan, elements=enum)
@@ -329,7 +332,7 @@ def main(argv=None):
     except TiltfanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the reading of decoded
+JSON documents into them."""
+
+from contextlib import contextmanager
 
 
 class TiltfanError(ValueError):
@@ -103,3 +106,30 @@ class DimensionTooLarge(TiltfanError):
 
 class ParseError(TiltfanError):
     pass
+
+
+@contextmanager
+def reading(what):
+    """Report a malformed decoded JSON document as one ParseError.
+
+    Python raises KeyError, TypeError or ValueError when a document lacks a
+    key or holds a value of the wrong shape; inside this block each becomes
+    a ParseError whose message starts with `what`.
+    Errors of this package pass through unchanged.
+    """
+    try:
+        yield
+    except TiltfanError:
+        raise
+    except KeyError as exc:
+        raise ParseError(f"{what}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: {exc}") from None
+
+
+def parse_int(x):
+    """x if it is an integer; TypeError for anything else, booleans,
+    floats and numeric strings included (for use inside `reading`)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x

@@ -3,8 +3,12 @@ coordinate restriction, sign filtering and reduction.
 
 A fan is stored combinatorially: a table of primitive rays plus the maximal
 chambers as frozensets of ray indices.  Completeness is a certificate
-("certified") established from wall-regularity and wall-graph connectivity,
-never from volume.
+("certified"), never a volume computation: every codimension-1 face lies in
+two chambers on opposite sides of it, the wall graph is connected, and a
+generic point lies in exactly one chamber (covering degree 1).  `build_fan`
+establishes it in every rank from one integer inverse per chamber; it
+proves that any two chambers meet in their common face, so the exhaustive
+pairwise check is needed only for fans that are not certified.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +24,8 @@ from .errors import (
     OrderViolation,
     ParseError,
     SignCoherenceViolation,
+    parse_int,
+    reading,
 )
 
 CERTIFIED = "certified"
@@ -71,8 +77,33 @@ def build_fan(rays, chambers, base, require_complete=False):
     chamber's ray matrix is inverted once over the integers; a wall's normal
     is the row of its first chamber's inverse at the ray off the wall, with
     the sign fixed so that the last nonzero entry is positive.
+
     Completeness is certified iff every codimension-1 face lies in exactly
-    two chambers and the wall graph is connected.
+    two chambers, the wall graph is connected and the test point
+    y0 + eps e_1 + eps^2 e_2 + ... (y0 the sum of the base rays, eps > 0
+    infinitesimal) lies in exactly one chamber; the same inverses decide
+    the last test (`holds_test_point`).  If the first two hold but the test
+    point lies in d != 1 chambers, the chambers overlap and TiltfanError is
+    raised.  Why this suffices:
+
+    1. The local checks make the chambers a connected, closed, oriented
+       pseudomanifold: across every wall the two chambers lie on opposite
+       sides, so their union is a neighbourhood of the wall's relative
+       interior.
+    2. Hence the radial map of the chambers to the unit sphere is a local
+       homeomorphism off the codimension-2 skeleton, and proper, so over
+       the complement of that skeleton's image (connected for rank >= 2)
+       it is a covering whose number of sheets is the map's degree.  The
+       test point lies on no proper face of any chamber (each chamber
+       coordinate is a nonzero polynomial in eps), so the count there is
+       the degree.
+    3. Degree 1 makes the map a bijection off that image; by induction on
+       the links of the lower faces (each a pseudomanifold of degree 1 in
+       the quotient) it is a homeomorphism.  So the chambers cover the
+       space once and any two meet in the cone on their shared rays.
+
+    Rank 1 has only the two half-lines, where the count is 1 as well.  The
+    certificate costs at most rank dot products per chamber.
     """
     rays = tuple(tuple(int(x) for x in r) for r in rays)
     if rays:
@@ -82,12 +113,17 @@ def build_fan(rays, chambers, base, require_complete=False):
     for r in rays:
         if la.is_zero(r) or la.primitive(r) != r:
             raise TiltfanError(f"ray {r} is not primitive")
+    if any(len(r) != rank for r in rays):
+        raise TiltfanError(f"rays of lengths {sorted({len(r) for r in rays})} in one fan")
     if len(set(rays)) != len(rays):
         raise TiltfanError("duplicate rays")
 
     chambers = tuple(frozenset(int(i) for i in c) for c in chambers)
     if len(set(chambers)) != len(chambers):
         raise TiltfanError("duplicate chambers")
+    for ci, c in enumerate(chambers):
+        if any(not 0 <= i < len(rays) for i in c):
+            raise TiltfanError(f"chamber {ci} names a ray index outside 0..{len(rays) - 1}")
     if not 0 <= base < len(chambers):
         raise TiltfanError("base chamber index out of range")
 
@@ -110,16 +146,20 @@ def build_fan(rays, chambers, base, require_complete=False):
         if len(owners) == 2:
             first_owned[owners[0]].append(sub)
 
-    # one integer inverse per chamber, kept only while its walls are filled:
-    # row p of the inverse vanishes on every ray but the p-th, where it is 1,
-    # so it is the primitive normal of the facet opposite that ray; None
-    # marks a wall whose two free rays are not strictly on opposite sides
+    # one integer inverse per chamber, kept only while its walls are filled
+    # and the test point is located in it: row p of the inverse vanishes on
+    # every ray but the p-th, where it is 1, so it is the primitive normal
+    # of the facet opposite that ray; None marks a wall whose two free rays
+    # are not strictly on opposite sides
+    y0 = tuple(map(sum, zip(*(rays[i] for i in chambers[base]))))
+    covering = 0
     normals = {}
     for ci, c in enumerate(chambers):
         idx = sorted(c)
         det, adj = la.scaled_inverse(la.from_columns([rays[i] for i in idx])) or (0, None)
         if det not in (1, -1):
             raise NonUnimodularChamber(ci, det)
+        covering += holds_test_point(det, adj, y0)
         for sub in first_owned[ci]:
             (free_a,) = c - sub
             (free_b,) = chambers[facet_owners[sub][1]] - sub
@@ -171,11 +211,29 @@ def build_fan(rays, chambers, base, require_complete=False):
                     seen.add(nb)
                     stack.append(nb)
         if len(seen) == len(chambers):
+            if covering != 1:
+                raise TiltfanError(f"a generic point lies in {covering} chambers")
             complete = CERTIFIED
     if require_complete and complete != CERTIFIED:
         raise DanglingWall(tuple(sorted(dangling[0])) if dangling else "disconnected wall graph")
 
     return Fan(rank, rays, chambers, base, tuple(walls), complete)
+
+
+def holds_test_point(det, adj, y0):
+    """Whether the chamber whose ray matrix M has det M = det and
+    det * M^-1 = adj contains y0 + eps e_1 + eps^2 e_2 + ... for every small
+    eps > 0.
+
+    The point's coordinate on a chamber ray is det * (r.y0 + eps r_1 +
+    eps^2 r_2 + ...) for the matching row r of adj, a nonzero polynomial in
+    eps, so the point is strictly inside or strictly outside, and the sign
+    is that of the first nonzero entry of det * (r.y0, r_1, ..., r_n).
+    """
+    for row in adj:
+        if det * (la.dot(row, y0) or next(x for x in row if x)) < 0:
+            return False
+    return True
 
 
 def faces(fan, i):
@@ -322,14 +380,20 @@ def reduce_at_cone(fan, cone_ray_indices):
 
 
 def verify_pairwise_intersections(fan):
-    """Exhaustive fan-axiom check for rank <= 3: the intersection of any two
-    chambers is the cone spanned by their shared rays.
+    """Fan-axiom check: the intersection of any two chambers is the cone
+    spanned by their shared rays.
 
-    The intersection of two simplicial full-dimensional cones is cut out by
-    the two inverse ray matrices; its extreme rays arise as kernels of pairs
-    of active constraints, and each must be a nonnegative combination of the
-    shared rays (checked in chamber coordinates).
+    A certified fan has passed the covering-degree certificate of
+    `build_fan`, which proves this in every rank, so it returns at once.
+    Any other fan (a partial one, or a Fan assembled by hand) gets the
+    exhaustive check, limited to rank <= 3: the intersection of two
+    simplicial full-dimensional cones is cut out by the two inverse ray
+    matrices; its extreme rays arise as kernels of pairs of active
+    constraints, and each must be a nonnegative combination of the shared
+    rays (checked in chamber coordinates).
     """
+    if fan.complete == CERTIFIED:
+        return
     if fan.rank > 3:
         raise TiltfanError("paranoid verification is limited to rank <= 3")
     if fan.rank <= 1:
@@ -386,9 +450,9 @@ def fan_from_json(data):
         raise ParseError("not a fan: expected an object with rays, chambers and base")
     version = data.get("schema_version", 1)
     if version != 1:
-        raise TiltfanError(f"unsupported schema version {version}")
-    return build_fan(
-        [tuple(r) for r in data["rays"]],
-        [frozenset(c) for c in data["chambers"]],
-        int(data["base"]),
-    )
+        raise TiltfanError(f"unsupported schema version {version!r}")
+    with reading("not a fan"):
+        rays = [tuple(map(parse_int, r)) for r in data["rays"]]
+        chambers = [frozenset(map(parse_int, c)) for c in data["chambers"]]
+        base = parse_int(data["base"])
+    return build_fan(rays, chambers, base)

@@ -7,6 +7,7 @@ on integers; only the result of `solve_exact` is made of Fractions.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DependentGenerators, DetNotUnit, NonSaturated, ZeroVector
 
@@ -65,7 +66,7 @@ def vscale(c, v):
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero(v):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import lattice as la
-from .errors import NotFiniteType
+from .errors import NotFiniteType, TiltfanError, parse_int, reading
 from .fan import build_fan
 
 
@@ -31,20 +31,22 @@ class CartanData:
     def __post_init__(self):
         c, d = self.c, self.d
         n = len(c)
+        if n < 1:
+            raise TiltfanError("rank must be >= 1")
         if any(len(row) != n for row in c) or len(d) != n:
-            raise ValueError("Cartan matrix and symmetrizer sizes disagree")
+            raise TiltfanError("Cartan matrix and symmetrizer sizes disagree")
         for i in range(n):
             if c[i][i] != 2:
-                raise ValueError("diagonal entries must equal 2")
+                raise TiltfanError("diagonal entries must equal 2")
             if d[i] < 1:
-                raise ValueError("symmetrizer entries must be positive")
+                raise TiltfanError("symmetrizer entries must be positive")
             for j in range(n):
                 if i != j and c[i][j] > 0:
-                    raise ValueError("off-diagonal entries must be nonpositive")
+                    raise TiltfanError("off-diagonal entries must be nonpositive")
                 if (c[i][j] == 0) != (c[j][i] == 0):
-                    raise ValueError("zero pattern must be symmetric")
+                    raise TiltfanError("zero pattern must be symmetric")
                 if c[i][j] * d[j] != c[j][i] * d[i]:
-                    raise ValueError("C D is not symmetric")
+                    raise TiltfanError("C D is not symmetric")
 
     @property
     def n(self):
@@ -72,24 +74,28 @@ class CartanData:
 
 def cartan_preset(type_, n):
     """Cartan data of type A_n (symmetrizer 1) or B_n (last entry doubled)."""
+    if type_ not in ("A", "B", "a", "b"):
+        raise TiltfanError(f"unknown preset type {type_!r}")
     if n < 1:
-        raise ValueError("rank must be >= 1")
+        raise TiltfanError("rank must be >= 1")
     c = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
     if type_.upper() == "A":
         return CartanData(la.mat(c), tuple([1] * n))
-    if type_.upper() == "B":
-        if n >= 2:
-            c[n - 1][n - 2] = -2
-        d = [1] * n
-        d[n - 1] = 2 if n >= 2 else 1
-        return CartanData(la.mat(c), tuple(d))
-    raise ValueError(f"unknown preset type {type_!r}")
+    if n >= 2:
+        c[n - 1][n - 2] = -2
+    d = [1] * n
+    d[n - 1] = 2 if n >= 2 else 1
+    return CartanData(la.mat(c), tuple(d))
 
 
 def cartan_from_json(data):
-    if "type" in data:
-        return cartan_preset(data["type"], int(data["n"]))
-    return CartanData(la.mat(data["C"]), tuple(int(x) for x in data["D"]))
+    with reading("not Cartan data"):
+        if not isinstance(data, dict):
+            raise TypeError("expected a JSON object")
+        if "type" in data:
+            return cartan_preset(data["type"], parse_int(data["n"]))
+        c = tuple(tuple(map(parse_int, row)) for row in data["C"])
+        return CartanData(c, tuple(map(parse_int, data["D"])))
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,7 @@ class WeylElement:
 @dataclass(frozen=True)
 class BudgetExhausted:
     explored: int
+    frontier: int  # elements found whose right multiples were not all examined
     budget: int
 
 
@@ -122,13 +129,16 @@ def weyl_enumerate(cartan, budget=2_000_000):
     frontier = [identity]
     while frontier:
         nxt = []
-        for m in frontier:
+        for k, m in enumerate(frontier):
             word = elements[m][0]
             for i in range(n):
                 m2 = la.matmul(m, gens[i])
                 if m2 not in elements:
                     if len(elements) >= budget:
-                        return BudgetExhausted(len(elements), budget)
+                        # m itself, the rest of its level and the next
+                        # level found so far
+                        unexpanded = len(frontier) - k + len(nxt)
+                        return BudgetExhausted(len(elements), unexpanded, budget)
                     elements[m2] = (word + (i + 1,), m)
                     nxt.append(m2)
         frontier = nxt

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltfan.brauer import graph_to_json
 from tiltfan.cli import fan_svg, kase_family_fan, main, polytope_to_json
@@ -162,11 +167,55 @@ def test_cluster_budget_line_reports_explored_frontier_and_budget(tmp_path, caps
     assert int(err.split("frontier ")[1].split(",")[0]) > 0
 
 
+FANS = Path(__file__).resolve().parent.parent / "benchmarks" / "fans"
+
+
+def _count_kernel_calls(monkeypatch):
+    from tiltfan import fan as fan_module
+
+    calls = []
+    kernel = fan_module.la.kernel_functional
+    monkeypatch.setattr(fan_module.la, "kernel_functional",
+                        lambda *a: calls.append(1) or kernel(*a))
+    return calls
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_paranoid_passes_certified_fans_of_any_rank(tmp_path, monkeypatch, capsys, rank):
+    if rank == 4:
+        path = str(tmp_path / "a4.json")
+        assert main(["weyl", "--type", "A", "--n", "4", "--fan", path]) == 0
+    else:
+        path = str(FANS / "coxeter_a5.json")
+    calls = _count_kernel_calls(monkeypatch)
+    capsys.readouterr()
+    assert main(["fan", "--input", path, "--paranoid"]) == 0
+    chambers = {4: 120, 5: 720}[rank]
+    assert capsys.readouterr().out.endswith(f"{chambers} chambers, complete=certified\n")
+    assert not calls  # the covering-degree certificate, not the pairwise loop
+
+
+def test_paranoid_checks_a_partial_fan_pair_by_pair(tmp_path, monkeypatch, capsys):
+    matrix = write(tmp_path, "a3.json", {"n": 3, "B": b_type_a(3)})
+    partial = str(tmp_path / "partial.json")
+    assert main(["cluster", "--matrix", matrix, "--budget", "3", "--fan", partial]) == 2
+    calls = _count_kernel_calls(monkeypatch)
+    capsys.readouterr()
+    assert main(["fan", "--input", partial, "--paranoid"]) == 0
+    assert capsys.readouterr().out == "rank 3, 5 rays, 3 chambers, complete=unknown\n"
+    assert calls
+
+
 def _bad_inputs(tmp_path):
     no_b = write(tmp_path, "no_b.json", {"n": 2})
     broken = tmp_path / "broken.json"
     broken.write_text('{"rays": [')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
     not_a_fan = write(tmp_path, "a3.json", {"n": 3, "B": b_type_a(3)})
+    letter = write(tmp_path, "letter.json", {"B": [["a"]]})
+    base_x = write(tmp_path, "base_x.json", {"rays": [[1, 0], [0, 1]], "chambers": [[0, 1]],
+                                             "base": "x"})
     rank3 = str(tmp_path / "rank3.json")
     assert main(["weyl", "--type", "A", "--n", "3", "--fan", rank3]) == 0
     svg = str(tmp_path / "out.svg")
@@ -174,12 +223,20 @@ def _bad_inputs(tmp_path):
         (["cluster", "--matrix", no_b], f'error: {no_b} has no "B" key\n'),
         (["cluster", "--matrix", str(broken)], f"error: {broken} is not valid JSON: "),
         (["analyze", "--input", str(broken)], f"error: {broken} is not valid JSON: "),
+        (["analyze", "--input", str(deep)], f"error: {deep} is not valid JSON: "),
         (["analyze", "--input", not_a_fan],
          "error: not a fan: expected an object with rays, chambers and base\n"),
         (["plot", "--input", rank3, "--out", svg],
          "error: SVG output is rank-2 only; the fan has rank 3\n"),
         (["cluster", "--matrix", not_a_fan, "--plot", svg],
          "error: SVG output is rank-2 only; the fan has rank 3\n"),
+        (["brauer", "--graph", no_b], "error: not a Brauer graph: missing key 'half_edges'\n"),
+        (["weyl", "--cartan", no_b], "error: not Cartan data: missing key 'C'\n"),
+        (["cluster", "--matrix", letter],
+         f"error: {letter} is not an exchange matrix: expected an integer, got 'a'\n"),
+        (["fan", "--input", base_x], "error: not a fan: expected an integer, got 'x'\n"),
+        (["weyl", "--type", "A", "--n", "0"], "error: rank must be >= 1\n"),
+        (["fan", "--input", str(tmp_path)], "error: [Errno 21] Is a directory: "),
     ]
 
 
@@ -190,3 +247,81 @@ def test_bad_inputs_are_one_line_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(expected) and err.count("\n") == 1, (argv, err)
     assert not (tmp_path / "out.svg").exists()
+
+
+# -- fuzzing: any input file gives exit 0, 1 or 2 and never a traceback -------
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(
+    ["", "a", "1a", "1b", "2a", "2b", "A", "B", "x\ny"]), st.floats(-2, 2))
+JSON = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.sampled_from(["B", "C", "D", "n", "type", "rays", "chambers", "base",
+                                     "half_edges", "sigma", "bar", "schema_version"]),
+                    inner, max_size=4)), max_leaves=12)
+SMALL = st.integers(-2, 2)
+NAMES = st.sampled_from(["1a", "1b", "2a", "2b", "3a", "3b"])
+DOCUMENTS = st.one_of(
+    JSON,
+    st.fixed_dictionaries({"B": st.lists(st.lists(SMALL, max_size=3), max_size=3)}),
+    st.fixed_dictionaries({"C": st.lists(st.lists(SMALL, max_size=3), max_size=3),
+                           "D": st.lists(st.integers(-1, 2), max_size=3)}),
+    st.fixed_dictionaries({"type": st.sampled_from(["A", "B", "C", 1]),
+                           "n": st.integers(-1, 3)}),
+    st.fixed_dictionaries({"rays": st.lists(st.lists(SMALL, min_size=2, max_size=3), max_size=6),
+                           "chambers": st.lists(st.lists(st.integers(-1, 6), max_size=3),
+                                                max_size=6),
+                           "base": st.integers(-1, 3)}),
+    st.fixed_dictionaries({"half_edges": st.lists(NAMES, max_size=6),
+                           "sigma": st.lists(st.lists(NAMES, max_size=3), max_size=4),
+                           "bar": st.lists(st.lists(NAMES, max_size=2), max_size=3)}),
+)
+COMMANDS = st.sampled_from([
+    ["cluster", "--matrix", "{doc}", "--budget", "20", "--analyze", "--ell-max", "2"],
+    ["brauer", "--graph", "{doc}", "--analyze", "--ell-max", "2", "--roots"],
+    ["weyl", "--cartan", "{doc}", "--budget", "20", "--eulerian", "--roots"],
+    ["fan", "--input", "{doc}", "--paranoid", "--fan", "{out}"],
+    ["analyze", "--input", "{doc}", "--ell-max", "2"],
+    ["classify", "--input", "{doc}"],
+    ["plot", "--input", "{doc}", "--out", "{out}"],
+])
+
+
+def _run_cli(argv):
+    """(exit status, stderr) of one CLI call; an escaping exception fails."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            status = exc.code
+    return status, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(COMMANDS, st.one_of(DOCUMENTS, st.text(max_size=12)))
+def test_cli_inputs_never_traceback(command, document):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "doc.json"
+        if isinstance(document, str):
+            doc.write_text(document)  # usually not JSON at all
+        else:
+            doc.write_text(json.dumps(document))
+        argv = [a.format(doc=doc, out=Path(tmp) / "out") for a in command]
+        status, err = _run_cli(argv)
+    assert status in (0, 1, 2), (argv, document, status)
+    assert "Traceback" not in err
+    if status == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (document, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["weyl", "kase", "cluster"]), st.integers(-2, 4), st.integers(-2, 4))
+def test_cli_numeric_options_never_traceback(command, a, b):
+    argv = {
+        "weyl": ["weyl", "--type", "B", "--n", str(a), "--budget", str(b)],
+        "kase": ["kase", "--ell", str(a), "--m", str(b), "--analyze", "--ell-max", "2"],
+        "cluster": ["cluster", "--matrix", "missing.json", "--budget", str(a)],
+    }[command]
+    status, err = _run_cli(argv)
+    assert status in (0, 1, 2), (argv, status)
+    assert "Traceback" not in err

@@ -281,3 +281,106 @@ def test_fan_from_json_rejects_a_non_fan():
     for data in ({"B": [[0, 1], [-1, 0]]}, [1, 2], {"rays": [], "chambers": []}):
         with pytest.raises(ParseError, match="not a fan"):
             fan_from_json(data)
+
+
+def _oracle_accepts(fan):
+    """The exhaustive rank <= 3 pairwise loop, forced past the certificate."""
+    from dataclasses import replace
+
+    from tiltfan.errors import TiltfanError
+    from tiltfan.fan import verify_pairwise_intersections
+
+    try:
+        verify_pairwise_intersections(replace(fan, complete=UNKNOWN))
+    except TiltfanError:
+        return False
+    return True
+
+
+def test_certificate_agrees_with_the_pairwise_oracle():
+    from tiltfan.brauer import chambers_by_cliques
+    from tiltfan.errors import TiltfanError
+    from tiltfan.fan import Fan
+
+    from conftest import gamma2, path_tree
+
+    fans = [(name, fan) for name, fan in _wall_fans() if fan.rank <= 3]
+    fans += [("brauer path3", chambers_by_cliques(path_tree(3))),
+             ("brauer gamma2", chambers_by_cliques(gamma2()))]
+    for name, fan in fans:
+        assert fan.complete == CERTIFIED, name
+        assert _oracle_accepts(fan), name
+    assert len(fans) == 16
+    # cone{(1,0),(1,1)} contains cone{(2,1),(1,1)}: both routes reject it
+    rays, chambers = ((1, 0), (1, 1), (2, 1)), (frozenset({0, 1}), frozenset({1, 2}))
+    with pytest.raises(TiltfanError):
+        build_fan(rays, chambers, 0)
+    assert not _oracle_accepts(Fan(2, rays, chambers, 0))
+    # the double cover below passes every wall check; both routes reject it
+    rays, chambers = _octahedral_double_cover()
+    with pytest.raises(TiltfanError):
+        build_fan(rays, chambers, 0)
+    assert not _oracle_accepts(Fan(3, tuple(rays), tuple(chambers), 0))
+
+
+OCTAHEDRAL_RING = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+
+
+def _octahedral_double_cover():
+    """Rays +-e3 and a ring of eight around the e3-axis, coning twice around
+    it: 16 unimodular chambers {+-e3, r_i, r_i+1}, every wall in exactly two
+    chambers on opposite sides of it, covering the space twice."""
+    ring = OCTAHEDRAL_RING + [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    rays = [(0, 0, 1), (0, 0, -1)] + ring
+    chambers = [frozenset({p, 2 + i, 2 + (i + 1) % 8}) for p in (0, 1) for i in range(8)]
+    return rays, chambers
+
+
+def _test_point_count(rays, chambers, base):
+    from tiltfan import lattice as la
+    from tiltfan.fan import holds_test_point
+
+    y0 = tuple(map(sum, zip(*(rays[i] for i in chambers[base]))))
+    return sum(
+        holds_test_point(*la.scaled_inverse(la.from_columns([rays[i] for i in sorted(c)])), y0)
+        for c in chambers
+    )
+
+
+def test_test_point_counts_the_covering_degree():
+    from itertools import combinations
+
+    from tiltfan import lattice as la
+
+    rays, chambers = _octahedral_double_cover()
+    owners = {}
+    for ci, c in enumerate(chambers):
+        assert abs(la.determinant(la.from_columns([rays[i] for i in sorted(c)]))) == 1
+        for sub in combinations(sorted(c), 2):
+            owners.setdefault(frozenset(sub), []).append(ci)
+    for sub, (ca, cb) in owners.items():
+        normal = la.kernel_functional([rays[i] for i in sorted(sub)], 3)
+        (free_a,), (free_b,) = chambers[ca] - sub, chambers[cb] - sub
+        assert la.dot(normal, rays[free_a]) * la.dot(normal, rays[free_b]) < 0
+    assert _test_point_count(rays, chambers, 0) == 2
+    with pytest.raises(SignCoherenceViolation):
+        build_fan(rays, chambers, 0)
+
+    rays = [(0, 0, 1), (0, 0, -1)] + OCTAHEDRAL_RING
+    chambers = [frozenset({p, 2 + i, 2 + (i + 1) % 4}) for p in (0, 1) for i in range(4)]
+    assert _test_point_count(rays, chambers, 0) == 1
+    assert build_fan(rays, chambers, 0).complete == CERTIFIED
+
+
+def test_covering_degree_other_than_one_is_an_error(monkeypatch):
+    """A complete-looking table whose test point lies in d != 1 chambers is
+    refused; the pentagon is made to report d = 5 by a predicate that
+    places the test point in every chamber."""
+    from tiltfan import fan as fan_module
+    from tiltfan.errors import TiltfanError
+
+    monkeypatch.setattr(fan_module, "holds_test_point", lambda det, adj, y0: True)
+    with pytest.raises(TiltfanError, match=r"^a generic point lies in 5 chambers$"):
+        pentagon()
+    # a partial fan proves nothing by its count, so it is not refused
+    assert build_fan([(1, 0), (0, 1), (-1, 1)], [{0, 1}, {1, 2}], 0).complete == UNKNOWN

@@ -169,5 +169,9 @@ def test_weyl_command_enumerates_once(monkeypatch, capsys):
 
 def test_weyl_command_honours_the_budget(capsys):
     assert main(["weyl", "--type", "A", "--n", "3", "--budget", "3"]) == 2
-    assert "did not close within 3 elements" in capsys.readouterr().err
+    # e, s1 and s2 are found; expanding e then finds s3: e and both
+    # generators found so far are left unexpanded
+    assert capsys.readouterr().err == (
+        "budget exhausted: explored 3 elements, frontier 3, budget 3\n"
+    )
     assert main(["weyl", "--type", "A", "--n", "3", "--budget", "24", "--eulerian"]) == 0
