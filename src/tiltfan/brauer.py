@@ -16,8 +16,9 @@ tests exactly like real half-edges.
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import lattice as la
 from .errors import Disconnected, TiltfanError, UnsupportedGraph, reading
-from .fan import build_fan
+from .fan import fan_from_cones
 
 TREE = "Tree"
 ODD_CYCLE = "OddCycle"
@@ -465,11 +466,8 @@ def chambers_by_cliques(graph):
         raise AssertionError(f"maximal clique of size {len(bad[0])}, expected {n}")
 
     rays = [w.class_vector for w in walks]
-    ray_index = {r: i for i, r in enumerate(rays)}
-    chambers = sorted({frozenset(c) for c in cliques}, key=lambda c: tuple(sorted(c)))
-    unit = lambda k: tuple(1 if t == k else 0 for t in range(n))
-    base_key = frozenset(ray_index[unit(k)] for k in range(n))
-    return build_fan(rays, chambers, chambers.index(base_key), require_complete=True)
+    cones = [[rays[i] for i in c] for c in cliques]
+    return fan_from_cones(cones, la.identity(n), require_complete=True)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,12 @@ from fractions import Fraction
 
 from . import brauer, cluster, combinatorics, polytope, weyl
 from .errors import NotRank2, ParseError, TiltfanError, parse_int, reading
-from .fan import fan_from_json, fan_to_json, verify_pairwise_intersections
+from .fan import (
+    BudgetExhausted,
+    fan_from_json,
+    fan_to_json,
+    verify_pairwise_intersections,
+)
 
 DEFAULT_BUDGET = 100_000
 MAX_ELL = 8
@@ -101,19 +106,37 @@ def fan_svg(fan, g_poly=None, size=400):
 
 
 def _emit_fan_outputs(fan_obj, args):
-    if getattr(args, "fan", None):
+    if args.fan:
         _write_json(args.fan, fan_to_json(fan_obj))
-    if getattr(args, "analyze", False):
-        report = combinatorics.analyze(fan_obj, ell_max=args.ell_max)
-        report["schema_version"] = 1
-        if getattr(args, "out", None):
-            _write_json(args.out, report)
-        else:
-            json.dump(report, sys.stdout, indent=1, sort_keys=True)
-            print()
-    if getattr(args, "plot", None):
+    if args.analyze:
+        _emit_report(fan_obj, args)
+    if args.plot:
         _write_plot(fan_obj, args.plot)
     return 0
+
+
+def _emit_report(fan_obj, args):
+    report = combinatorics.analyze(fan_obj, ell_max=args.ell_max)
+    report["schema_version"] = 1
+    if args.out:
+        _write_json(args.out, report)
+    else:
+        json.dump(report, sys.stdout, indent=1, sort_keys=True)
+        print()
+
+
+def _budget_exhausted(result, unit, fan_path):
+    """The exit-2 line; the partial fan, if any, goes to fan_path when given."""
+    write = fan_path and result.partial_fan is not None
+    print(
+        f"budget exhausted: explored {result.explored} {unit}, "
+        f"frontier {result.frontier}, budget {result.budget}"
+        + ("; writing partial fan" if write else ""),
+        file=sys.stderr,
+    )
+    if write:
+        _write_json(fan_path, fan_to_json(result.partial_fan))
+    return 2
 
 
 def _write_plot(fan_obj, path):
@@ -147,15 +170,8 @@ def cmd_cluster(args):
     with reading(f"{args.matrix} is not an exchange matrix"):
         b = tuple(tuple(map(parse_int, row)) for row in data["B"])
     result = cluster.enumerate_gfan(b, budget=_budget(args))
-    if isinstance(result, cluster.BudgetExhausted):
-        print(
-            f"budget exhausted: explored {result.explored} chambers, "
-            f"frontier {result.frontier}, budget {result.budget}; writing partial fan",
-            file=sys.stderr,
-        )
-        if args.fan:
-            _write_json(args.fan, fan_to_json(result.partial_fan))
-        return 2
+    if isinstance(result, BudgetExhausted):
+        return _budget_exhausted(result, "chambers", args.fan)
     return _emit_fan_outputs(result, args)
 
 
@@ -165,10 +181,8 @@ def cmd_brauer(args):
     status = _emit_fan_outputs(fan_obj, args)
     if args.roots:
         rm = brauer.root_map(graph)
-        walks = brauer.self_admissible_walks(graph)
-        table = {
-            ",".join(map(str, w.class_vector)): list(rm.apply(w.class_vector)) for w in walks
-        }
+        # the rays are the classes of the self-admissible walks
+        table = {",".join(map(str, r)): list(rm.apply(r)) for r in fan_obj.rays}
         json.dump({"schema_version": 1, "roots": table}, sys.stdout, indent=1, sort_keys=True)
         print()
     return status
@@ -186,13 +200,8 @@ def cmd_weyl(args):
         print("weyl needs either --type/--n or --cartan", file=sys.stderr)
         return 1
     enum = weyl.weyl_enumerate(cartan, budget=_budget(args))
-    if isinstance(enum, weyl.BudgetExhausted):
-        print(
-            f"budget exhausted: explored {enum.explored} elements, "
-            f"frontier {enum.frontier}, budget {enum.budget}",
-            file=sys.stderr,
-        )
-        return 2
+    if isinstance(enum, BudgetExhausted):
+        return _budget_exhausted(enum, "elements", args.fan)
     fan_obj = weyl.coxeter_fan(cartan, elements=enum)
     status = _emit_fan_outputs(fan_obj, args)
     if args.eulerian:
@@ -225,14 +234,7 @@ def cmd_fan(args):
 
 
 def cmd_analyze(args):
-    fan_obj = fan_from_json(_load_json(args.input))
-    report = combinatorics.analyze(fan_obj, ell_max=args.ell_max)
-    report["schema_version"] = 1
-    if args.out:
-        _write_json(args.out, report)
-    else:
-        json.dump(report, sys.stdout, indent=1, sort_keys=True)
-        print()
+    _emit_report(fan_from_json(_load_json(args.input)), args)
     return 0
 
 
@@ -253,12 +255,10 @@ def cmd_kase(args):
     return _emit_fan_outputs(fan_obj, args)
 
 
-def _add_common(p, fan_out=True):
-    p.add_argument("--budget", type=int, default=None, help="search budget (chambers)")
+def _add_common(p):
     p.add_argument("--ell-max", type=int, default=4, dest="ell_max",
                    help="max Ehrhart dilation (<= 8)")
-    if fan_out:
-        p.add_argument("--fan", help="write the fan as JSON to this path")
+    p.add_argument("--fan", help="write the fan as JSON to this path")
     p.add_argument("--analyze", action="store_true", help="print the analysis report")
     p.add_argument("--out", help="write the analysis report to this path")
     p.add_argument("--plot", help="write a rank-2 SVG rendering to this path")
@@ -271,6 +271,7 @@ def build_parser():
 
     p = sub.add_parser("cluster", help="g-fan of a skew-symmetric exchange matrix")
     p.add_argument("--matrix", required=True)
+    p.add_argument("--budget", type=int, help="search budget (chambers)")
     _add_common(p)
     p.set_defaults(func=cmd_cluster)
 
@@ -286,6 +287,7 @@ def build_parser():
     p.add_argument("--cartan", help="JSON file with C and D")
     p.add_argument("--eulerian", action="store_true")
     p.add_argument("--roots", action="store_true")
+    p.add_argument("--budget", type=int, help="search budget (group elements)")
     _add_common(p)
     p.set_defaults(func=cmd_weyl)
 

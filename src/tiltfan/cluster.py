@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from . import lattice as la
 from .errors import NotSkewSymmetric, SignIncoherence
-from .fan import INCOMPLETE, Fan, build_fan
+from .fan import BudgetExhausted, build_fan, fan_from_cones  # noqa: F401 (re-exported)
 
 
 def _pos(x):
@@ -101,16 +101,6 @@ def mutate(seed, k):
     return ExtendedSeed(new_b, new_c, new_g, seed.history + (k + 1,))
 
 
-@dataclass(frozen=True)
-class BudgetExhausted:
-    """Normal outcome of an enumeration that hit its chamber budget."""
-
-    partial_fan: Fan
-    explored: int
-    frontier: int
-    budget: int
-
-
 def enumerate_gfan(b, budget=100_000):
     """Breadth-first closure of mutation; a Fan on closure, else BudgetExhausted.
 
@@ -145,16 +135,9 @@ def enumerate_gfan(b, budget=100_000):
             seen.add(key)
             queue.append(mutate(seed, k + 1))
 
-    rays = sorted({r for key in seen for r in key})
-    ray_index = {r: i for i, r in enumerate(rays)}
-    chambers = sorted({frozenset(ray_index[r] for r in key) for key in seen},
-                      key=lambda c: tuple(sorted(c)))
-    base = chambers.index(frozenset(ray_index[r] for r in base_key))
     if frontier:
-        partial = Fan(n, tuple(rays), tuple(chambers), base, (), INCOMPLETE)
-        return BudgetExhausted(partial, len(seen), frontier, budget)
-    fan = build_fan(rays, chambers, base, require_complete=True)
-    return fan
+        return BudgetExhausted(len(seen), frontier, budget, fan_from_cones(seen, base_key))
+    return fan_from_cones(seen, base_key, require_complete=True)
 
 
 def b_matrix_preset(name):

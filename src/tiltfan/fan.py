@@ -4,11 +4,16 @@ coordinate restriction, sign filtering and reduction.
 A fan is stored combinatorially: a table of primitive rays plus the maximal
 chambers as frozensets of ray indices.  Completeness is a certificate
 ("certified"), never a volume computation: every codimension-1 face lies in
-two chambers on opposite sides of it, the wall graph is connected, and a
-generic point lies in exactly one chamber (covering degree 1).  `build_fan`
-establishes it in every rank from one integer inverse per chamber; it
-proves that any two chambers meet in their common face, so the exhaustive
-pairwise check is needed only for fans that are not certified.
+two chambers on opposite sides of it, and a generic point lies in exactly
+one chamber (covering degree 1), which also makes the wall graph
+connected.  `build_fan` establishes it in every rank from one integer
+inverse per chamber; it proves that any two chambers meet in their common
+face, so the exhaustive pairwise check is needed only for fans that are not
+certified.  Every other fan, such as the partial fan of a search that ran
+out of budget, is "unknown"; there is no third status.
+
+Every Fan is made by `build_fan`; `fan_from_cones` builds the canonical ray
+and chamber tables from chambers given as sets of ray vectors.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +35,6 @@ from .errors import (
 
 CERTIFIED = "certified"
 UNKNOWN = "unknown"
-INCOMPLETE = "incomplete"
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,23 @@ class Fan:
         return tuple(sorted(self.rays[i] for i in self.chambers[chamber_index]))
 
 
+@dataclass(frozen=True)
+class BudgetExhausted:
+    """Normal outcome of a search that ran out of budget.
+
+    `explored` objects were found, and `frontier` of them have neighbours
+    that were not all examined.  `partial_fan` is the fan of the chambers
+    found, for a search whose objects are chambers (the cluster search),
+    else None (the Weyl search).  Unlike a Fan it has no `chambers`, so
+    `hasattr(result, "chambers")` tells the two outcomes apart.
+    """
+
+    explored: int
+    frontier: int
+    budget: int
+    partial_fan: Fan = None
+
+
 def build_fan(rays, chambers, base, require_complete=False):
     """Validate and assemble a Fan.
 
@@ -79,28 +100,30 @@ def build_fan(rays, chambers, base, require_complete=False):
     the sign fixed so that the last nonzero entry is positive.
 
     Completeness is certified iff every codimension-1 face lies in exactly
-    two chambers, the wall graph is connected and the test point
-    y0 + eps e_1 + eps^2 e_2 + ... (y0 the sum of the base rays, eps > 0
-    infinitesimal) lies in exactly one chamber; the same inverses decide
-    the last test (`holds_test_point`).  If the first two hold but the test
-    point lies in d != 1 chambers, the chambers overlap and TiltfanError is
-    raised.  Why this suffices:
+    two chambers and the test point y0 + eps e_1 + eps^2 e_2 + ... (y0 the
+    sum of the base rays, eps > 0 infinitesimal) lies in exactly one
+    chamber; the same inverses decide the last test (`holds_test_point`).
+    If no face dangles but the test point lies in d != 1 chambers, the
+    chambers overlap and TiltfanError is raised.  Why this suffices:
 
-    1. The local checks make the chambers a connected, closed, oriented
-       pseudomanifold: across every wall the two chambers lie on opposite
-       sides, so their union is a neighbourhood of the wall's relative
-       interior.
-    2. Hence the radial map of the chambers to the unit sphere is a local
+    1. With no dangling face, every component of the wall graph is a
+       closed, oriented pseudomanifold: across every wall the two chambers
+       lie on opposite sides, so their union is a neighbourhood of the
+       wall's relative interior.
+    2. Hence the radial map of one component to the unit sphere is a local
        homeomorphism off the codimension-2 skeleton, and proper, so over
        the complement of that skeleton's image (connected for rank >= 2)
-       it is a covering whose number of sheets is the map's degree.  The
-       test point lies on no proper face of any chamber (each chamber
-       coordinate is a nonzero polynomial in eps), so the count there is
-       the degree.
-    3. Degree 1 makes the map a bijection off that image; by induction on
-       the links of the lower faces (each a pseudomanifold of degree 1 in
-       the quotient) it is a homeomorphism.  So the chambers cover the
-       space once and any two meet in the cone on their shared rays.
+       it is a covering whose number of sheets is its degree, at least 1
+       since its image is open, closed and nonempty.  The test point lies
+       on no proper face of any chamber (each chamber coordinate is a
+       nonzero polynomial in eps), so the count there is the sum of the
+       components' degrees.
+    3. A count of 1 therefore leaves one component of degree 1: the wall
+       graph is connected, and the map is a bijection off that image; by
+       induction on the links of the lower faces (each a pseudomanifold of
+       degree 1 in the quotient) it is a homeomorphism.  So the chambers
+       cover the space once and any two meet in the cone on their shared
+       rays.
 
     Rank 1 has only the two half-lines, where the count is 1 as well.  The
     certificate costs at most rank dot products per chamber.
@@ -197,27 +220,29 @@ def build_fan(rays, chambers, base, require_complete=False):
             )
         walls.append(Wall(sub, (ca, cb), normal))
 
-    complete = UNKNOWN
-    if not dangling and chambers:
-        seen = {0}
-        stack = [0]
-        adj = {}
-        for w in walls:
-            adj.setdefault(w.chambers[0], []).append(w.chambers[1])
-            adj.setdefault(w.chambers[1], []).append(w.chambers[0])
-        while stack:
-            for nb in adj.get(stack.pop(), []):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) == len(chambers):
-            if covering != 1:
-                raise TiltfanError(f"a generic point lies in {covering} chambers")
-            complete = CERTIFIED
-    if require_complete and complete != CERTIFIED:
-        raise DanglingWall(tuple(sorted(dangling[0])) if dangling else "disconnected wall graph")
+    if dangling and require_complete:
+        raise DanglingWall(tuple(sorted(dangling[0])))
+    if not dangling and covering != 1:
+        raise TiltfanError(f"a generic point lies in {covering} chambers")
+    return Fan(rank, rays, chambers, base, tuple(walls), UNKNOWN if dangling else CERTIFIED)
 
-    return Fan(rank, rays, chambers, base, tuple(walls), complete)
+
+def fan_from_cones(cones, base_cone, require_complete=False):
+    """The Fan whose chambers are the given cones, each a collection of ray
+    vectors (tuples of integers), with base chamber base_cone.
+
+    The ray table is sorted and the chambers are sorted by their ray
+    indices, as in `fan_to_json`, so the result does not depend on the
+    order of the cones or of the rays inside them.  Equal cones are passed
+    on to `build_fan`, which rejects them.
+    """
+    cones = [frozenset(c) for c in cones]
+    rays = sorted(set().union(*cones))
+    ray_index = {r: i for i, r in enumerate(rays)}
+    chambers = sorted((frozenset(ray_index[r] for r in c) for c in cones),
+                      key=lambda c: tuple(sorted(c)))
+    base = chambers.index(frozenset(ray_index[r] for r in base_cone))
+    return build_fan(rays, chambers, base, require_complete)
 
 
 def holds_test_point(det, adj, y0):
@@ -307,20 +332,10 @@ def restrict_to_coordinates(fan, indices):
         for i, c in enumerate(coords)
         if all(c[j] == 0 for j in range(fan.rank) if j not in indices)
     }
-    m = len(indices)
     new_ray_of = {i: tuple(coords[i][j] for j in indices) for i in inside}
-
-    new_rays = sorted(set(new_ray_of.values()))
-    ray_index = {r: k for k, r in enumerate(new_rays)}
-    new_chambers = set()
-    for c in fan.chambers:
-        part = c & inside
-        if len(part) == m:
-            new_chambers.add(frozenset(ray_index[new_ray_of[i]] for i in part))
-    new_chambers = sorted(new_chambers, key=lambda c: tuple(sorted(c)))
-    base_part = fan.chambers[fan.base] & inside
-    base_key = frozenset(ray_index[new_ray_of[i]] for i in base_part)
-    return build_fan(new_rays, new_chambers, new_chambers.index(base_key))
+    cones = {frozenset(new_ray_of[i] for i in c & inside) for c in fan.chambers}
+    base_cone = [new_ray_of[i] for i in fan.chambers[fan.base] & inside]
+    return fan_from_cones([c for c in cones if len(c) == len(indices)], base_cone)
 
 
 def sign_filter(fan, eps):
@@ -353,27 +368,20 @@ def reduce_at_cone(fan, cone_ray_indices):
         raise NotAFace(f"{tuple(sorted(sigma))} is not a face of any chamber")
     gens = [fan.rays[i] for i in sorted(sigma)]
     q = la.quotient_projection(gens, fan.rank)
-    m = fan.rank - len(sigma)
-    if m == 0:
-        return build_fan((), (frozenset(),), 0)
+    if len(sigma) == fan.rank:
+        return fan_from_cones([()], ())
 
-    images = {}
-    for ci in star:
-        for i in fan.chambers[ci] - sigma:
-            images.setdefault(i, la.matvec(q, fan.rays[i]))
-    new_rays = sorted(set(images.values()))
-    ray_index = {r: k for k, r in enumerate(new_rays)}
-    chamber_of = {
-        ci: frozenset(ray_index[images[i]] for i in fan.chambers[ci] - sigma) for ci in star
-    }
-    new_chambers = sorted(set(chamber_of.values()), key=lambda c: tuple(sorted(c)))
+    link = set().union(*(fan.chambers[ci] for ci in star)) - sigma
+    image = {i: la.matvec(q, fan.rays[i]) for i in link}
+    cone_of = {ci: frozenset(image[i] for i in fan.chambers[ci] - sigma) for ci in star}
+    cones = set(cone_of.values())
     # deterministic base: the lexicographically least source chamber whose
     # image keeps the projected fan sign-coherent (it exists: the reduced
     # fan is again a g-fan, with base the image of a distinguished chamber)
     last_exc = None
     for src in sorted(star, key=fan.chamber_key):
         try:
-            return build_fan(new_rays, new_chambers, new_chambers.index(chamber_of[src]))
+            return fan_from_cones(cones, cone_of[src])
         except SignCoherenceViolation as exc:
             last_exc = exc
     raise last_exc

@@ -14,7 +14,7 @@ from .errors import (
     NotRank2,
     OriginNotInterior,
 )
-from .fan import CERTIFIED, build_fan
+from .fan import CERTIFIED, fan_from_cones
 
 
 @dataclass(frozen=True)
@@ -223,14 +223,8 @@ def angle_key(v):
 def rank2_fan_from_rays(rays, base_pair=((1, 0), (0, 1))):
     """Complete rank-2 fan with chambers the angularly consecutive ray pairs."""
     ordered = sorted(rays, key=angle_key)
-    k = len(ordered)
-    rays_sorted = sorted(ordered)
-    index = {r: i for i, r in enumerate(rays_sorted)}
-    chambers = [
-        frozenset({index[ordered[i]], index[ordered[(i + 1) % k]]}) for i in range(k)
-    ]
-    base = chambers.index(frozenset({index[base_pair[0]], index[base_pair[1]]}))
-    return build_fan(rays_sorted, chambers, base, require_complete=True)
+    cones = zip(ordered, ordered[1:] + ordered[:1])
+    return fan_from_cones(cones, base_pair, require_complete=True)
 
 
 def rank2_classify(fan):

@@ -20,7 +20,7 @@ from math import lcm
 
 from . import lattice as la
 from .errors import NotFiniteType, TiltfanError, parse_int, reading
-from .fan import build_fan
+from .fan import BudgetExhausted, fan_from_cones
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,6 @@ class WeylElement:
         return len(self.word)
 
 
-@dataclass(frozen=True)
-class BudgetExhausted:
-    explored: int
-    frontier: int  # elements found whose right multiples were not all examined
-    budget: int
-
-
 def weyl_enumerate(cartan, budget=2_000_000):
     """BFS over right multiplication by the generators, deduplicated by matrix.
 
@@ -167,22 +160,10 @@ def coxeter_fan(cartan, budget=2_000_000, elements=None):
     enumerated here under `budget`.
     """
     elements = _finite_elements(cartan, budget, elements)
-    rays = set()
-    chamber_keys = []
-    for w in elements:
-        cols = w.inverse  # the columns of (M_w^T)^{-1}
-        rays.update(cols)
-        chamber_keys.append(frozenset(cols))
-    rays = sorted(rays)
-    ray_index = {r: i for i, r in enumerate(rays)}
-    chambers = sorted(
-        {frozenset(ray_index[c] for c in key) for key in chamber_keys},
-        key=lambda c: tuple(sorted(c)),
-    )
-    if len(chambers) != len(elements):
+    cones = {frozenset(w.inverse) for w in elements}  # the columns of (M_w^T)^{-1}
+    if len(cones) != len(elements):
         raise AssertionError("distinct Weyl elements produced equal chambers")
-    base_key = frozenset(ray_index[c] for c in la.columns(la.identity(cartan.n)))
-    return build_fan(rays, chambers, chambers.index(base_key), require_complete=True)
+    return fan_from_cones(cones, la.identity(cartan.n), require_complete=True)
 
 
 def root_system(cartan, budget=2_000_000, elements=None):

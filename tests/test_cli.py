@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from tiltfan.brauer import graph_to_json
 from tiltfan.cli import fan_svg, kase_family_fan, main, polytope_to_json
+from tiltfan.cluster import enumerate_gfan
 from tiltfan.fan import fan_from_json, fan_to_json
 from tiltfan.polytope import convex_hull, g_polytope
 
-from conftest import b_type_a, gamma3, path_tree
+from conftest import B_KRONECKER, b_type_a, gamma3, path_tree
 
 
 def write(tmp_path, name, data):
@@ -54,7 +55,7 @@ def test_cluster_budget_exhaustion(tmp_path, capsys):
     assert main(["cluster", "--matrix", matrix, "--budget", "100", "--fan", out]) == 2
     data = json.loads((tmp_path / "fan.json").read_text())
     assert len(data["chambers"]) >= 100
-    assert data["complete"] == "incomplete"
+    assert data["complete"] == "unknown"
 
 
 def test_cluster_a2_fan_round_trip(tmp_path):
@@ -158,13 +159,38 @@ def test_schema_version_flag_is_gone(capsys):
         main(["--schema-version", "1", "kase", "--ell", "1", "--m", "1"])
 
 
+@pytest.mark.parametrize("argv", [["kase", "--ell", "1", "--m", "1"],
+                                  ["brauer", "--graph", "g.json"]])
+def test_budget_is_only_an_option_of_the_searches(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv + ["--budget", "3"])
+    assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
+
+
 def test_cluster_budget_line_reports_explored_frontier_and_budget(tmp_path, capsys):
     matrix = write(tmp_path, "a6.json", {"n": 6, "B": b_type_a(6)})
     assert main(["cluster", "--matrix", matrix, "--budget", "10"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("budget exhausted: explored 10 chambers, frontier ")
-    assert err.endswith(", budget 10; writing partial fan\n")
+    assert err.endswith(", budget 10\n")
     assert int(err.split("frontier ")[1].split(",")[0]) > 0
+    partial = str(tmp_path / "partial.json")
+    assert main(["cluster", "--matrix", matrix, "--budget", "10", "--fan", partial]) == 2
+    assert capsys.readouterr().err == err[:-1] + "; writing partial fan\n"
+    assert len(json.loads((tmp_path / "partial.json").read_text())["chambers"]) == 10
+
+
+def test_partial_fan_has_one_status_word(tmp_path, capsys):
+    """In memory, in its file and when the file is read back."""
+    result = enumerate_gfan(B_KRONECKER, budget=50)
+    matrix = write(tmp_path, "kron.json", {"B": [[0, 2], [-2, 0]]})
+    partial = str(tmp_path / "p.json")
+    assert main(["cluster", "--matrix", matrix, "--budget", "50", "--fan", partial]) == 2
+    word = json.loads((tmp_path / "p.json").read_text())["complete"]
+    capsys.readouterr()
+    assert main(["fan", "--input", partial]) == 0
+    assert capsys.readouterr().out == f"rank 2, 51 rays, 50 chambers, complete={word}\n"
+    assert result.partial_fan.complete == word == "unknown"
 
 
 FANS = Path(__file__).resolve().parent.parent / "benchmarks" / "fans"

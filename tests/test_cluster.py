@@ -65,7 +65,7 @@ def test_kronecker_exhausts_budget():
     result = enumerate_gfan(B_KRONECKER, budget=100)
     assert isinstance(result, BudgetExhausted)
     assert result.explored >= 100
-    assert result.partial_fan.complete == "incomplete"
+    assert result.partial_fan.complete == "unknown"
 
 
 def _skew(n, entries):

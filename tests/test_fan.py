@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from tiltfan.brauer import chambers_by_cliques
+from tiltfan.cli import kase_family_fan
+from tiltfan.cluster import enumerate_gfan
 from tiltfan.errors import (
     DanglingWall,
     IncompleteFan,
@@ -12,6 +16,7 @@ from tiltfan.fan import (
     UNKNOWN,
     build_fan,
     faces,
+    fan_from_cones,
     fan_from_json,
     fan_to_json,
     hasse_orient,
@@ -19,6 +24,9 @@ from tiltfan.fan import (
     restrict_to_coordinates,
     sign_filter,
 )
+from tiltfan.weyl import cartan_preset, coxeter_fan
+
+from conftest import B_A2, B_A3, b_type_a, odd_cycle_5, path_tree
 
 PENTAGON_RAYS = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)]
 PENTAGON_CHAMBERS = [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}]
@@ -384,3 +392,43 @@ def test_covering_degree_other_than_one_is_an_error(monkeypatch):
         pentagon()
     # a partial fan proves nothing by its count, so it is not refused
     assert build_fan([(1, 0), (0, 1), (-1, 1)], [{0, 1}, {1, 2}], 0).complete == UNKNOWN
+
+
+CANONICAL_SOURCES = {
+    **{f"cluster A{n}": (lambda n=n: enumerate_gfan(b_type_a(n))) for n in (2, 3, 4, 5)},
+    "weyl A3": lambda: coxeter_fan(cartan_preset("A", 3)),
+    "weyl B3": lambda: coxeter_fan(cartan_preset("B", 3)),
+    "brauer path 4": lambda: chambers_by_cliques(path_tree(4)),
+    "brauer odd 5": lambda: chambers_by_cliques(odd_cycle_5()),
+    "kase 4 5": lambda: kase_family_fan(4, 5),
+}
+
+
+@pytest.mark.parametrize("name", CANONICAL_SOURCES)
+def test_every_front_end_returns_the_canonical_form(name):
+    """fan_from_json(fan_to_json(f)) == f: every front-end builds its fan
+    through fan_from_cones, whose tables are already the canonical ones."""
+    fan = CANONICAL_SOURCES[name]()
+    again = fan_from_json(fan_to_json(fan))
+    assert again == fan
+    assert (again.walls, again.complete) == (fan.walls, fan.complete)
+
+
+ORDER_FANS = [
+    enumerate_gfan(B_A2),
+    enumerate_gfan(B_A3),
+    coxeter_fan(cartan_preset("B", 2)),
+    kase_family_fan(2, 3),
+    enumerate_gfan(b_type_a(4), budget=6).partial_fan,
+]
+
+
+@given(st.sampled_from(range(len(ORDER_FANS))), st.data())
+def test_fan_from_cones_ignores_the_order_of_cones_and_rays(k, data):
+    fan = ORDER_FANS[k]
+    cones = [[fan.rays[i] for i in c] for c in fan.chambers]
+    cones = [data.draw(st.permutations(c)) for c in data.draw(st.permutations(cones))]
+    base = data.draw(st.permutations([fan.rays[i] for i in fan.chambers[fan.base]]))
+    again = fan_from_cones(cones, base)
+    assert again == fan
+    assert (again.walls, again.complete) == (fan.walls, fan.complete)

@@ -167,11 +167,16 @@ def test_weyl_command_enumerates_once(monkeypatch, capsys):
     assert "[1, 11, 11, 1]" in capsys.readouterr().out
 
 
-def test_weyl_command_honours_the_budget(capsys):
+def test_weyl_command_honours_the_budget(tmp_path, capsys):
     assert main(["weyl", "--type", "A", "--n", "3", "--budget", "3"]) == 2
     # e, s1 and s2 are found; expanding e then finds s3: e and both
     # generators found so far are left unexpanded
     assert capsys.readouterr().err == (
         "budget exhausted: explored 3 elements, frontier 3, budget 3\n"
     )
+    # the Weyl search has no partial fan, so --fan writes nothing
+    fan_path = str(tmp_path / "f")
+    assert main(["weyl", "--type", "A", "--n", "3", "--budget", "3", "--fan", fan_path]) == 2
+    assert capsys.readouterr().err.endswith("budget 3\n")
+    assert not (tmp_path / "f").exists()
     assert main(["weyl", "--type", "A", "--n", "3", "--budget", "24", "--eulerian"]) == 0
