@@ -2,15 +2,21 @@
 
 The seed carries the exchange matrix B together with the c- and g-matrices;
 mutation uses [x]+ = max(x, 0) throughout.  The g-update branches on the
-sign of the current c-vector, which is well defined by sign-coherence.
+sign of the current c-vector, which is well defined by sign-coherence.  The
+g-fan is enumerated by `fan.wall_crossing_search`, with the g-vectors of a
+seed as its chamber and the seed as the state of the chamber.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lattice as la
 from .errors import NotSkewSymmetric, SignIncoherence
-from .fan import BudgetExhausted, build_fan, fan_from_cones  # noqa: F401 (re-exported)
+from .fan import (  # noqa: F401 (BudgetExhausted and build_fan are re-exported)
+    BudgetExhausted,
+    build_fan,
+    fan_from_cones,
+    wall_crossing_search,
+)
 
 
 def _pos(x):
@@ -22,7 +28,6 @@ class ExtendedSeed:
     b: tuple  # n x n skew-symmetric, rows
     c: tuple  # columns are c-vectors
     g: tuple  # columns are g-vectors
-    history: tuple = field(default=(), compare=False)
 
     @property
     def n(self):
@@ -45,13 +50,14 @@ def initial_seed(b):
     return ExtendedSeed(b, la.identity(n), la.identity(n))
 
 
-def _exchanged_g(b, c, g_cols, k):
-    """The g-vector that replaces column k (0-based) under mutation at k.
+def _exchanged_g(seed, g_cols, k):
+    """The g-vector that replaces column k (0-based) of the seed's g-matrix,
+    whose columns are g_cols, under mutation at k.
 
     The update branches on the sign of the k-th c-vector, which is well
     defined by sign-coherence.
     """
-    ck = [row[k] for row in c]
+    ck = [row[k] for row in seed.c]
     if all(x >= 0 for x in ck):
         sign = 1
     elif all(x <= 0 for x in ck):
@@ -59,7 +65,7 @@ def _exchanged_g(b, c, g_cols, k):
     else:
         raise SignIncoherence(k + 1)
     new_gk = la.vneg(g_cols[k])
-    for i, row in enumerate(b):
+    for i, row in enumerate(seed.b):
         coeff = _pos(-sign * row[k])
         if coeff:
             new_gk = la.vadd(new_gk, la.vscale(coeff, g_cols[i]))
@@ -95,49 +101,28 @@ def mutate(seed, k):
     )
 
     g_cols = la.columns(g)
-    new_gk = _exchanged_g(b, c, g_cols, k)
+    new_gk = _exchanged_g(seed, g_cols, k)
     new_g = la.from_columns([new_gk if j == k else g_cols[j] for j in range(n)])
 
-    return ExtendedSeed(new_b, new_c, new_g, seed.history + (k + 1,))
+    return ExtendedSeed(new_b, new_c, new_g)
 
 
 def enumerate_gfan(b, budget=100_000):
-    """Breadth-first closure of mutation; a Fan on closure, else BudgetExhausted.
+    """Breadth-first closure of mutation; a Fan on closure, else BudgetExhausted
+    with the partial fan of the chambers found.
 
-    Chambers are deduplicated by their unordered g-column sets, so distinct
-    mutation-tree vertices giving the same cluster collapse.  Each direction
-    first computes only the exchanged g-vector; the full seed is mutated
-    only for a new chamber.  Directions are explored in increasing order
-    with a FIFO frontier, which makes the enumeration deterministic.  On
-    exhaustion, `frontier` counts the chambers found whose neighbours were
-    not all examined.
+    Chambers are the unordered g-column sets, so distinct mutation-tree
+    vertices giving the same cluster collapse.  Crossing wall k computes
+    only the exchanged g-vector; the full seed is mutated only for a new
+    chamber.  Directions are explored in increasing order with a FIFO
+    frontier, which makes the enumeration deterministic.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     seed0 = initial_seed(b)
-    n = seed0.n
-    base_key = seed0.chamber_key()
-    seen = {base_key}
-    queue = deque([seed0])
-    frontier = 0
-    while queue and not frontier:
-        seed = queue.popleft()
-        g_cols = la.columns(seed.g)
-        for k in range(n):
-            key = tuple(sorted(g_cols[:k] + [_exchanged_g(seed.b, seed.c, g_cols, k)]
-                               + g_cols[k + 1:]))
-            if key in seen:
-                continue
-            if len(seen) >= budget:
-                # the seed under expansion has unexamined neighbours too
-                frontier = len(queue) + 1
-                break
-            seen.add(key)
-            queue.append(mutate(seed, k + 1))
-
-    if frontier:
-        return BudgetExhausted(len(seen), frontier, budget, fan_from_cones(seen, base_key))
-    return fan_from_cones(seen, base_key, require_complete=True)
+    result = wall_crossing_search(la.columns(seed0.g), _exchanged_g, budget, seed0,
+                                  lambda seed, k: mutate(seed, k + 1), partial_fan=True)
+    if isinstance(result, BudgetExhausted):
+        return result
+    return fan_from_cones(result, result[0], require_complete=True)
 
 
 def b_matrix_preset(name):

@@ -16,16 +16,6 @@ class ZeroVector(TiltfanError):
     pass
 
 
-class DependentGenerators(TiltfanError):
-    pass
-
-
-class NonSaturated(TiltfanError):
-    def __init__(self, divisor):
-        super().__init__(f"generators span a non-saturated sublattice (elementary divisor {divisor})")
-        self.divisor = divisor
-
-
 class NonUnimodularChamber(TiltfanError):
     def __init__(self, index, det=None):
         super().__init__(f"chamber {index} is not unimodular (det {det})")

@@ -1,5 +1,6 @@
-"""Simplicial fan data model: validation, faces, walls, Hasse orientation,
-coordinate restriction, sign filtering and reduction.
+"""Simplicial fan data model: validation, the wall-crossing search, faces,
+walls, Hasse orientation, coordinate restriction, sign filtering and
+reduction.
 
 A fan is stored combinatorially: a table of primitive rays plus the maximal
 chambers as frozensets of ray indices.  Completeness is a certificate
@@ -13,9 +14,14 @@ certified.  Every other fan, such as the partial fan of a search that ran
 out of budget, is "unknown"; there is no third status.
 
 Every Fan is made by `build_fan`; `fan_from_cones` builds the canonical ray
-and chamber tables from chambers given as sets of ray vectors.
+and chamber tables from chambers given as sets of ray vectors.  The cluster
+and Weyl front-ends find their chambers with one search,
+`wall_crossing_search`: each chamber of a g-fan has exactly one neighbour
+across each wall (mutation of 2-term silting complexes), so a front-end
+only says which ray replaces the one opposite a wall.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -76,10 +82,10 @@ class Fan:
 class BudgetExhausted:
     """Normal outcome of a search that ran out of budget.
 
-    `explored` objects were found, and `frontier` of them have neighbours
-    that were not all examined.  `partial_fan` is the fan of the chambers
-    found, for a search whose objects are chambers (the cluster search),
-    else None (the Weyl search).  Unlike a Fan it has no `chambers`, so
+    `explored` chambers were found, and `frontier` of them have walls that
+    were not all crossed.  `partial_fan` is the fan of the chambers found
+    when the search was asked for it (the cluster search), else None (the
+    Weyl search).  Unlike a Fan it has no `chambers`, so
     `hasattr(result, "chambers")` tells the two outcomes apart.
     """
 
@@ -193,16 +199,9 @@ def build_fan(rays, chambers, base, require_complete=False):
                 last = next(x for x in reversed(row) if x)
                 normals[sub] = row if last > 0 else la.vneg(row)
 
-    # sign-coherence: every chamber sits in one closed orthant of the
-    # base-chamber coordinates
-    basis = sorted((rays[i] for i in chambers[base]), reverse=True)
-    s_inv = la.invert_unimodular(la.from_columns(basis))
-    base_coords = {i: la.matvec(s_inv, rays[i]) for i in range(len(rays))}
-    for ci, c in enumerate(chambers):
-        for coord in range(rank):
-            vals = [base_coords[i][coord] for i in c]
-            if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-                raise SignCoherenceViolation(ci, coord)
+    incoherent = _sign_incoherence(rays, chambers, [rays[i] for i in chambers[base]])
+    if incoherent:
+        raise SignCoherenceViolation(*incoherent)
 
     walls = []
     dangling = []
@@ -243,6 +242,59 @@ def fan_from_cones(cones, base_cone, require_complete=False):
                       key=lambda c: tuple(sorted(c)))
     base = chambers.index(frozenset(ray_index[r] for r in base_cone))
     return build_fan(rays, chambers, base, require_complete)
+
+
+def _sign_incoherence(rays, chambers, base_rays):
+    """Sign-coherence: every chamber sits in one closed orthant of the
+    coordinates in the basis base_rays.  Returns (chamber index, coordinate)
+    of the first chamber with rays strictly on both sides, else None."""
+    s_inv = la.invert_unimodular(la.from_columns(sorted(base_rays, reverse=True)))
+    coords = [la.matvec(s_inv, r) for r in rays]
+    for ci, c in enumerate(chambers):
+        for coord in range(len(s_inv)):
+            vals = [coords[i][coord] for i in c]
+            if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+                return ci, coord
+    return None
+
+
+def wall_crossing_search(rays, exchange, budget, state=None, cross=None, partial_fan=False):
+    """Breadth-first search of a simplicial fan from one chamber by crossing walls.
+
+    A chamber is the tuple of its rays, ray k opposite wall k.  Crossing
+    wall k keeps every other ray and puts `exchange(state, rays, k)` in
+    place k.  A front-end may carry a state per chamber: `cross(state, k)`
+    is the state across wall k, built only for a new chamber; without
+    `cross` every chamber shares the start's state.  Chambers are
+    deduplicated by their ray sets, and walls are crossed in increasing
+    order with a FIFO queue, so the search is deterministic.
+
+    Returns the chambers in the order found, the start first, once every
+    wall has been crossed.  When a new chamber would exceed `budget` it
+    returns BudgetExhausted instead: `frontier` counts the chambers found
+    with walls not all crossed, and `partial_fan` is the fan of the chambers
+    found if `partial_fan` is set.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    rays = tuple(rays)
+    found = {tuple(sorted(rays)): rays}
+    queue = deque([(rays, state)])
+    while queue:
+        rays, state = queue.popleft()
+        for k in range(len(rays)):
+            new = rays[:k] + (exchange(state, rays, k),) + rays[k + 1:]
+            key = tuple(sorted(new))
+            if key in found:
+                continue
+            if len(found) >= budget:
+                # the chamber under expansion has walls not yet crossed too
+                cones = list(found.values())
+                partial = fan_from_cones(cones, cones[0]) if partial_fan else None
+                return BudgetExhausted(len(found), len(queue) + 1, budget, partial)
+            found[key] = new
+            queue.append((new, cross(state, k) if cross else state))
+    return list(found.values())
 
 
 def holds_test_point(det, adj, y0):
@@ -354,37 +406,40 @@ def sign_filter(fan, eps):
 def reduce_at_cone(fan, cone_ray_indices):
     """Project the star of a cone along the quotient by its span.
 
-    cone_ray_indices must be a face of some chamber.  The base of the
-    reduced fan is the image of the lexicographically least chamber
-    (by sorted ray vectors) containing the cone.
+    cone_ray_indices must be a face of some chamber.  The quotient map is
+    the rows of the inverse ray matrix of the first star chamber C (in the
+    order below) at the rays of C off the cone: it maps Z^n onto
+    Z^(n - |cone|) with kernel the span of the cone.  The base of the
+    reduced fan is the image of the lexicographically least chamber (by
+    sorted ray vectors) containing the cone whose image keeps the projected
+    fan sign-coherent; it exists, as the reduced fan is again a g-fan
+    (Jasso reduction).  Candidates are tested on the projected rays, so the
+    reduced fan is built once.
     """
     sigma = frozenset(cone_ray_indices)
     if fan.complete != CERTIFIED:
         raise IncompleteFan("reduction requires a certified-complete fan")
     if not sigma:
         return fan
-    star = [ci for ci, c in enumerate(fan.chambers) if sigma <= c]
+    star = sorted((ci for ci, c in enumerate(fan.chambers) if sigma <= c), key=fan.chamber_key)
+    star = [fan.chambers[ci] for ci in star]
     if not star:
         raise NotAFace(f"{tuple(sorted(sigma))} is not a face of any chamber")
-    gens = [fan.rays[i] for i in sorted(sigma)]
-    q = la.quotient_projection(gens, fan.rank)
     if len(sigma) == fan.rank:
         return fan_from_cones([()], ())
 
-    link = set().union(*(fan.chambers[ci] for ci in star)) - sigma
-    image = {i: la.matvec(q, fan.rays[i]) for i in link}
-    cone_of = {ci: frozenset(image[i] for i in fan.chambers[ci] - sigma) for ci in star}
-    cones = set(cone_of.values())
-    # deterministic base: the lexicographically least source chamber whose
-    # image keeps the projected fan sign-coherent (it exists: the reduced
-    # fan is again a g-fan, with base the image of a distinguished chamber)
-    last_exc = None
-    for src in sorted(star, key=fan.chamber_key):
-        try:
-            return fan_from_cones(cones, cone_of[src])
-        except SignCoherenceViolation as exc:
-            last_exc = exc
-    raise last_exc
+    first = sorted(star[0])
+    inv = la.invert_unimodular(la.from_columns([fan.rays[i] for i in first]))
+    q = [row for i, row in zip(first, inv) if i not in sigma]
+    link = sorted(set().union(*star) - sigma)
+    image = [la.matvec(q, fan.rays[i]) for i in link]
+    position = {i: p for p, i in enumerate(link)}
+    cones = [[position[i] for i in c - sigma] for c in star]
+    for cone in cones:
+        if _sign_incoherence(image, cones, [image[p] for p in cone]) is None:
+            return fan_from_cones([[image[p] for p in c] for c in cones],
+                                  [image[p] for p in cone])
+    raise TiltfanError(f"no chamber around {tuple(sorted(sigma))} gives a sign-coherent reduction")
 
 
 def verify_pairwise_intersections(fan):

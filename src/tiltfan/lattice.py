@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .errors import DependentGenerators, DetNotUnit, NonSaturated, ZeroVector
+from .errors import DetNotUnit, ZeroVector
 
 
 def vec(entries):
@@ -183,98 +183,3 @@ def kernel_functional(rows, n):
     for i, c in enumerate(piv_cols):
         sol[c] = -s * a[i][c0]
     return primitive(tuple(sol))
-
-
-def _smith_normal_form(m):
-    """Smith normal form D = U m V with U, V unimodular; returns (D, U, V)."""
-    a = [list(row) for row in m]
-    rows_n = len(a)
-    cols_n = len(a[0]) if rows_n else 0
-    u = [list(r) for r in identity(rows_n)]
-    v = [list(r) for r in identity(cols_n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(rows_n, cols_n):
-        # deterministic pivot: smallest |entry|, scanning row-major
-        best = None
-        for i in range(t, rows_n):
-            for j in range(t, cols_n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, rows_n):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                add_row(t, i, -q)
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols_n):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                add_col(t, j, -q)
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        # enforce divisibility of later entries by the pivot
-        bad = None
-        for i in range(t + 1, rows_n):
-            for j in range(t + 1, cols_n):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
-        t += 1
-    return mat(a), mat(u), mat(v)
-
-
-def quotient_projection(generators, rank):
-    """Surjection Z^rank -> Z^(rank-k) whose kernel saturates span(generators).
-
-    The generators must be linearly independent and span a saturated
-    sublattice (all elementary divisors 1); the map is the bottom rows of
-    the Smith row transform, so it is deterministic for a fixed input order.
-    """
-    k = len(generators)
-    if k == 0:
-        return identity(rank)
-    a = from_columns(list(generators))
-    d, u, _v = _smith_normal_form(a)
-    divisors = [d[i][i] for i in range(min(len(d), k))]
-    if any(x == 0 for x in divisors) or len(divisors) < k:
-        raise DependentGenerators("generators are linearly dependent")
-    for x in divisors:
-        if x not in (1, -1):
-            raise NonSaturated(x)
-    return tuple(u[k:])

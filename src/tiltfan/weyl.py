@@ -1,18 +1,19 @@
-"""Symmetrizable Cartan matrices, Weyl group enumeration, Coxeter fans,
-root systems and descent statistics.
+"""Symmetrizable Cartan matrices, Weyl chambers by wall crossing, Coxeter
+fans, root systems and descent statistics.
 
 Everything is computed in the simple-root basis: the reflection s_i sends
 alpha_j to alpha_j - c_ij alpha_i, and the Coxeter fan lives in the dual
-basis, so the chamber of w has ray matrix (M_w^T)^{-1}.
+basis, so the chamber of w has ray matrix (M_w^T)^{-1}: its rays are the
+rows r_1, ..., r_n of M_w^{-1}, r_k opposite the wall of s_k.
 
-The enumeration also returns the inverse of each element: it reaches w s_i
-from w, and (M_w s_i)^{-1} = s_i M_w^{-1} since s_i is an involution.  The
-inverses are built only once the group has closed, so a search that runs
-out of budget pays for no more than the matrices and words.  The chamber
-rays are the rows of M_w^{-1} and the descents are read off its columns,
-with no inversion per element.  The functions that need the whole group
-accept an already enumerated element list, so one enumeration can serve a
-fan, its descents and its roots.
+The group is enumerated as its chambers, with no group matrices or words:
+`fan.wall_crossing_search` crosses wall k from the chamber of w to that of
+w s_k, and (M_w s_k)^{-1} = s_k M_w^{-1} changes only row k, to
+r_k' = -r_k - sum_{j != k} c_kj r_j, with c_kj read from row k of C (the
+transpose would give the dual type).  Each element is its tuple of rays in
+generator order; the descents are read off its columns.  The functions that
+need the whole group accept an already enumerated element list, so one
+enumeration can serve a fan, its descents and its roots.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from math import lcm
 
 from . import lattice as la
 from .errors import NotFiniteType, TiltfanError, parse_int, reading
-from .fan import BudgetExhausted, fan_from_cones
+from .fan import BudgetExhausted, fan_from_cones, wall_crossing_search
 
 
 @dataclass(frozen=True)
@@ -98,50 +99,20 @@ def cartan_from_json(data):
         return CartanData(c, tuple(map(parse_int, data["D"])))
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    matrix: tuple  # action on the simple-root basis
-    word: tuple  # one shortest word of generator indices (1-based)
-    inverse: tuple  # matrix of the inverse element
-
-    @property
-    def length(self):
-        return len(self.word)
+def _crossed_ray(c, rays, k):
+    """Row k of s_k M_w^-1, r_k - sum_j c_kj r_j, where rays are the rows of
+    M_w^-1 (c_kk = 2 makes it -r_k - sum_{j != k} c_kj r_j)."""
+    return tuple(x - la.dot(c[k], col) for x, col in zip(rays[k], zip(*rays)))
 
 
 def weyl_enumerate(cartan, budget=2_000_000):
-    """BFS over right multiplication by the generators, deduplicated by matrix.
+    """Every element w as the rows of M_w^-1, its chamber's rays in generator
+    order, found by crossing walls from the identity in breadth-first order.
 
-    Returns all elements with shortest words, or BudgetExhausted when the
-    group fails to close within the budget (non-finite type).
+    Returns BudgetExhausted when the group fails to close within the budget
+    (non-finite type).
     """
-    n = cartan.n
-    gens = [cartan.reflection(i) for i in range(n)]
-    identity = la.identity(n)
-    elements = {identity: ((), None)}  # matrix -> (word, matrix it was reached from)
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for k, m in enumerate(frontier):
-            word = elements[m][0]
-            for i in range(n):
-                m2 = la.matmul(m, gens[i])
-                if m2 not in elements:
-                    if len(elements) >= budget:
-                        # m itself, the rest of its level and the next
-                        # level found so far
-                        unexpanded = len(frontier) - k + len(nxt)
-                        return BudgetExhausted(len(elements), unexpanded, budget)
-                    elements[m2] = (word + (i + 1,), m)
-                    nxt.append(m2)
-        frontier = nxt
-    # (M_w s_i)^-1 = s_i M_w^-1, in BFS order so every parent comes first
-    inverses = {}
-    result = []
-    for m, (word, parent) in elements.items():
-        inverses[m] = la.matmul(gens[word[-1] - 1], inverses[parent]) if word else identity
-        result.append(WeylElement(m, word, inverses[m]))
-    return result
+    return wall_crossing_search(la.identity(cartan.n), _crossed_ray, budget, cartan.c)
 
 
 def _finite_elements(cartan, budget, elements):
@@ -160,10 +131,7 @@ def coxeter_fan(cartan, budget=2_000_000, elements=None):
     enumerated here under `budget`.
     """
     elements = _finite_elements(cartan, budget, elements)
-    cones = {frozenset(w.inverse) for w in elements}  # the columns of (M_w^T)^{-1}
-    if len(cones) != len(elements):
-        raise AssertionError("distinct Weyl elements produced equal chambers")
-    return fan_from_cones(cones, la.identity(cartan.n), require_complete=True)
+    return fan_from_cones(elements, la.identity(cartan.n), require_complete=True)
 
 
 def root_system(cartan, budget=2_000_000, elements=None):
@@ -196,7 +164,7 @@ def descent_histogram(cartan, budget=2_000_000, elements=None):
     n = cartan.n
     hist = [0] * (n + 1)
     for w in elements:
-        cols = la.columns(w.inverse)
+        cols = la.columns(w)
         des = sum(1 for c in cols if all(x <= 0 for x in c))
         hist[des] += 1
     return tuple(hist)

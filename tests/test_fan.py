@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tiltfan import fan as fan_module
 from tiltfan.brauer import chambers_by_cliques
 from tiltfan.cli import kase_family_fan
 from tiltfan.cluster import enumerate_gfan
@@ -201,6 +202,34 @@ def test_reduce_not_a_face():
     # rays 0 and 2 never span a common cone: (1,0) and (-1,1)
     with pytest.raises(NotAFace):
         reduce_at_cone(fan, [0, 2])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_gfan(B_A3),
+    lambda: enumerate_gfan(b_type_a(4)),
+    lambda: coxeter_fan(cartan_preset("A", 3)),
+    lambda: coxeter_fan(cartan_preset("B", 3)),
+    lambda: chambers_by_cliques(path_tree(4)),
+], ids=["cluster A3", "cluster A4", "weyl A3", "weyl B3", "brauer path4"])
+def test_each_reduction_builds_one_fan(make, monkeypatch):
+    # the candidate bases are tested on the projected rays, so no refused
+    # candidate pays for a build_fan call
+    fan = make()
+    calls = []
+    original = fan_module.build_fan
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fan_module, "build_fan", counting)
+    for i in range(len(fan.rays)):
+        calls.clear()
+        red = reduce_at_cone(fan, [i])
+        assert len(calls) == 1
+        assert red.complete == CERTIFIED
+        assert red.rank == fan.rank - 1
+        assert len(red.chambers) == sum(1 for c in fan.chambers if i in c)
 
 
 def test_reduce_a3_star_counts(a3_cluster_fan):

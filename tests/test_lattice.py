@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tiltfan import lattice as la
-from tiltfan.errors import DependentGenerators, DetNotUnit, NonSaturated, ZeroVector
+from tiltfan.errors import DetNotUnit, ZeroVector
 
 
 def test_determinant_examples():
@@ -37,33 +37,6 @@ def test_primitive():
         la.primitive((0, 0))
 
 
-def test_quotient_projection_coordinate_kernel():
-    q = la.quotient_projection([(1, 0, 0)], 3)
-    assert len(q) == 2
-    assert la.matvec(q, (1, 0, 0)) == (0, 0)
-
-
-def test_quotient_projection_skew_kernel():
-    q = la.quotient_projection([(1, -1, 0)], 3)
-    assert la.matvec(q, (1, -1, 0)) == (0, 0)
-    # surjectivity: the Smith form of q has both elementary divisors 1
-    d, _u, _v = la._smith_normal_form(q)
-    assert d[0][0] == 1 and d[1][1] == 1
-
-
-def test_quotient_projection_full_rank():
-    q = la.quotient_projection([(1, 0), (0, 1)], 2)
-    assert q == ()
-
-
-def test_quotient_projection_errors():
-    with pytest.raises(DependentGenerators):
-        la.quotient_projection([(1, 0), (2, 0)], 2)
-    with pytest.raises(NonSaturated) as exc:
-        la.quotient_projection([(2, 0)], 2)
-    assert exc.value.divisor == 2
-
-
 unimodular_elementary = st.sampled_from(
     [(i, j, c) for i in range(3) for j in range(3) if i != j for c in (-2, -1, 1, 2)]
 )
@@ -87,13 +60,6 @@ def test_primitive_idempotent(entries):
         return
     p = la.primitive(v)
     assert la.primitive(p) == p
-
-
-def test_quotient_projection_annihilates_generators():
-    gens = [(1, 2, 0, -1), (0, 1, 1, 1)]
-    q = la.quotient_projection(gens, 4)
-    for g in gens:
-        assert la.matvec(q, g) == (0, 0)
 
 
 def test_kernel_functional():

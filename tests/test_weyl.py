@@ -5,6 +5,7 @@ from tiltfan import weyl
 from tiltfan.cli import main
 from tiltfan.combinatorics import f_vector, h_vector
 from tiltfan.errors import NotFiniteType
+from tiltfan.fan import fan_from_cones, fan_to_json
 from tiltfan.weyl import (
     BudgetExhausted,
     CartanData,
@@ -18,6 +19,80 @@ from tiltfan.weyl import (
 )
 
 A_TILDE_1 = CartanData(((2, -2), (-2, 2)), (1, 1))
+A_TILDE_2 = CartanData(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (1, 1, 1))
+# c_01 != c_10: reading the Cartan matrix by columns would give the dual type
+G2 = CartanData(((2, -1), (-3, 2)), (1, 3))
+D4 = CartanData(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)), (1, 1, 1, 1))
+
+
+def reference_enumerate(cartan, budget=2_000_000):
+    """The group matrices by BFS over right multiplication by the generators,
+    deduplicated by matrix, as `weyl_enumerate` computed them before it
+    crossed walls.
+
+    Returns [(M_w, one shortest word, M_w^-1)] in BFS order, the inverses
+    from (M_w s_i)^-1 = s_i M_w^-1, or (explored, frontier) when the group
+    does not close within the budget.
+    """
+    n = cartan.n
+    gens = [cartan.reflection(i) for i in range(n)]
+    identity = la.identity(n)
+    elements = {identity: ((), None)}  # matrix -> (word, matrix it was reached from)
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for k, m in enumerate(frontier):
+            word = elements[m][0]
+            for i in range(n):
+                m2 = la.matmul(m, gens[i])
+                if m2 not in elements:
+                    if len(elements) >= budget:
+                        return len(elements), len(frontier) - k + len(nxt)
+                    elements[m2] = (word + (i + 1,), m)
+                    nxt.append(m2)
+        frontier = nxt
+    inverses = {}
+    result = []
+    for m, (word, parent) in elements.items():
+        inverses[m] = la.matmul(gens[word[-1] - 1], inverses[parent]) if word else identity
+        result.append((m, word, inverses[m]))
+    return result
+
+
+def reference_descents(cartan, reference):
+    """Left descents from the word lengths: s_i is one iff l(s_i w) < l(w)."""
+    gens = [cartan.reflection(i) for i in range(cartan.n)]
+    length = {m: len(word) for m, word, _inv in reference}
+    hist = [0] * (cartan.n + 1)
+    for m, word, _inv in reference:
+        hist[sum(1 for s in gens if length[la.matmul(s, m)] < len(word))] += 1
+    return tuple(hist)
+
+
+@pytest.mark.parametrize(
+    "cd",
+    [cartan_preset("A", n) for n in range(1, 6)] + [cartan_preset("B", n) for n in (2, 3, 4)]
+    + [G2, D4],
+    ids=[f"A{n}" for n in range(1, 6)] + ["B2", "B3", "B4", "G2", "D4"],
+)
+def test_wall_crossing_matches_the_matrix_search(cd):
+    reference = reference_enumerate(cd)
+    # the same chambers in the same order: the chamber of w is M_w^-1 by rows
+    assert weyl_enumerate(cd) == [inv for _m, _word, inv in reference]
+    expected = fan_from_cones([inv for _m, _w, inv in reference], la.identity(cd.n),
+                              require_complete=True)
+    assert fan_to_json(coxeter_fan(cd)) == fan_to_json(expected)
+    assert descent_histogram(cd) == reference_descents(cd, reference)
+
+
+def test_budget_counts_match_the_matrix_search():
+    a3 = cartan_preset("A", 3)
+    for budget in range(1, 24):
+        result = weyl_enumerate(a3, budget=budget)
+        assert (result.explored, result.frontier) == reference_enumerate(a3, budget)
+        assert result.budget == budget
+    result = weyl_enumerate(A_TILDE_2, budget=1000)
+    assert (result.explored, result.frontier) == reference_enumerate(A_TILDE_2, 1000)
 
 
 def test_cartan_validation():
@@ -122,8 +197,15 @@ def test_cartan_json():
 
 def test_word_lengths_are_coxeter_lengths():
     # in A2 the longest element has length 3 and the identity length 0
-    lengths = sorted(w.length for w in weyl_enumerate(cartan_preset("A", 2)))
-    assert lengths == [0, 1, 1, 2, 2, 3]
+    cd = cartan_preset("A", 2)
+    assert [len(word) for _m, word, _inv in reference_enumerate(cd)] == [0, 1, 1, 2, 2, 3]
+    # the length of w counts the walls between its chamber and the base:
+    # the positive roots that are negative inside the chamber
+    for cd in (cd, cartan_preset("A", 3), cartan_preset("B", 3)):
+        positive = [r for r in root_system(cd)[0] if min(r) >= 0]
+        for (_m, word, _inv), rays in zip(reference_enumerate(cd), weyl_enumerate(cd)):
+            inside = tuple(map(sum, zip(*rays)))
+            assert sum(1 for r in positive if la.dot(r, inside) < 0) == len(word)
 
 
 def test_reflections_are_involutions():
@@ -135,10 +217,11 @@ def test_reflections_are_involutions():
 
 @pytest.mark.parametrize("type_, n", [("A", 3), ("B", 3)])
 def test_tracked_inverses(type_, n):
-    elements = weyl_enumerate(cartan_preset(type_, n))
-    for w in elements:
-        assert la.matmul(w.matrix, w.inverse) == la.identity(n)
-        assert w.inverse == la.invert_unimodular(w.matrix)
+    reference = reference_enumerate(cartan_preset(type_, n))
+    for (m, _word, inverse), rays in zip(reference, weyl_enumerate(cartan_preset(type_, n))):
+        assert la.matmul(m, inverse) == la.identity(n)
+        assert inverse == la.invert_unimodular(m)
+        assert la.matmul(m, rays) == la.identity(n)
 
 
 @pytest.mark.parametrize("type_, n", [("A", 3), ("B", 3)])
