@@ -207,7 +207,7 @@ def cmd_weyl(args):
     if args.eulerian:
         print(json.dumps(list(weyl.descent_histogram(cartan, elements=enum))))
     if args.roots:
-        roots, short = weyl.root_system(cartan, elements=enum)
+        roots, short = weyl.root_system(cartan)
         json.dump(
             {
                 "schema_version": 1,

@@ -72,8 +72,12 @@ def _exchanged_g(seed, g_cols, k):
     return new_gk
 
 
-def mutate(seed, k):
-    """Mutate in direction k (1-based), returning a new seed."""
+def mutate(seed, k, g_cols=None):
+    """Mutate in direction k (1-based), returning a new seed.
+
+    g_cols, if given, are the columns of the new g-matrix, as the caller
+    already exchanged them; else column k is exchanged here.
+    """
     n = seed.n
     if not 1 <= k <= n:
         raise IndexError(f"mutation direction {k} out of range 1..{n}")
@@ -100,9 +104,10 @@ def mutate(seed, k):
         for i in range(n)
     )
 
-    g_cols = la.columns(g)
-    new_gk = _exchanged_g(seed, g_cols, k)
-    new_g = la.from_columns([new_gk if j == k else g_cols[j] for j in range(n)])
+    if g_cols is None:
+        g_cols = la.columns(g)
+        g_cols[k] = _exchanged_g(seed, g_cols, k)
+    new_g = la.from_columns(g_cols)
 
     return ExtendedSeed(new_b, new_c, new_g)
 
@@ -114,12 +119,14 @@ def enumerate_gfan(b, budget=100_000):
     Chambers are the unordered g-column sets, so distinct mutation-tree
     vertices giving the same cluster collapse.  Crossing wall k computes
     only the exchanged g-vector; the full seed is mutated only for a new
-    chamber.  Directions are explored in increasing order with a FIFO
-    frontier, which makes the enumeration deterministic.
+    chamber, taking its g-matrix from that chamber.  Directions are
+    explored in increasing order with a FIFO frontier, which makes the
+    enumeration deterministic.
     """
     seed0 = initial_seed(b)
     result = wall_crossing_search(la.columns(seed0.g), _exchanged_g, budget, seed0,
-                                  lambda seed, k: mutate(seed, k + 1), partial_fan=True)
+                                  lambda seed, g_cols, k: mutate(seed, k + 1, g_cols),
+                                  partial_fan=True)
     if isinstance(result, BudgetExhausted):
         return result
     return fan_from_cones(result, result[0], require_complete=True)

@@ -105,6 +105,16 @@ def build_fan(rays, chambers, base, require_complete=False):
     is the row of its first chamber's inverse at the ray off the wall, with
     the sign fixed so that the last nonzero entry is positive.
 
+    Chambers are taken in the given order.  Adjacent chambers differ in one
+    ray, so a chamber's inverse is one exchange pivot (`la.exchange_inverse`)
+    away from that of an earlier neighbour across a wall, whose inverse is
+    rebuilt from the normals already found (`inverse_from_normals`); no
+    inverse is kept past its chamber.  Full elimination runs only for the
+    first chamber of each wall-graph component, for a chamber whose earlier
+    neighbours all have a facet without a normal (dangling, in more than
+    two chambers, or between overlapping chambers), and for a non-unit
+    pivot, where it gives the determinant of NonUnimodularChamber.
+
     Completeness is certified iff every codimension-1 face lies in exactly
     two chambers and the test point y0 + eps e_1 + eps^2 e_2 + ... (y0 the
     sum of the base rays, eps > 0 infinitesimal) lies in exactly one
@@ -185,9 +195,13 @@ def build_fan(rays, chambers, base, require_complete=False):
     normals = {}
     for ci, c in enumerate(chambers):
         idx = sorted(c)
-        det, adj = la.scaled_inverse(la.from_columns([rays[i] for i in idx])) or (0, None)
-        if det not in (1, -1):
-            raise NonUnimodularChamber(ci, det)
+        inv = _inverse_across_a_wall(rays, chambers, ci, idx, facet_owners, normals)
+        if inv is not None:
+            det, adj = 1, inv
+        else:
+            det, adj = la.scaled_inverse(la.from_columns([rays[i] for i in idx])) or (0, None)
+            if det not in (1, -1):
+                raise NonUnimodularChamber(ci, det)
         covering += holds_test_point(det, adj, y0)
         for sub in first_owned[ci]:
             (free_a,) = c - sub
@@ -226,6 +240,53 @@ def build_fan(rays, chambers, base, require_complete=False):
     return Fan(rank, rays, chambers, base, tuple(walls), UNKNOWN if dangling else CERTIFIED)
 
 
+def _inverse_across_a_wall(rays, chambers, ci, idx, facet_owners, normals):
+    """Inverse of the ray matrix of chamber ci (columns in the sorted order
+    idx) by one exchange pivot from an earlier neighbour across a wall.
+
+    The neighbour's inverse is rebuilt from the normals of its facets; the
+    first neighbour whose facets all have one is used.  None if there is no
+    such neighbour, or if the pivot is not a unit (then chamber ci is not
+    unimodular).
+    """
+    c = chambers[ci]
+    for free_a in idx:
+        sub = c - {free_a}
+        owners = facet_owners[sub]
+        if len(owners) != 2 or owners[1] != ci:
+            continue
+        nb = sorted(chambers[owners[0]])
+        inv = inverse_from_normals(rays, nb, normals)
+        if inv is None:
+            continue
+        (free_b,) = chambers[owners[0]] - sub
+        inv = la.exchange_inverse(inv, nb.index(free_b), rays[free_a])
+        if inv is None:
+            return None
+        row_of = dict(zip((free_a if i == free_b else i for i in nb), inv))
+        return tuple(row_of[i] for i in idx)
+    return None
+
+
+def inverse_from_normals(rays, idx, normals):
+    """Inverse of the unimodular ray matrix with columns rays[i], i in idx,
+    from the normals of its facets (`normals` maps a facet, the frozenset of
+    its ray indices, to its primitive normal or None).
+
+    Row q vanishes on every ray but idx[q], where it is 1, so it is the
+    facet normal opposite that ray, signed by its unit dot with the ray.
+    None if a facet has no normal.
+    """
+    c = frozenset(idx)
+    inv = []
+    for q in idx:
+        normal = normals.get(c - {q})
+        if normal is None:
+            return None
+        inv.append(normal if la.dot(normal, rays[q]) > 0 else la.vneg(normal))
+    return tuple(inv)
+
+
 def fan_from_cones(cones, base_cone, require_complete=False):
     """The Fan whose chambers are the given cones, each a collection of ray
     vectors (tuples of integers), with base chamber base_cone.
@@ -247,13 +308,20 @@ def fan_from_cones(cones, base_cone, require_complete=False):
 def _sign_incoherence(rays, chambers, base_rays):
     """Sign-coherence: every chamber sits in one closed orthant of the
     coordinates in the basis base_rays.  Returns (chamber index, coordinate)
-    of the first chamber with rays strictly on both sides, else None."""
+    of the first chamber with rays strictly on both sides, else None.
+    Chambers are collections of ray indices."""
     s_inv = la.invert_unimodular(la.from_columns(sorted(base_rays, reverse=True)))
-    coords = [la.matvec(s_inv, r) for r in rays]
+    # per coordinate: the rays strictly positive on it, and strictly negative
+    sides = [(set(), set()) for _ in s_inv]
+    for i, r in enumerate(rays):
+        for (positive, negative), x in zip(sides, la.matvec(s_inv, r)):
+            if x > 0:
+                positive.add(i)
+            elif x < 0:
+                negative.add(i)
     for ci, c in enumerate(chambers):
-        for coord in range(len(s_inv)):
-            vals = [coords[i][coord] for i in c]
-            if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+        for coord, (positive, negative) in enumerate(sides):
+            if not (positive.isdisjoint(c) or negative.isdisjoint(c)):
                 return ci, coord
     return None
 
@@ -263,11 +331,11 @@ def wall_crossing_search(rays, exchange, budget, state=None, cross=None, partial
 
     A chamber is the tuple of its rays, ray k opposite wall k.  Crossing
     wall k keeps every other ray and puts `exchange(state, rays, k)` in
-    place k.  A front-end may carry a state per chamber: `cross(state, k)`
-    is the state across wall k, built only for a new chamber; without
-    `cross` every chamber shares the start's state.  Chambers are
-    deduplicated by their ray sets, and walls are crossed in increasing
-    order with a FIFO queue, so the search is deterministic.
+    place k.  A front-end may carry a state per chamber: `cross(state, new,
+    k)` is the state of the chamber `new` across wall k, built only for a
+    new chamber; without `cross` every chamber shares the start's state.
+    Chambers are deduplicated by their ray sets, and walls are crossed in
+    increasing order with a FIFO queue, so the search is deterministic.
 
     Returns the chambers in the order found, the start first, once every
     wall has been crossed.  When a new chamber would exceed `budget` it
@@ -293,7 +361,7 @@ def wall_crossing_search(rays, exchange, budget, state=None, cross=None, partial
                 partial = fan_from_cones(cones, cones[0]) if partial_fan else None
                 return BudgetExhausted(len(found), len(queue) + 1, budget, partial)
             found[key] = new
-            queue.append((new, cross(state, k) if cross else state))
+            queue.append((new, cross(state, new, k) if cross else state))
     return list(found.values())
 
 

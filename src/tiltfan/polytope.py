@@ -14,7 +14,7 @@ from .errors import (
     NotRank2,
     OriginNotInterior,
 )
-from .fan import CERTIFIED, fan_from_cones
+from .fan import CERTIFIED, fan_from_cones, inverse_from_normals
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,13 @@ def convexity_report(fan):
 
     The sum of the two free rays is an integer combination of the shared
     rays (unimodularity); the fan polytope is convex iff every wall gives
-    0, one shared ray, or a sum of two shared rays.
+    0, one shared ray, or a sum of two shared rays.  The coefficients are
+    read off the inverse of the first chamber's ray matrix, whose rows are
+    the fan's signed wall normals.
     """
     if fan.complete != CERTIFIED:
         raise IncompleteFan("convexity requires a certified-complete fan")
+    normals = {w.shared: w.normal for w in fan.walls}
     out = []
     convex = True
     for w in fan.walls:
@@ -127,11 +130,9 @@ def convexity_report(fan):
         free_a = next(iter(fan.chambers[ca] - w.shared))
         free_b = next(iter(fan.chambers[cb] - w.shared))
         total = la.vadd(fan.rays[free_a], fan.rays[free_b])
-        basis = la.from_columns(
-            [fan.rays[i] for i in shared] + [fan.rays[free_a]], rank=fan.rank
-        )
-        coeffs = la.solve_exact(basis, total)
-        coeffs = tuple(int(x) for x in coeffs)
+        idx = sorted(fan.chambers[ca])
+        row_of = dict(zip(idx, inverse_from_normals(fan.rays, idx, normals)))
+        coeffs = tuple(la.dot(row_of[i], total) for i in shared + [free_a])
         shared_part, last = coeffs[:-1], coeffs[-1]
         if last != 0 or any(c < 0 for c in shared_part):
             kind, data = NOT_POSITIVE, coeffs

@@ -13,7 +13,8 @@ r_k' = -r_k - sum_{j != k} c_kj r_j, with c_kj read from row k of C (the
 transpose would give the dual type).  Each element is its tuple of rays in
 generator order; the descents are read off its columns.  The functions that
 need the whole group accept an already enumerated element list, so one
-enumeration can serve a fan, its descents and its roots.
+enumeration can serve a fan and its descents.  The roots need no group:
+finiteness is read off the Cartan data.
 """
 
 from dataclasses import dataclass
@@ -134,9 +135,24 @@ def coxeter_fan(cartan, budget=2_000_000, elements=None):
     return fan_from_cones(elements, la.identity(cartan.n), require_complete=True)
 
 
-def root_system(cartan, budget=2_000_000, elements=None):
+def require_finite_type(cartan):
+    """Raise NotFiniteType unless the Weyl group is finite.
+
+    It is finite iff the symmetric matrix C D is positive definite, that is
+    (Sylvester) iff every leading principal minor of C D is positive.
+    """
+    cd = [[x * dj for x, dj in zip(row, cartan.d)] for row in cartan.c]
+    for k in range(1, cartan.n + 1):
+        minor = la.determinant([row[:k] for row in cd[:k]])
+        if minor <= 0:
+            raise NotFiniteType(
+                f"not of finite type: leading principal minor {k} of C D is {minor}"
+            )
+
+
+def root_system(cartan):
     """(all roots, short roots) as vectors in the simple-root basis."""
-    _finite_elements(cartan, budget, elements)
+    require_finite_type(cartan)
     n = cartan.n
     gens = [cartan.reflection(i) for i in range(n)]
     roots = {tuple(1 if i == j else 0 for j in range(n)) for i in range(n)}
@@ -170,9 +186,9 @@ def descent_histogram(cartan, budget=2_000_000, elements=None):
     return tuple(hist)
 
 
-def short_root_polytope(cartan, budget=2_000_000):
+def short_root_polytope(cartan):
     """Convex hull of the short roots in simple-root coordinates."""
     from .polytope import convex_hull
 
-    _roots, short = root_system(cartan, budget)
+    _roots, short = root_system(cartan)
     return convex_hull(sorted(short))

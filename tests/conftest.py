@@ -64,10 +64,15 @@ def triangle():
     return BrauerGraph(half_edges(3), cyc_sigma(cycles), edge_bar(3))
 
 
+def odd_cycle(n):
+    """3-cycle on edges 1..3 plus pendant edges 4..n at the first cycle vertex."""
+    first = ("1a", "3b") + tuple(f"{i}a" for i in range(4, n + 1))
+    cycles = [first, ("2a", "1b"), ("3a", "2b")] + [(f"{i}b",) for i in range(4, n + 1)]
+    return BrauerGraph(half_edges(n), cyc_sigma(cycles), edge_bar(n))
+
+
 def odd_cycle_5():
-    """3-cycle on edges 1..3 plus pendant edges 4, 5 at the first cycle vertex."""
-    cycles = [("1a", "3b", "4a", "5a"), ("2a", "1b"), ("3a", "2b"), ("4b",), ("5b",)]
-    return BrauerGraph(half_edges(5), cyc_sigma(cycles), edge_bar(5))
+    return odd_cycle(5)
 
 
 def double_edge():

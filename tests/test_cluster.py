@@ -178,16 +178,36 @@ def test_g_first_search_matches_full_mutation_bfs(b, monkeypatch):
     import tiltfan.cluster as cluster
 
     calls = []
+    exchanges = []
+    exchanged_g = cluster._exchanged_g
 
-    def counting_mutate(seed, k):
+    def counting_mutate(seed, k, *g_cols):
         calls.append(k)
-        return mutate(seed, k)
+        return mutate(seed, k, *g_cols)
+
+    def counting_exchange(seed, g_cols, k):
+        exchanges.append(k)
+        return exchanged_g(seed, g_cols, k)
 
     monkeypatch.setattr(cluster, "mutate", counting_mutate)
+    monkeypatch.setattr(cluster, "_exchanged_g", counting_exchange)
     fan = enumerate_gfan(b)
+    # each g-vector is exchanged once per wall crossing, never again in mutate
+    assert len(exchanges) == fan.rank * len(fan.chambers)
     reference = _full_mutation_bfs(b)
     assert _chamber_keys(fan) == set(reference)
     assert len(calls) == len(fan.chambers) - 1
+
+
+@pytest.mark.parametrize("b", CLUSTER_CASES[:3])
+def test_mutate_takes_the_exchanged_g_matrix(b):
+    from tiltfan.cluster import _exchanged_g
+
+    for seed in _full_mutation_bfs(b).values():
+        for k in range(seed.n):
+            g_cols = la.columns(seed.g)
+            g_cols[k] = _exchanged_g(seed, g_cols, k)
+            assert mutate(seed, k + 1, tuple(g_cols)) == mutate(seed, k + 1)
 
 
 @pytest.mark.parametrize("b", CLUSTER_CASES)

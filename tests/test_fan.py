@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tiltfan import fan as fan_module
+from tiltfan import lattice as la
 from tiltfan.brauer import chambers_by_cliques
 from tiltfan.cli import kase_family_fan
 from tiltfan.cluster import enumerate_gfan
@@ -11,6 +12,7 @@ from tiltfan.errors import (
     NonUnimodularChamber,
     NotAFace,
     SignCoherenceViolation,
+    TiltfanError,
 )
 from tiltfan.fan import (
     CERTIFIED,
@@ -27,7 +29,7 @@ from tiltfan.fan import (
 )
 from tiltfan.weyl import cartan_preset, coxeter_fan
 
-from conftest import B_A2, B_A3, b_type_a, odd_cycle_5, path_tree
+from conftest import B_A2, B_A3, b_type_a, odd_cycle, odd_cycle_5, path_tree
 
 PENTAGON_RAYS = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)]
 PENTAGON_CHAMBERS = [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}]
@@ -461,3 +463,168 @@ def test_fan_from_cones_ignores_the_order_of_cones_and_rays(k, data):
     again = fan_from_cones(cones, base)
     assert again == fan
     assert (again.walls, again.complete) == (fan.walls, fan.complete)
+
+
+# -- chamber inverses by exchange pivots against full elimination -------------
+
+
+def _outcome(rays, chambers, base, require_complete=False):
+    """build_fan's Fan, walls and status, or its error as (class, message)."""
+    try:
+        fan = build_fan(rays, chambers, base, require_complete)
+    except TiltfanError as exc:
+        return type(exc), str(exc)
+    return fan, fan.walls, fan.complete
+
+
+def _reference_outcome(*args):
+    """_outcome with every chamber inverted by full elimination, as build_fan
+    did before it pivoted across walls."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fan_module, "_inverse_across_a_wall", lambda *a: None)
+        return _outcome(*args)
+
+
+def _assert_pivots_match_elimination(rays, chambers, base, require_complete=False):
+    got = _outcome(rays, chambers, base, require_complete)
+    assert got == _reference_outcome(rays, chambers, base, require_complete)
+    return got
+
+
+def _shuffled(fan, rnd):
+    """The fan's table with its chambers in a random order."""
+    order = list(range(len(fan.chambers)))
+    rnd.shuffle(order)
+    return list(fan.rays), [fan.chambers[ci] for ci in order], order.index(fan.base)
+
+
+def _front_end_fans():
+    from tiltfan.weyl import CartanData
+
+    from conftest import B_KRONECKER, gamma2, star_tree
+
+    yield from _wall_fans()
+    yield "weyl B4", coxeter_fan(cartan_preset("B", 4))
+    yield "weyl G2", coxeter_fan(CartanData(((2, -1), (-3, 2)), (1, 3)))
+    yield "brauer star 4", chambers_by_cliques(star_tree(4))
+    yield "brauer gamma2", chambers_by_cliques(gamma2())
+    yield "kase 4 5", kase_family_fan(4, 5)
+    for budget in (2, 5, 9, 20, 41):
+        yield f"partial cluster A4 at {budget}", enumerate_gfan(b_type_a(4), budget).partial_fan
+    yield "partial Kronecker at 50", enumerate_gfan(B_KRONECKER, budget=50).partial_fan
+
+
+def test_pivoted_inverses_match_full_elimination_on_front_end_fans():
+    """Fan, walls, normals and status are those of full elimination, in the
+    front-end's chamber order and in shuffled ones."""
+    import random
+
+    rnd = random.Random(7)
+    for name, fan in _front_end_fans():
+        complete = fan.complete == CERTIFIED
+        got = _assert_pivots_match_elimination(fan.rays, fan.chambers, fan.base, complete)
+        assert got == (fan, fan.walls, fan.complete), name
+        for _ in range(2):
+            got = _assert_pivots_match_elimination(*_shuffled(fan, rnd))
+            assert got[2] == fan.complete, name
+
+
+def test_pivoted_inverses_match_full_elimination_on_broken_tables():
+    """Non-unimodular chambers, overlapping pairs, sign-incoherent chambers,
+    a double cover and dangling faces give the errors of full elimination."""
+    import random
+
+    rnd = random.Random(11)
+    # the square with one ray moved: two chambers of determinant 2
+    square = [(1, 0), (0, 1), (-1, 0), (1, -2)]
+    tables = [
+        (square, [{0, 1}, {1, 2}, {2, 3}, {3, 0}], 0),
+        ([(1, 0), (0, 1), (1, 1)], [{0, 1}, {1, 2}], 0),
+        ([(1, 0), (1, 1), (2, 1)], [{0, 1}, {1, 2}], 0),
+        ([(1, 0), (0, 1), (1, -1), (-1, 0)], [{0, 1}, {1, 3}, {0, 2}, {2, 3}], 0),
+        (*_octahedral_double_cover(), 0),
+    ]
+    # every ray of cluster A3 and Weyl B3 in turn moved off its place
+    for fan in (enumerate_gfan(B_A3), coxeter_fan(cartan_preset("B", 3))):
+        for k, r in enumerate(fan.rays):
+            moved = la.primitive(la.vadd(la.vscale(2, r), fan.rays[(k + 1) % len(fan.rays)]))
+            if moved not in fan.rays:
+                rays = list(fan.rays)
+                rays[k] = moved
+                tables.append((rays, list(fan.chambers), fan.base))
+        # a chamber dropped: dangling faces
+        tables.append((list(fan.rays), list(fan.chambers[1:]), 0))
+    outcomes = set()
+    for rays, chambers, base in tables:
+        got = _assert_pivots_match_elimination(rays, chambers, base)
+        outcomes.add(got[0] if isinstance(got[0], type) else "fan")
+        order = list(range(len(chambers)))
+        for _ in range(3):
+            rnd.shuffle(order)
+            _assert_pivots_match_elimination(
+                rays, [chambers[ci] for ci in order], order.index(base))
+    assert outcomes == {NonUnimodularChamber, SignCoherenceViolation, TiltfanError, "fan"}
+
+
+def _scaled_inverse_calls(monkeypatch, make):
+    """(chambers, scaled_inverse calls made by build_fan) for the fan of make()."""
+    fan = make()
+    calls = []
+    original = la.scaled_inverse
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(la, "scaled_inverse", counting)
+    again = build_fan(fan.rays, fan.chambers, fan.base)
+    assert (again, again.walls) == (fan, fan.walls)
+    return len(fan.chambers), len(calls)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: coxeter_fan(cartan_preset("A", 5)),
+    lambda: chambers_by_cliques(odd_cycle(6)),
+], ids=["coxeter A5", "brauer odd 6"])
+def test_build_fan_eliminates_for_few_chambers(make, monkeypatch):
+    """Every chamber but the first of a component (and few others) gets its
+    inverse by a pivot across a wall, not by full elimination."""
+    chambers, calls = _scaled_inverse_calls(monkeypatch, make)
+    assert chambers in (720, 2048)
+    assert 1 <= calls <= chambers // 100
+
+
+def _reference_sign_incoherence(rays, chambers, base_rays):
+    """The coordinate loop `_sign_incoherence` ran before it kept sign sets."""
+    s_inv = la.invert_unimodular(la.from_columns(sorted(base_rays, reverse=True)))
+    coords = [la.matvec(s_inv, r) for r in rays]
+    for ci, c in enumerate(chambers):
+        for coord in range(len(s_inv)):
+            vals = [coords[i][coord] for i in c]
+            if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+                return ci, coord
+    return None
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=8),
+    st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=6),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)),
+             max_size=4),
+    st.booleans(),
+)))
+def test_sign_incoherence_matches_the_coordinate_loop(case):
+    """The same (chamber, coordinate) as the plain loop, for chambers given
+    as lists (as `reduce_at_cone` passes them) or frozensets."""
+    rays, chambers, ops, as_sets = case
+    n = len(rays[0])
+    base = [list(row) for row in la.identity(n)]
+    for i, j, c in ops:
+        if i != j:
+            base[i] = [x + c * y for x, y in zip(base[i], base[j])]
+    chambers = [[i for i in c if i < len(rays)] for c in chambers]
+    if as_sets:
+        chambers = [frozenset(c) for c in chambers]
+    base = [tuple(r) for r in base]
+    assert (fan_module._sign_incoherence(rays, chambers, base)
+            == _reference_sign_incoherence(rays, chambers, base))

@@ -207,3 +207,56 @@ def test_compare_fan_invariants(pentagon_fan, a3_cluster_fan):
     verdict, pa, pb = compare_fan_invariants(pentagon_fan, a3_cluster_fan)
     assert verdict == "differ"
     assert pa["f"] != pb["f"]
+
+
+
+def _reference_convexity_report(fan):
+    """`convexity_report` as it was before it read chamber inverses: the
+    coefficients of v + v' by an exact solve in the basis (shared rays, v)."""
+    from tiltfan.polytope import RAY_SUM, ConvexityReport, WallClass
+
+    out = []
+    for w in fan.walls:
+        shared = sorted(w.shared)
+        ca, cb = w.chambers
+        (free_a,), (free_b,) = fan.chambers[ca] - w.shared, fan.chambers[cb] - w.shared
+        basis = la.from_columns([fan.rays[i] for i in shared] + [fan.rays[free_a]],
+                                rank=fan.rank)
+        total = la.vadd(fan.rays[free_a], fan.rays[free_b])
+        coeffs = tuple(int(x) for x in la.solve_exact(basis, total))
+        part, last = coeffs[:-1], coeffs[-1]
+        if last != 0 or any(c < 0 for c in part):
+            kind, data = "NotPositive", coeffs
+        elif not any(part):
+            kind, data = ZERO, ()
+        elif sum(part) == 1:
+            kind, data = SINGLE_RAY, (shared[part.index(1)],)
+        elif sum(part) == 2 and max(part) <= 2:
+            kind, data = RAY_SUM, tuple(shared[i] for i, c in enumerate(part) for _ in range(c))
+        else:
+            kind, data = NONCONVEX_POSITIVE, coeffs
+        out.append(WallClass(tuple(shared), kind, data))
+    convex = all(wc.kind in (ZERO, SINGLE_RAY, RAY_SUM) for wc in out)
+    return ConvexityReport(convex, tuple(out))
+
+
+def test_convexity_report_matches_the_exact_solve():
+    from tiltfan.weyl import CartanData
+
+    fans = [
+        enumerate_gfan(((0, 1), (-1, 0))),
+        enumerate_gfan(B_D4),
+        kase_family_fan(4, 5),
+        kase_family_fan(3, 3),
+        coxeter_fan(cartan_preset("B", 3)),
+        coxeter_fan(CartanData(((2, -1), (-3, 2)), (1, 3))),
+        chambers_by_cliques(gamma3()),
+        chambers_by_cliques(path_tree(4)),
+        square_fan(),
+    ]
+    kinds = set()
+    for fan in fans:
+        rep = convexity_report(fan)
+        assert rep == _reference_convexity_report(fan)
+        kinds.update(wc.kind for wc in rep.walls)
+    assert kinds == {ZERO, SINGLE_RAY, NONCONVEX_POSITIVE, "RaySum"}

@@ -133,6 +133,38 @@ def test_infinite_type_exhausts_budget():
         coxeter_fan(A_TILDE_1, budget=100)
 
 
+HYPERBOLIC = CartanData(((2, -3), (-3, 2)), (1, 1))
+
+
+@pytest.mark.parametrize("cd, k, minor",
+                         [(A_TILDE_1, 2, 0), (A_TILDE_2, 3, 0), (HYPERBOLIC, 2, -5)],
+                         ids=["affine A1", "affine A2", "hyperbolic"])
+def test_roots_of_an_infinite_type_are_refused(cd, k, minor):
+    """Finiteness is read off the leading principal minors of C D, without
+    enumerating the group."""
+    message = f"^not of finite type: leading principal minor {k} of C D is {minor}$"
+    with pytest.raises(NotFiniteType, match=message):
+        root_system(cd)
+    with pytest.raises(NotFiniteType):
+        short_root_polytope(cd)
+
+
+@pytest.mark.parametrize("cd", [
+    cartan_preset("A", 1), cartan_preset("A", 4), cartan_preset("B", 2), cartan_preset("B", 4),
+    G2, D4, A_TILDE_1, A_TILDE_2, HYPERBOLIC,
+    CartanData(((2, -1, 0), (-1, 2, -2), (0, -1, 2)), (2, 2, 1)),
+    CartanData(((2, -2, 0), (-1, 2, -1), (0, -2, 2)), (2, 1, 2)),
+])
+def test_finite_type_iff_the_group_closes(cd):
+    closes = not isinstance(weyl_enumerate(cd, budget=2000), BudgetExhausted)
+    try:
+        weyl.require_finite_type(cd)
+    except NotFiniteType:
+        assert not closes
+    else:
+        assert closes
+
+
 def test_coxeter_fan_a1():
     fan = coxeter_fan(cartan_preset("A", 1))
     assert set(fan.rays) == {(1,), (-1,)}
@@ -232,7 +264,6 @@ def test_functions_accept_the_enumerated_elements(type_, n):
     assert fan == coxeter_fan(cd)
     assert fan.walls == coxeter_fan(cd).walls
     assert descent_histogram(cd, elements=elements) == descent_histogram(cd)
-    assert root_system(cd, elements=elements) == root_system(cd)
 
 
 def test_weyl_command_enumerates_once(monkeypatch, capsys):
