@@ -308,11 +308,7 @@ def _nc2_and_nc1(graph, w1, w2, self_pair):
             alignments.append((y, False))
 
     for y, skip_identity in alignments:
-        y_walk_signs = w2.signs(y)
-        y_ext = (("vr", -y_walk_signs[0], y[0]),) + tuple(y) + (
-            ("vr", -y_walk_signs[-1], graph.bar[y[-1]]),
-        )
-        y_signs = (-y_walk_signs[0],) + y_walk_signs + (-y_walk_signs[-1],)
+        y_ext, y_signs = w2.extended(y)
         for i, j, r in _maximal_runs(x, y, skip_identity):
             # NC1: the signatures agree along the run
             if x_signs[i + 1] != y_signs[j + 1]:

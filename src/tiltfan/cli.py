@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from . import brauer, cluster, combinatorics, polytope, weyl
-from .errors import NotRank2, ParseError, TiltfanError, parse_int, reading
+from .errors import NotConvex, NotRank2, ParseError, TiltfanError, parse_int, reading
 from .fan import (
     BudgetExhausted,
     fan_from_json,
@@ -141,8 +141,11 @@ def _budget_exhausted(result, unit, fan_path):
 
 def _write_plot(fan_obj, path):
     poly = None
-    if fan_obj.rank == 2 and polytope.convexity_report(fan_obj).convex:
-        poly = polytope.g_polytope(fan_obj)
+    if fan_obj.rank == 2:
+        try:
+            poly = polytope.g_polytope(fan_obj)
+        except NotConvex:
+            pass
     svg = fan_svg(fan_obj, poly)
     with open(path, "w") as fh:
         fh.write(svg)

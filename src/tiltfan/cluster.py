@@ -130,14 +130,3 @@ def enumerate_gfan(b, budget=100_000):
     if isinstance(result, BudgetExhausted):
         return result
     return fan_from_cones(result, result[0], require_complete=True)
-
-
-def b_matrix_preset(name):
-    """Small library of named exchange matrices used by tests and the CLI."""
-    presets = {
-        "a2": ((0, 1), (-1, 0)),
-        "a3": ((0, 1, 0), (-1, 0, 1), (0, -1, 0)),
-        "d4": ((0, 1, 1, 1), (-1, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, 0)),
-        "kronecker": ((0, 2), (-2, 0)),
-    }
-    return presets[name]

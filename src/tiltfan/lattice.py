@@ -12,10 +12,6 @@ from operator import mul
 from .errors import DetNotUnit, ZeroVector
 
 
-def vec(entries):
-    return tuple(int(x) for x in entries)
-
-
 def mat(rows):
     return tuple(tuple(int(x) for x in row) for row in rows)
 
@@ -41,7 +37,7 @@ def from_columns(cols, rank=None):
 
 
 def matvec(m, v):
-    return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in m)
+    return tuple(dot(r, v) for r in m)
 
 
 def matmul(a, b):

@@ -1,6 +1,7 @@
-"""Lattice polytopes by exact arithmetic: hulls in rank <= 4, convexity of
-fan polytopes, dual polytopes and reflexivity, the smooth-Fano test, the
-rank-2 classification and root polytopes of types A and C."""
+"""Lattice polytopes by exact arithmetic: convexity of fan polytopes, the
+g-polytope and its dual read off the chamber inverses in every rank,
+reflexivity, the smooth-Fano test, the rank-2 classification, and root
+polytopes of types A and C by hulls in rank <= 4."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,33 +152,42 @@ def convexity_report(fan):
     return ConvexityReport(convex, tuple(out))
 
 
+def _polar_pair(fan):
+    """The g-polytope of a convex fan, its dual, and v_C for each chamber C.
+
+    v_C = (M_C^T)^-1 1 is the sum of the rows of M_C^-1, the chamber's signed
+    wall normals, so it is integral (reflexivity).  The g-polytope has the
+    facets v_C . x <= 1 and as vertices the rays whose incident v_C span the
+    space; its dual has the two lists swapped.
+    """
+    if fan.rank == 0:
+        raise ValueError("a rank-0 fan has no polytope")
+    if not convexity_report(fan).convex:
+        raise NotConvex("fan polytope is not convex")
+    normals = {w.shared: w.normal for w in fan.walls}
+    per_chamber = tuple(tuple(map(sum, zip(*inverse_from_normals(fan.rays, sorted(c), normals))))
+                        for c in fan.chambers)
+    incident = [set() for _ in fan.rays]
+    for c, v in zip(fan.chambers, per_chamber):
+        for i in c:
+            incident[i].add(v)
+    vertices = tuple(sorted(r for r, vs in zip(fan.rays, incident)
+                            if la.rank(vs, fan.rank) == fan.rank))
+    duals = tuple(sorted(set(per_chamber)))
+    g = LatticePolytope(vertices, tuple((v, 1) for v in duals))
+    return g, LatticePolytope(duals, tuple((r, 1) for r in vertices)), per_chamber
+
+
 def g_polytope(fan):
     """Convex hull of all rays; requires the fan polytope to be convex."""
-    report = convexity_report(fan)
-    if not report.convex:
-        raise NotConvex("fan polytope is not convex")
-    return convex_hull(fan.rays, fan.rank)
+    return _polar_pair(fan)[0]
 
 
 def dual_polytope(fan):
-    """Dual polytope via one vertex per chamber and its reflexivity flag.
-
-    The chamber with ray matrix R contributes the solution of R^T v = 1;
-    since chambers are unimodular these vertices are integral, which is the
-    reflexivity statement checked here.
-    """
-    report = convexity_report(fan)
-    if not report.convex:
-        raise NotConvex("fan polytope is not convex")
-    verts = []
-    for ci in range(len(fan.chambers)):
-        r = fan.ray_matrix(ci)
-        sol = la.solve_exact(la.transpose(r), tuple([1] * fan.rank))
-        verts.append(tuple(sol))
-    reflexive = all(x.denominator == 1 for v in verts for x in v)
-    int_verts = sorted({tuple(int(x) for x in v) for v in verts}) if reflexive else None
-    poly = convex_hull(int_verts, fan.rank) if reflexive else None
-    return poly, reflexive, tuple(tuple(v) for v in verts)
+    """Dual polytope, its reflexivity flag (always True: every v_C is
+    integral) and the vertex v_C of each chamber, in chamber order."""
+    _g, dual, per_chamber = _polar_pair(fan)
+    return dual, True, per_chamber
 
 
 def smooth_fano(poly):
@@ -307,8 +317,8 @@ def root_polytope(type_, n):
 def compare_fan_invariants(fan_a, fan_b, ell_max=3):
     """Invariant-level comparison for fans beyond the isomorphism-search cap.
 
-    Compares f-vectors, hull vertex counts (for convex inputs of rank <= 4)
-    and Ehrhart counts up to ell_max; "match" is a necessary condition only,
+    Compares f-vectors, g-polytope vertex counts (for convex inputs) and
+    Ehrhart counts up to ell_max; "match" is a necessary condition only,
     never an isomorphism claim.
     """
     from .combinatorics import ehrhart_count, f_vector, h_vector
@@ -316,9 +326,10 @@ def compare_fan_invariants(fan_a, fan_b, ell_max=3):
     def profile(fan):
         f = f_vector(fan)
         h = h_vector(f)
-        hull_vertices = None
-        if fan.rank <= 4 and convexity_report(fan).convex:
-            hull_vertices = len(convex_hull(fan.rays, fan.rank).vertices)
+        try:
+            hull_vertices = len(g_polytope(fan).vertices)
+        except NotConvex:
+            hull_vertices = None
         return {
             "f": f,
             "hull_vertices": hull_vertices,

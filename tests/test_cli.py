@@ -110,6 +110,20 @@ def test_plot_command(tmp_path):
     assert (tmp_path / "fan.svg").read_text().startswith("<svg")
 
 
+def test_plot_outlines_only_a_convex_polytope(tmp_path, capsys):
+    outline = 'stroke="#a40000"'
+    for ell, m, drawn in ((3, 3, 1), (4, 5, 0)):
+        svg = tmp_path / f"kase_{ell}_{m}.svg"
+        assert main(["kase", "--ell", str(ell), "--m", str(m), "--plot", str(svg)]) == 0
+        assert svg.read_text().count(outline) == drawn
+    matrix = write(tmp_path, "a2.json", {"n": 2, "B": [[0, 1], [-1, 0]]})
+    partial = str(tmp_path / "partial.json")
+    assert main(["cluster", "--matrix", matrix, "--budget", "3", "--fan", partial]) == 2
+    capsys.readouterr()
+    assert main(["plot", "--input", partial, "--out", str(tmp_path / "partial.svg")]) == 1
+    assert capsys.readouterr().err == "error: convexity requires a certified-complete fan\n"
+
+
 def test_env_budget(tmp_path, monkeypatch, capsys):
     matrix = write(tmp_path, "kron.json", {"n": 2, "B": [[0, 2], [-2, 0]]})
     monkeypatch.setenv("TILTFAN_BUDGET", "50")

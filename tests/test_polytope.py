@@ -23,7 +23,7 @@ from tiltfan.polytope import (
 )
 from tiltfan.weyl import cartan_preset, coxeter_fan
 
-from conftest import B_D4, gamma3, path_tree
+from conftest import B_D4, b_type_a, gamma3, odd_cycle, path_tree, star_tree
 
 
 def square_fan():
@@ -207,6 +207,76 @@ def test_compare_fan_invariants(pentagon_fan, a3_cluster_fan):
     verdict, pa, pb = compare_fan_invariants(pentagon_fan, a3_cluster_fan)
     assert verdict == "differ"
     assert pa["f"] != pb["f"]
+
+
+def test_compare_fan_invariants_counts_vertices_in_rank5():
+    from tiltfan.polytope import compare_fan_invariants
+
+    verdict, pa, pb = compare_fan_invariants(chambers_by_cliques(path_tree(5)),
+                                             chambers_by_cliques(odd_cycle(5)), ell_max=1)
+    assert verdict == "differ"
+    assert (pa["hull_vertices"], pb["hull_vertices"]) == (30, 10)
+
+
+def _reference_polar_pair(fan):
+    """`g_polytope` and `dual_polytope` as they were before they read the
+    chamber inverses: the hulls of the rays and of the v_C, each v_C by an
+    exact solve of R^T v = 1."""
+    per_chamber = tuple(
+        tuple(la.solve_exact(la.transpose(fan.ray_matrix(ci)), (1,) * fan.rank))
+        for ci in range(len(fan.chambers))
+    )
+    return convex_hull(fan.rays, fan.rank), convex_hull(per_chamber, fan.rank), per_chamber
+
+
+ORACLE_FANS = {
+    **{f"cluster A{n}": (lambda n=n: enumerate_gfan(b_type_a(n))) for n in range(1, 5)},
+    **{f"coxeter {t}{n}": (lambda t=t, n=n: coxeter_fan(cartan_preset(t, n)))
+       for t, n in (("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3))},
+    **{f"path {n}": (lambda n=n: chambers_by_cliques(path_tree(n))) for n in (2, 3, 4)},
+    **{f"star {n}": (lambda n=n: chambers_by_cliques(star_tree(n))) for n in (3, 4)},
+    **{f"odd {n}": (lambda n=n: chambers_by_cliques(odd_cycle(n))) for n in (3, 4)},
+    **{f"kase {ell},{m}": (lambda ell=ell, m=m: kase_family_fan(ell, m))
+       for ell in (1, 2, 3) for m in (1, 2, 3)},
+    **{f"canonical {k}": (lambda k=k: canonical_rank2_fan(k)) for k in range(1, 8)},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_FANS)
+def test_polar_pair_matches_the_hulls(name):
+    fan = ORACLE_FANS[name]()
+    ref_g, ref_dual, ref_per_chamber = _reference_polar_pair(fan)
+    dual, reflexive, per_chamber = dual_polytope(fan)
+    assert reflexive
+    assert per_chamber == ref_per_chamber
+    for poly, ref in ((g_polytope(fan), ref_g), (dual, ref_dual)):
+        assert poly.vertices == ref.vertices
+        assert poly.facets == tuple(sorted(ref.facets))
+
+
+@pytest.mark.parametrize("make, vertices, facets", [
+    (lambda: chambers_by_cliques(path_tree(5)), 30, 62),  # A_5 root polytope
+    (lambda: chambers_by_cliques(odd_cycle(5)), 10, 32),  # C_5 root polytope
+    (lambda: coxeter_fan(cartan_preset("A", 5)), 62, 30),  # dual of the A_5 one
+    (lambda: coxeter_fan(cartan_preset("B", 4)), 16, 8),  # the 4-cube
+], ids=["path 5", "odd 5", "coxeter A5", "coxeter B4"])
+def test_polar_pair_closed_forms_beyond_the_hull_cap(make, vertices, facets):
+    fan = make()
+    g = g_polytope(fan)
+    dual, reflexive, per_chamber = dual_polytope(fan)
+    assert (len(g.vertices), len(g.facets)) == (vertices, facets)
+    assert (len(dual.vertices), len(dual.facets)) == (facets, vertices)
+    assert reflexive and len(per_chamber) == len(fan.chambers)
+    assert all(off == 1 for _n, off in g.facets + dual.facets)
+
+
+def test_polytopes_of_a_rank0_fan_raise():
+    from tiltfan.fan import build_fan
+
+    fan = build_fan([], [()], 0)
+    for polytope_of in (g_polytope, dual_polytope):
+        with pytest.raises(ValueError):
+            polytope_of(fan)
 
 
 
