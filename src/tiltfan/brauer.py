@@ -15,10 +15,11 @@ tests exactly like real half-edges.
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from . import lattice as la
 from .errors import Disconnected, TiltfanError, UnsupportedGraph, reading
-from .fan import fan_from_cones
+from .fan import fan_from_cones, wall_crossing_search
 
 TREE = "Tree"
 ODD_CYCLE = "OddCycle"
@@ -435,35 +436,42 @@ def self_admissible_walks(graph):
 
 
 def chambers_by_cliques(graph):
-    """The fan with rays the admissible walk classes and chambers the maximal cliques."""
+    """The fan with rays the admissible walk classes and chambers the
+    maximal pairwise-admissible sets of walks, found by wall crossing.
+
+    `wall_crossing_search` runs over walk indices from the unit classes,
+    with each walk's admissible partners as one int bitset.  An almost
+    complete 2-term silting complex has exactly two completions, so the
+    walk across the wall opposite c[k] is the one walk other than c[k]
+    admissible with the rest of c (AssertionError if not exactly one).
+    The budget, the number of n-subsets of the walks, cannot be reached.
+    The name, from an earlier clique search, stays for its callers (the
+    benchmark tracer among them).
+    """
     walks = self_admissible_walks(graph)
     n = graph.n_edges
-    adj = {i: set() for i in range(len(walks))}
+    adj = [0] * len(walks)
     for i, j in combinations(range(len(walks)), 2):
         if pair_admissible(walks[i], walks[j]):
-            adj[i].add(j)
-            adj[j].add(i)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    everyone = (1 << len(walks)) - 1
 
-    cliques = []
-
-    def bron_kerbosch(r, p, x):
-        if not p and not x:
-            cliques.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in sorted(p - adj[pivot]):
-            bron_kerbosch(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    bron_kerbosch(frozenset(), set(range(len(walks))), set())
-    bad = [c for c in cliques if len(c) != n]
-    if bad:
-        raise AssertionError(f"maximal clique of size {len(bad[0])}, expected {n}")
+    def exchange(_, c, k):
+        common = everyone & ~(1 << c[k])
+        for i, w in enumerate(c):
+            if i != k:
+                common &= adj[w]
+        if common & (common - 1) or not common:
+            raise AssertionError(
+                f"{bin(common).count('1')} walks cross the wall opposite walk {c[k]}, expected 1")
+        return common.bit_length() - 1
 
     rays = [w.class_vector for w in walks]
-    cones = [[rays[i] for i in c] for c in cliques]
-    return fan_from_cones(cones, la.identity(n), require_complete=True)
+    start = [rays.index(e) for e in la.identity(n)]
+    chambers = wall_crossing_search(start, exchange, comb(len(walks), n))
+    return fan_from_cones([[rays[i] for i in c] for c in chambers], la.identity(n),
+                          require_complete=True)
 
 
 @dataclass(frozen=True)

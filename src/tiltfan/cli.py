@@ -260,7 +260,7 @@ def cmd_kase(args):
 
 def _add_common(p):
     p.add_argument("--ell-max", type=int, default=4, dest="ell_max",
-                   help="max Ehrhart dilation (<= 8)")
+                   help="max Ehrhart dilation (1..8)")
     p.add_argument("--fan", help="write the fan as JSON to this path")
     p.add_argument("--analyze", action="store_true", help="print the analysis report")
     p.add_argument("--out", help="write the analysis report to this path")
@@ -326,8 +326,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "ell_max", 0) > MAX_ELL:
-        print(f"--ell-max must be <= {MAX_ELL}", file=sys.stderr)
+    if not 1 <= getattr(args, "ell_max", 1) <= MAX_ELL:
+        print(f"--ell-max must be in 1..{MAX_ELL}", file=sys.stderr)
         return 1
     if getattr(args, "budget", None) is not None and args.budget < 1:
         print("--budget must be >= 1", file=sys.stderr)

@@ -14,8 +14,8 @@ certified.  Every other fan, such as the partial fan of a search that ran
 out of budget, is "unknown"; there is no third status.
 
 Every Fan is made by `build_fan`; `fan_from_cones` builds the canonical ray
-and chamber tables from chambers given as sets of ray vectors.  The cluster
-and Weyl front-ends find their chambers with one search,
+and chamber tables from chambers given as sets of ray vectors.  The cluster,
+Weyl and Brauer front-ends find their chambers with one search,
 `wall_crossing_search`: each chamber of a g-fan has exactly one neighbour
 across each wall (mutation of 2-term silting complexes), so a front-end
 only says which ray replaces the one opposite a wall.

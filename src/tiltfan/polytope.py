@@ -1,7 +1,8 @@
 """Lattice polytopes by exact arithmetic: convexity of fan polytopes, the
 g-polytope and its dual read off the chamber inverses in every rank,
 reflexivity, the smooth-Fano test, the rank-2 classification, and root
-polytopes of types A and C by hulls in rank <= 4."""
+polytopes of types A and C, hulls of the roots of `weyl.root_system` in
+rank <= 4."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,7 @@ from .errors import (
     OriginNotInterior,
 )
 from .fan import CERTIFIED, fan_from_cones, inverse_from_normals
+from .weyl import CartanData, cartan_preset, root_system
 
 
 @dataclass(frozen=True)
@@ -117,39 +119,47 @@ def convexity_report(fan):
     The sum of the two free rays is an integer combination of the shared
     rays (unimodularity); the fan polytope is convex iff every wall gives
     0, one shared ray, or a sum of two shared rays.  The coefficients are
-    read off the inverse of the first chamber's ray matrix, whose rows are
-    the fan's signed wall normals.
+    read off the inverse of the wall's first chamber's ray matrix, whose
+    rows are the fan's signed wall normals; each chamber's inverse is
+    rebuilt once, for all the walls it is first in.
     """
     if fan.complete != CERTIFIED:
         raise IncompleteFan("convexity requires a certified-complete fan")
     normals = {w.shared: w.normal for w in fan.walls}
-    out = []
-    convex = True
-    for w in fan.walls:
-        shared = sorted(w.shared)
-        ca, cb = w.chambers
-        free_a = next(iter(fan.chambers[ca] - w.shared))
-        free_b = next(iter(fan.chambers[cb] - w.shared))
-        total = la.vadd(fan.rays[free_a], fan.rays[free_b])
+    first_in = [[] for _ in fan.chambers]
+    for wi, w in enumerate(fan.walls):
+        first_in[w.chambers[0]].append(wi)
+    out = [None] * len(fan.walls)
+    for ca, wall_indices in enumerate(first_in):
+        if not wall_indices:
+            continue
         idx = sorted(fan.chambers[ca])
         row_of = dict(zip(idx, inverse_from_normals(fan.rays, idx, normals)))
-        coeffs = tuple(la.dot(row_of[i], total) for i in shared + [free_a])
-        shared_part, last = coeffs[:-1], coeffs[-1]
-        if last != 0 or any(c < 0 for c in shared_part):
-            kind, data = NOT_POSITIVE, coeffs
-            convex = False
-        elif all(c == 0 for c in shared_part):
-            kind, data = ZERO, ()
-        elif sum(shared_part) == 1:
-            kind, data = SINGLE_RAY, (shared[shared_part.index(1)],)
-        elif sum(shared_part) == 2 and all(c <= 2 for c in shared_part):
-            pos = [shared[i] for i, c in enumerate(shared_part) for _ in range(c)]
-            kind, data = RAY_SUM, tuple(pos)
-        else:
-            kind, data = NONCONVEX_POSITIVE, coeffs
-            convex = False
-        out.append(WallClass(tuple(shared), kind, data))
+        for wi in wall_indices:
+            out[wi] = _wall_class(fan, fan.walls[wi], row_of)
+    convex = all(wc.kind in (ZERO, SINGLE_RAY, RAY_SUM) for wc in out)
     return ConvexityReport(convex, tuple(out))
+
+
+def _wall_class(fan, w, row_of):
+    """The WallClass of wall w; row_of maps each ray of its first chamber
+    to the matching row of that chamber's inverse ray matrix."""
+    shared = sorted(w.shared)
+    (free_a,), (free_b,) = (fan.chambers[ci] - w.shared for ci in w.chambers)
+    total = la.vadd(fan.rays[free_a], fan.rays[free_b])
+    coeffs = tuple(la.dot(row_of[i], total) for i in shared + [free_a])
+    shared_part, last = coeffs[:-1], coeffs[-1]
+    if last != 0 or any(c < 0 for c in shared_part):
+        kind, data = NOT_POSITIVE, coeffs
+    elif all(c == 0 for c in shared_part):
+        kind, data = ZERO, ()
+    elif sum(shared_part) == 1:
+        kind, data = SINGLE_RAY, (shared[shared_part.index(1)],)
+    elif sum(shared_part) == 2 and all(c <= 2 for c in shared_part):
+        kind, data = RAY_SUM, tuple(shared[i] for i, c in enumerate(shared_part) for _ in range(c))
+    else:
+        kind, data = NONCONVEX_POSITIVE, coeffs
+    return WallClass(tuple(shared), kind, data)
 
 
 def _polar_pair(fan):
@@ -272,43 +282,23 @@ def rank2_classify(fan):
 
 
 def root_polytope(type_, n):
-    """Hull of the A_n or C_n root system in root-lattice coordinates.
+    """Hull of the A_n or C_n root system in the simple-root basis, with the
+    roots of `weyl.root_system`.
 
-    A_n: vertices u_1..u_{n+1}, basis b_i = u_i - u_{i+1}.
-    C_n: vertices u_1..u_n, basis b_i = u_i - u_{i+1} (i < n) and b_n = 2 u_n.
+    C_n has the transpose of B_n's Cartan matrix and symmetrizer
+    (2, ..., 2, 1): the long simple root 2 u_n comes last.  C_1 is A_1.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
     t = type_.upper()
     if t == "A":
-        nv = n + 1
-        unit = lambda k: tuple(1 if i == k else 0 for i in range(nv))
-        roots = [
-            la.vsub(unit(i), unit(j)) for i in range(nv) for j in range(nv) if i != j
-        ]
-        basis = [la.vsub(unit(i), unit(i + 1)) for i in range(n)]
+        cartan = cartan_preset("A", n)
     elif t == "C":
-        nv = n
-        unit = lambda k: tuple(1 if i == k else 0 for i in range(nv))
-        roots = []
-        for i in range(nv):
-            roots.append(la.vscale(2, unit(i)))
-            roots.append(la.vscale(-2, unit(i)))
-            for j in range(i + 1, nv):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        roots.append(la.vadd(la.vscale(si, unit(i)), la.vscale(sj, unit(j))))
-        basis = [la.vsub(unit(i), unit(i + 1)) for i in range(n - 1)] + [la.vscale(2, unit(n - 1))]
+        cartan = CartanData(la.transpose(cartan_preset("B", n).c), (2,) * (n - 1) + (1,))
     else:
         raise ValueError(f"root polytope type must be A or C, got {type_!r}")
-    b = la.from_columns(basis, rank=nv)
-    coords = []
-    for r in roots:
-        sol = la.solve_exact(b, r)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise AssertionError("root outside the chosen lattice basis")
-        coords.append(tuple(int(x) for x in sol))
-    return convex_hull(coords, n)
+    roots, _short = root_system(cartan)
+    return convex_hull(roots, n)
 
 
 # -- lattice isomorphism (rank <= 3) ------------------------------------------

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import pytest
 
+from tiltfan import brauer
+from tiltfan import lattice as la
 from tiltfan.brauer import (
     ODD_CYCLE,
     OTHER,
@@ -15,7 +19,7 @@ from tiltfan.brauer import (
 )
 from tiltfan.combinatorics import f_vector, h_vector
 from tiltfan.errors import Disconnected, UnsupportedGraph
-from tiltfan.fan import hasse_orient
+from tiltfan.fan import fan_from_cones, hasse_orient
 
 from conftest import (
     cyc_sigma,
@@ -25,6 +29,7 @@ from conftest import (
     gamma3,
     half_edges,
     loop_graph,
+    odd_cycle,
     odd_cycle_5,
     path_tree,
     star_tree,
@@ -192,3 +197,57 @@ def test_cycle_edges():
     assert loop_graph().cycle_edges() == frozenset({1})
     assert odd_cycle_5().cycle_edges() == frozenset({0, 1, 2})
     assert double_edge().cycle_edges() == frozenset({0, 1})
+
+
+def _clique_fan(graph):
+    """Reference: the chambers as the maximal cliques of the compatibility
+    graph, by Bron-Kerbosch with pivoting, each of size n."""
+    walks = self_admissible_walks(graph)
+    n = graph.n_edges
+    adj = {i: set() for i in range(len(walks))}
+    for i, j in combinations(range(len(walks)), 2):
+        if pair_admissible(walks[i], walks[j]):
+            adj[i].add(j)
+            adj[j].add(i)
+
+    cliques = []
+
+    def bron_kerbosch(r, p, x):
+        if not p and not x:
+            cliques.append(frozenset(r))
+            return
+        pivot = max(p | x, key=lambda u: len(adj[u] & p))
+        for v in sorted(p - adj[pivot]):
+            bron_kerbosch(r | {v}, p & adj[v], x & adj[v])
+            p = p - {v}
+            x = x | {v}
+
+    bron_kerbosch(frozenset(), set(range(len(walks))), set())
+    assert all(len(c) == n for c in cliques)
+    rays = [w.class_vector for w in walks]
+    cones = [[rays[i] for i in c] for c in cliques]
+    return fan_from_cones(cones, la.identity(n), require_complete=True)
+
+
+@pytest.mark.parametrize("make, args", [(path_tree, (n,)) for n in range(2, 8)]
+                         + [(star_tree, (n,)) for n in range(3, 6)]
+                         + [(odd_cycle, (n,)) for n in range(3, 7)]
+                         + [(make, ()) for make in (loop_graph, gamma2, gamma3, triangle)])
+def test_wall_crossing_matches_the_clique_search(make, args):
+    graph = make(*args)
+    fan, reference = chambers_by_cliques(graph), _clique_fan(graph)
+    assert fan == reference
+    assert fan.walls == reference.walls
+    assert fan.complete == reference.complete == "certified"
+
+
+def test_a_refused_compatible_pair_breaks_the_exchange(monkeypatch):
+    graph = path_tree(3)
+    walks = {w.class_vector: w for w in self_admissible_walks(graph)}
+    refused = frozenset((walks[(1, 0, 0)], walks[(0, 1, 0)]))
+    assert pair_admissible(*refused)
+    admissible = brauer.pair_admissible
+    monkeypatch.setattr(brauer, "pair_admissible",
+                        lambda w1, w2: frozenset((w1, w2)) != refused and admissible(w1, w2))
+    with pytest.raises(AssertionError, match="expected 1"):
+        chambers_by_cliques(graph)

@@ -147,6 +147,15 @@ def test_ell_max_cap(tmp_path, capsys):
     assert main(["cluster", "--matrix", matrix, "--analyze", "--ell-max", "9"]) == 1
 
 
+@pytest.mark.parametrize("ell_max", ["-2", "0"])
+def test_ell_max_below_one_is_a_one_line_error(capsys, ell_max):
+    argv = ["kase", "--ell", "2", "--m", "2", "--analyze", "--ell-max", ell_max]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--ell-max must be in 1..8\n"
+
+
 def test_fan_command_paranoid(tmp_path, capsys):
     fan = kase_family_fan(2, 2)
     path = write(tmp_path, "fan.json", fan_to_json(fan))

@@ -7,6 +7,7 @@ from tiltfan.brauer import chambers_by_cliques
 from tiltfan.cli import kase_family_fan
 from tiltfan.cluster import enumerate_gfan
 from tiltfan.errors import NotConvex, NotRank2
+from tiltfan.fan import inverse_from_normals
 from tiltfan.polytope import (
     NONCONVEX_POSITIVE,
     SINGLE_RAY,
@@ -330,3 +331,56 @@ def test_convexity_report_matches_the_exact_solve():
         assert rep == _reference_convexity_report(fan)
         kinds.update(wc.kind for wc in rep.walls)
     assert kinds == {ZERO, SINGLE_RAY, NONCONVEX_POSITIVE, "RaySum"}
+
+
+def test_convexity_report_rebuilds_each_chamber_inverse_once(monkeypatch):
+    from tiltfan import polytope
+
+    fan = coxeter_fan(cartan_preset("A", 3))
+    calls = []
+
+    def counted(rays, idx, normals):
+        calls.append(tuple(idx))
+        return inverse_from_normals(rays, idx, normals)
+
+    monkeypatch.setattr(polytope, "inverse_from_normals", counted)
+    assert convexity_report(fan).convex
+    assert sorted(calls) == sorted({tuple(sorted(fan.chambers[w.chambers[0]])) for w in fan.walls})
+
+
+def _reference_root_polytope(type_, n):
+    """`root_polytope` as it was before it read `weyl.root_system`: the roots
+    listed in the unit basis u_i, then solved in the simple-root basis."""
+    t = type_.upper()
+    nv = n + 1 if t == "A" else n
+    unit = lambda k: tuple(1 if i == k else 0 for i in range(nv))
+    if t == "A":
+        roots = [la.vsub(unit(i), unit(j)) for i in range(nv) for j in range(nv) if i != j]
+        basis = [la.vsub(unit(i), unit(i + 1)) for i in range(n)]
+    else:
+        roots = []
+        for i in range(nv):
+            roots += [la.vscale(2, unit(i)), la.vscale(-2, unit(i))]
+            for j in range(i + 1, nv):
+                for si in (1, -1):
+                    for sj in (1, -1):
+                        roots.append(la.vadd(la.vscale(si, unit(i)), la.vscale(sj, unit(j))))
+        basis = [la.vsub(unit(i), unit(i + 1)) for i in range(n - 1)] + [la.vscale(2, unit(n - 1))]
+    b = la.from_columns(basis, rank=nv)
+    coords = []
+    for r in roots:
+        sol = la.solve_exact(b, r)
+        assert all(x.denominator == 1 for x in sol)
+        coords.append(tuple(int(x) for x in sol))
+    return convex_hull(coords, n)
+
+
+@pytest.mark.parametrize("type_, n", [(t, n) for t in "AC" for n in range(1, 5)])
+def test_root_polytope_matches_the_unit_basis_construction(type_, n):
+    assert root_polytope(type_, n) == _reference_root_polytope(type_, n)
+
+
+@pytest.mark.parametrize("type_, n", [("A", 0), ("C", -1), ("B", 2), ("D", 4)])
+def test_root_polytope_rejects_bad_input(type_, n):
+    with pytest.raises(ValueError):
+        root_polytope(type_, n)
