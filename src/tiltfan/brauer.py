@@ -14,7 +14,7 @@ tests exactly like real half-edges.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from . import lattice as la
@@ -31,6 +31,16 @@ def _is_virtual(sym):
 
 
 class BrauerGraph:
+    """A connected ribbon graph, validated on construction.
+
+    Vertices are the sigma-orbits ordered by their least half-edge, edges the
+    bar-pairs ordered by their sorted names.  One BFS spanning tree, rooted
+    at the vertex of the least half-edge with edges taken in index order and
+    loops skipped, decides connectivity (`Disconnected` if it misses a vertex
+    or there are no half-edges) and keeps the bipartite colours and the tree
+    edges that `root_map` reads.
+    """
+
     def __init__(self, half_edges, sigma, bar):
         self.half_edges = tuple(half_edges)
         hs = set(self.half_edges)
@@ -76,7 +86,25 @@ class BrauerGraph:
                 order.extend([("vr", -1, h), h, ("vr", 1, h)])
             self._positions.append({sym: i for i, sym in enumerate(order)})
 
-        if not self._connected():
+        # one BFS spanning tree from the vertex of the least half-edge
+        if not self.half_edges:
+            raise Disconnected("underlying graph is not connected")
+        neighbours = [[] for _ in cycles]  # (edge, other end), loops skipped
+        for e, (h, hb) in enumerate(self.edges):
+            a, b = self.vertex_of[h], self.vertex_of[hb]
+            if a != b:
+                neighbours[a].append((e, b))
+                neighbours[b].append((e, a))
+        queue = [self.vertex_of[min(self.half_edges)]]
+        self._colour = {queue[0]: 1}
+        self._tree_edges = set()
+        for v in queue:
+            for e, u in neighbours[v]:
+                if u not in self._colour:
+                    self._colour[u] = -self._colour[v]
+                    self._tree_edges.add(e)
+                    queue.append(u)
+        if len(queue) != self.n_vertices:
             raise Disconnected("underlying graph is not connected")
 
     # -- basic structure ---------------------------------------------------
@@ -92,21 +120,6 @@ class BrauerGraph:
     def s(self, sym):
         """Vertex of a real or virtual half-edge."""
         return self.vertex_of[sym[2]] if _is_virtual(sym) else self.vertex_of[sym]
-
-    def _connected(self):
-        if not self.half_edges:
-            return False
-        seen = {self.vertex_of[self.half_edges[0]]}
-        stack = list(seen)
-        adj = {}
-        for h in self.half_edges:
-            adj.setdefault(self.vertex_of[h], set()).add(self.vertex_of[self.bar[h]])
-        while stack:
-            for nb in adj.get(stack.pop(), ()):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == self.n_vertices
 
     def cyclic_before(self, vertex, a, b, c):
         """True if a, b, c occur in counterclockwise order around the vertex."""
@@ -184,19 +197,48 @@ def graph_from_json(data):
 
 @dataclass(frozen=True)
 class SignedWalk:
-    """A walk {w, bar w} with alternating signature, stored canonically."""
+    """A walk {w, bar w} with alternating signature, stored canonically,
+    with every fact the NC0-NC3 tests read computed once:
+
+    - `readings`: for w and then bar w, the half-edges, the sequence with
+      the virtual edges at both ends, and their signs;
+    - `class_vector`: the class in Z^E;
+    - `end_signs`: the signs of the end half-edges at each end vertex;
+    - `turns`: per visited vertex, the pairs ((incoming symbol, sign),
+      (outgoing symbol, sign)) of the walk there; the first and last
+      contain a virtual edge.
+
+    Hash and equality read (halves, first_sign) only.
+    """
 
     graph: object
     halves: tuple  # half-edge sequence of the canonical representative
     first_sign: int
 
     def __post_init__(self):
-        bar = self.graph.bar
-        rev = tuple(bar[h] for h in reversed(self.halves))
-        rev_sign = self.first_sign * (-1) ** (len(self.halves) - 1)
-        if (rev, rev_sign) < (self.halves, self.first_sign):
-            object.__setattr__(self, "halves", rev)
-            object.__setattr__(self, "first_sign", rev_sign)
+        g, halves, first = self.graph, tuple(self.halves), self.first_sign
+        rev = tuple(g.bar[h] for h in reversed(halves))
+        rev_first = first * (-1) ** (len(halves) - 1)
+        if (rev, rev_first) < (halves, first):
+            halves, first, rev, rev_first = rev, rev_first, halves, first
+        if rev == halves:
+            rev_first = first  # a walk equal to its reverse reads with one first sign
+        readings = (_reading(g, halves, first), _reading(g, rev, rev_first))
+        _, ext, signs = readings[0]
+        vec = [0] * g.n_edges
+        for h, sign in zip(halves, signs[1:]):
+            vec[g.edge_of[h]] += sign
+        end_signs = {}
+        for h, sign in ((halves[0], signs[1]), (g.bar[halves[-1]], signs[-2])):
+            end_signs.setdefault(g.vertex_of[h], set()).add(sign)
+        turns = {}
+        for i in range(1, len(ext)):
+            prev = ext[i - 1] if _is_virtual(ext[i - 1]) else g.bar[ext[i - 1]]
+            turns.setdefault(g.s(ext[i]), []).append(((prev, signs[i - 1]), (ext[i], signs[i])))
+        record = {"halves": halves, "first_sign": first, "readings": readings,
+                  "class_vector": tuple(vec), "end_signs": end_signs, "turns": turns}
+        for name, value in record.items():
+            object.__setattr__(self, name, value)
 
     def __hash__(self):
         return hash((self.halves, self.first_sign))
@@ -204,57 +246,13 @@ class SignedWalk:
     def __eq__(self, other):
         return (self.halves, self.first_sign) == (other.halves, other.first_sign)
 
-    def signs(self, halves):
-        first = self.first_sign
-        if halves != self.halves:  # the reversed representative
-            first = self.first_sign * (-1) ** (len(self.halves) - 1)
-        return tuple(first * (-1) ** i for i in range(len(halves)))
 
-    def representatives(self):
-        bar = self.graph.bar
-        rev = tuple(bar[h] for h in reversed(self.halves))
-        return (self.halves, rev)
-
-    @property
-    def class_vector(self):
-        g = self.graph
-        vec = [0] * g.n_edges
-        for h, s in zip(self.halves, self.signs(self.halves)):
-            vec[g.edge_of[h]] += s
-        return tuple(vec)
-
-    def endpoints(self):
-        """((vertex, sign of the end half-edge), ...) for both ends."""
-        g = self.graph
-        signs = self.signs(self.halves)
-        return (
-            (g.vertex_of[self.halves[0]], signs[0]),
-            (g.vertex_of[g.bar[self.halves[-1]]], signs[-1]),
-        )
-
-    def extended(self, halves):
-        """Half-walk with the two virtual edges appended, plus its signs."""
-        g = self.graph
-        signs = self.signs(halves)
-        start = ("vr", -signs[0], halves[0])
-        end = ("vr", -signs[-1], g.bar[halves[-1]])
-        return (start,) + tuple(halves) + (end,), (-signs[0],) + signs + (-signs[-1],)
-
-    def neighbourhoods(self):
-        """(vertex, {(symbol, sign), (symbol, sign)}) at every visited vertex.
-
-        Entry i pairs the (bar of the) incoming half-edge with the outgoing
-        one; the first and last entries contain a virtual edge.
-        """
-        g = self.graph
-        ext, signs = self.extended(self.halves)
-        out = []
-        for i in range(1, len(ext)):
-            prev = ext[i - 1]
-            prev_sym = prev if _is_virtual(prev) else g.bar[prev]
-            vertex = g.s(ext[i])
-            out.append((vertex, ((prev_sym, signs[i - 1]), (ext[i], signs[i]))))
-        return out
+def _reading(graph, halves, first):
+    """(halves, halves with the two virtual end edges, their signs)."""
+    signs = tuple(first * (-1) ** i for i in range(len(halves)))
+    start = ("vr", -signs[0], halves[0])
+    end = ("vr", -signs[-1], graph.bar[halves[-1]])
+    return halves, (start,) + halves + (end,), (-signs[0],) + signs + (-signs[-1],)
 
 
 def _maximal_runs(x, y, skip_identity):
@@ -276,16 +274,9 @@ def _maximal_runs(x, y, skip_identity):
 
 
 def _nc0(w1, w2):
-    ep1 = {}
-    for v, s in w1.endpoints():
-        ep1.setdefault(v, set()).add(s)
-    ep2 = {}
-    for v, s in w2.endpoints():
-        ep2.setdefault(v, set()).add(s)
-    for v in set(ep1) & set(ep2):
-        if len(ep1[v] | ep2[v]) > 1:
-            return False
-    return True
+    """The two walks end with one sign at every end vertex they share."""
+    e1, e2 = w1.end_signs, w2.end_signs
+    return all(len(e1[v] | e2[v]) == 1 for v in e1.keys() & e2.keys())
 
 
 def _nc2_and_nc1(graph, w1, w2, self_pair):
@@ -297,19 +288,9 @@ def _nc2_and_nc1(graph, w1, w2, self_pair):
     the neighbourhood-cyclic-ordering pattern couples the two ends exactly
     when both of them are pinned by a continuing or single-ending strand.
     """
-    x = w1.halves
-    x_ext, x_signs = w1.extended(x)
-    alignments = []
-    if self_pair:
-        alignments.append((w2.halves, True))  # (w, w) minus the identity
-        bar_rev = w2.representatives()[1]
-        alignments.append((bar_rev, False))  # (w, bar w)
-    else:
-        for y in w2.representatives():
-            alignments.append((y, False))
-
-    for y, skip_identity in alignments:
-        y_ext, y_signs = w2.extended(y)
+    x, x_ext, x_signs = w1.readings[0]
+    # against itself, a walk meets w minus the identity alignment, and bar w
+    for (y, y_ext, y_signs), skip_identity in zip(w2.readings, (self_pair, False)):
         for i, j, r in _maximal_runs(x, y, skip_identity):
             # NC1: the signatures agree along the run
             if x_signs[i + 1] != y_signs[j + 1]:
@@ -337,23 +318,15 @@ def _nc2_and_nc1(graph, w1, w2, self_pair):
 
 
 def _nc3(graph, w1, w2, self_pair):
-    nbs1 = w1.neighbourhoods()
-    nbs2 = w2.neighbourhoods()
-    if self_pair:
-        pairs = combinations(range(len(nbs1)), 2)
-        items = [(nbs1[i], nbs1[j]) for i, j in pairs]
-    else:
-        items = [(n1, n2) for n1 in nbs1 for n2 in nbs2]
-    for (v1, nb1), (v2, nb2) in items:
-        if v1 != v2:
-            continue
-        syms = [s for s, _ in nb1] + [s for s, _ in nb2]
-        if len(set(syms)) != 4:
-            continue  # not an intersecting vertex
-        if sum(1 for s in syms if _is_virtual(s)) > 1:
-            continue  # two or more virtual edges: automatically satisfied
-        if not _nc3_pattern(graph, v1, nb1, nb2):
-            return False
+    """The cyclic pattern at every vertex where the two walks cross: four
+    distinct symbols, at most one of them virtual."""
+    for v in w1.turns.keys() & w2.turns.keys():
+        t1, t2 = w1.turns[v], w2.turns[v]
+        for nb1, nb2 in combinations(t1, 2) if self_pair else product(t1, t2):
+            syms = {s for s, _ in nb1 + nb2}
+            if (len(syms) == 4 and sum(map(_is_virtual, syms)) <= 1
+                    and not _nc3_pattern(graph, v, nb1, nb2)):
+                return False
     return True
 
 
@@ -375,11 +348,8 @@ def pair_admissible(w1, w2):
     """Non-crossing compatibility of two (individually admissible) signed walks."""
     graph = w1.graph
     self_pair = w1 == w2
-    if not _nc0(w1, w2):
-        return False
-    if not _nc2_and_nc1(graph, w1, w2, self_pair):
-        return False
-    return _nc3(graph, w1, w2, self_pair)
+    return (_nc0(w1, w2) and _nc2_and_nc1(graph, w1, w2, self_pair)
+            and _nc3(graph, w1, w2, self_pair))
 
 
 def _candidate_walks(graph):
@@ -492,44 +462,20 @@ class RootMap:
 def root_map(graph):
     """The bijection of walk classes with the A_n / C_n root system.
 
-    Uses the BFS spanning tree rooted at the vertex of the least half-edge
-    and the bipartite orientation making that vertex a source.
+    Reads the graph's BFS spanning tree, rooted at the vertex of the least
+    half-edge, and the bipartite orientation making that vertex a source:
+    a tree edge uv maps to c(u)(e_u - e_v), any other edge to c(u)(e_u + e_v).
     """
     kind = graph.classify()
     if kind not in (TREE, ODD_CYCLE):
         raise UnsupportedGraph(f"graph of type {kind} has no root system")
-    root = graph.vertex_of[min(graph.half_edges)]
-    color = {root: 1}
-    tree_edges = set()
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in sorted(range(graph.n_edges)):
-                h, hb = graph.edges[e]
-                u1, u2 = graph.vertex_of[h], graph.vertex_of[hb]
-                if u1 == u2:
-                    continue
-                if u1 == v and u2 not in color:
-                    color[u2] = -color[v]
-                    tree_edges.add(e)
-                    nxt.append(u2)
-                elif u2 == v and u1 not in color:
-                    color[u1] = -color[v]
-                    tree_edges.add(e)
-                    nxt.append(u1)
-        frontier = nxt
-
     images = []
     for e, (h, hb) in enumerate(graph.edges):
         u, v = graph.vertex_of[h], graph.vertex_of[hb]
+        c = graph._colour[u]
         img = [0] * graph.n_vertices
-        if e in tree_edges:
-            img[u] += color[u]
-            img[v] -= color[u]
-        else:
-            img[u] += color[u]
-            img[v] += color[u]
+        img[u] += c
+        img[v] += -c if e in graph._tree_edges else c
         images.append(tuple(img))
     return RootMap(tuple(images), graph.n_vertices)
 

@@ -4,6 +4,7 @@ embedded schema_version; exit status 2 flags an exhausted search budget.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -267,7 +268,10 @@ def _add_common(p):
     p.add_argument("--plot", help="write a rank-2 SVG rendering to this path")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: `set_defaults` binds the
+    `cmd_*` functions as they are at the first call."""
     ap = argparse.ArgumentParser(prog="tiltfan",
                                  description="g-fans and g-polytopes, exactly")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -123,6 +123,13 @@ def convexity_report(fan):
     rows are the fan's signed wall normals; each chamber's inverse is
     rebuilt once, for all the walls it is first in.
     """
+    return _chamber_pass(fan, every_chamber=False)[0]
+
+
+def _chamber_pass(fan, every_chamber):
+    """The ConvexityReport and, if every_chamber, v_C for each chamber C (the
+    sum of the rows of its inverse), from one pass that rebuilds the inverse
+    of each chamber first in some wall, or of every chamber."""
     if fan.complete != CERTIFIED:
         raise IncompleteFan("convexity requires a certified-complete fan")
     normals = {w.shared: w.normal for w in fan.walls}
@@ -130,15 +137,19 @@ def convexity_report(fan):
     for wi, w in enumerate(fan.walls):
         first_in[w.chambers[0]].append(wi)
     out = [None] * len(fan.walls)
+    per_chamber = []
     for ca, wall_indices in enumerate(first_in):
-        if not wall_indices:
+        if not (wall_indices or every_chamber):
             continue
         idx = sorted(fan.chambers[ca])
-        row_of = dict(zip(idx, inverse_from_normals(fan.rays, idx, normals)))
+        inv = inverse_from_normals(fan.rays, idx, normals)
+        row_of = dict(zip(idx, inv))
         for wi in wall_indices:
             out[wi] = _wall_class(fan, fan.walls[wi], row_of)
+        if every_chamber:
+            per_chamber.append(tuple(map(sum, zip(*inv))))
     convex = all(wc.kind in (ZERO, SINGLE_RAY, RAY_SUM) for wc in out)
-    return ConvexityReport(convex, tuple(out))
+    return ConvexityReport(convex, tuple(out)), tuple(per_chamber)
 
 
 def _wall_class(fan, w, row_of):
@@ -172,11 +183,9 @@ def _polar_pair(fan):
     """
     if fan.rank == 0:
         raise ValueError("a rank-0 fan has no polytope")
-    if not convexity_report(fan).convex:
+    report, per_chamber = _chamber_pass(fan, every_chamber=True)
+    if not report.convex:
         raise NotConvex("fan polytope is not convex")
-    normals = {w.shared: w.normal for w in fan.walls}
-    per_chamber = tuple(tuple(map(sum, zip(*inverse_from_normals(fan.rays, sorted(c), normals))))
-                        for c in fan.chambers)
     incident = [set() for _ in fan.rays]
     for c, v in zip(fan.chambers, per_chamber):
         for i in c:

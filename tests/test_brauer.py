@@ -251,3 +251,73 @@ def test_a_refused_compatible_pair_breaks_the_exchange(monkeypatch):
                         lambda w1, w2: frozenset((w1, w2)) != refused and admissible(w1, w2))
     with pytest.raises(AssertionError, match="expected 1"):
         chambers_by_cliques(graph)
+
+
+# (self-admissible walks, admissible pairs among them), as counted by the
+# walk code before each walk kept one record of its facts
+WALK_AND_PAIR_COUNTS = (
+    [((path_tree, (n,)), counts) for n, counts in zip(
+        range(2, 8), [(6, 6), (12, 30), (20, 90), (30, 210), (42, 420), (56, 756)])]
+    + [((star_tree, (n,)), counts) for n, counts in zip(range(3, 6), [(12, 30), (20, 90), (30, 210)])]
+    + [((odd_cycle, (n,)), counts) for n, counts in zip(
+        range(3, 7), [(18, 48), (32, 160), (50, 400), (72, 840)])]
+    + [((loop_graph, ()), (8, 8))]
+    + [((make, ()), (18, 48)) for make in (gamma2, gamma3, triangle)]
+)
+
+
+@pytest.mark.parametrize("graph_of, counts", WALK_AND_PAIR_COUNTS)
+def test_walk_and_admissible_pair_counts(graph_of, counts):
+    make, args = graph_of
+    walks = self_admissible_walks(make(*args))
+    pairs = sum(pair_admissible(w1, w2) for w1, w2 in combinations(walks, 2))
+    assert (len(walks), pairs) == counts
+
+
+def _reference_edge_images(graph):
+    """`root_map` as it was when it ran its own BFS spanning tree: rooted at
+    the vertex of the least half-edge, edges scanned in index order per
+    frontier vertex, loops skipped."""
+    root = graph.vertex_of[min(graph.half_edges)]
+    color = {root: 1}
+    tree_edges = set()
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e in range(graph.n_edges):
+                h, hb = graph.edges[e]
+                u1, u2 = graph.vertex_of[h], graph.vertex_of[hb]
+                if u1 == u2:
+                    continue
+                if u1 == v and u2 not in color:
+                    color[u2] = -color[v]
+                    tree_edges.add(e)
+                    nxt.append(u2)
+                elif u2 == v and u1 not in color:
+                    color[u1] = -color[v]
+                    tree_edges.add(e)
+                    nxt.append(u1)
+        frontier = nxt
+    images = []
+    for e, (h, hb) in enumerate(graph.edges):
+        u, v = graph.vertex_of[h], graph.vertex_of[hb]
+        img = [0] * graph.n_vertices
+        img[u] += color[u]
+        img[v] += -color[u] if e in tree_edges else color[u]
+        images.append(tuple(img))
+    return tuple(images)
+
+
+@pytest.mark.parametrize("make, args", [(path_tree, (n,)) for n in range(1, 8)]
+                         + [(star_tree, (n,)) for n in range(3, 6)]
+                         + [(odd_cycle, (n,)) for n in range(3, 7)]
+                         + [(make, ()) for make in (loop_graph, gamma2, gamma3, triangle)])
+def test_root_map_reads_the_graph_spanning_tree(make, args):
+    graph = make(*args)
+    assert root_map(graph).edge_images == _reference_edge_images(graph)
+
+
+def test_no_half_edges_is_disconnected():
+    with pytest.raises(Disconnected):
+        BrauerGraph((), {}, {})

@@ -348,6 +348,21 @@ def test_convexity_report_rebuilds_each_chamber_inverse_once(monkeypatch):
     assert sorted(calls) == sorted({tuple(sorted(fan.chambers[w.chambers[0]])) for w in fan.walls})
 
 
+def test_g_polytope_rebuilds_each_chamber_inverse_once(monkeypatch):
+    from tiltfan import polytope
+
+    fan = coxeter_fan(cartan_preset("A", 3))
+    calls = []
+
+    def counted(rays, idx, normals):
+        calls.append(tuple(idx))
+        return inverse_from_normals(rays, idx, normals)
+
+    monkeypatch.setattr(polytope, "inverse_from_normals", counted)
+    g_polytope(fan)
+    assert sorted(calls) == sorted(tuple(sorted(c)) for c in fan.chambers)
+
+
 def _reference_root_polytope(type_, n):
     """`root_polytope` as it was before it read `weyl.root_system`: the roots
     listed in the unit basis u_i, then solved in the simple-root basis."""
