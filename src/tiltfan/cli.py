@@ -127,15 +127,15 @@ def _emit_report(fan_obj, args):
 
 
 def _budget_exhausted(result, unit, fan_path):
-    """The exit-2 line; the partial fan, if any, goes to fan_path when given."""
-    write = fan_path and result.partial_fan is not None
+    """The exit-2 line; given fan_path, the partial fan is built and written
+    there."""
     print(
         f"budget exhausted: explored {result.explored} {unit}, "
         f"frontier {result.frontier}, budget {result.budget}"
-        + ("; writing partial fan" if write else ""),
+        + ("; writing partial fan" if fan_path else ""),
         file=sys.stderr,
     )
-    if write:
+    if fan_path:
         _write_json(fan_path, fan_to_json(result.partial_fan))
     return 2
 

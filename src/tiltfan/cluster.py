@@ -1,7 +1,8 @@
 """Extended exchange-matrix mutation and breadth-first g-fan enumeration.
 
-The seed carries the exchange matrix B together with the c- and g-matrices;
-mutation uses [x]+ = max(x, 0) throughout.  The g-update branches on the
+The seed carries the exchange matrix B together with the c- and g-matrices.
+Mutation at k rewrites only the rows of B and C with a nonzero entry in
+column k (Fomin-Zelevinsky matrix mutation).  The g-update branches on the
 sign of the current c-vector, which is well defined by sign-coherence.  The
 g-fan is enumerated by `fan.wall_crossing_search`, with the g-vectors of a
 seed as its chamber and the seed as the state of the chamber.
@@ -17,10 +18,6 @@ from .fan import (  # noqa: F401 (BudgetExhausted and build_fan are re-exported)
     fan_from_cones,
     wall_crossing_search,
 )
-
-
-def _pos(x):
-    return x if x > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -52,24 +49,45 @@ def initial_seed(b):
 
 def _exchanged_g(seed, g_cols, k):
     """The g-vector that replaces column k (0-based) of the seed's g-matrix,
-    whose columns are g_cols, under mutation at k.
+    whose columns are g_cols, under mutation at k:
+    g'_k = -g_k + sum_i [-sign b_ik]+ g_i.
 
     The update branches on the sign of the k-th c-vector, which is well
     defined by sign-coherence.
     """
     ck = [row[k] for row in seed.c]
-    if all(x >= 0 for x in ck):
+    if min(ck) >= 0:
         sign = 1
-    elif all(x <= 0 for x in ck):
+    elif max(ck) <= 0:
         sign = -1
     else:
         raise SignIncoherence(k + 1)
     new_gk = la.vneg(g_cols[k])
-    for i, row in enumerate(seed.b):
-        coeff = _pos(-sign * row[k])
-        if coeff:
-            new_gk = la.vadd(new_gk, la.vscale(coeff, g_cols[i]))
+    for row, g in zip(seed.b, g_cols):
+        coeff = -sign * row[k]
+        if coeff > 0:
+            new_gk = tuple(x + coeff * y for x, y in zip(new_gk, g))
     return new_gk
+
+
+def _mutated_rows(rows, bk, k):
+    """Rows of B or C after mutation at k, bk being row k of B.
+
+    A row whose entry x in column k is nonzero gains |x| b_kj wherever
+    sgn(b_kj) = sgn(x) and has its column k negated, which is
+    b'_ij = b_ij + sgn(b_ik) [b_ik b_kj]+; every other row is unchanged.
+    """
+    pos = [y if y > 0 else 0 for y in bk]
+    neg = [y if y < 0 else 0 for y in bk]
+    out = []
+    for row in rows:
+        x = row[k]
+        if x:
+            a = abs(x)
+            row = [v + a * y for v, y in zip(row, pos if x > 0 else neg)]
+            row[k] = -x
+        out.append(tuple(row))
+    return out
 
 
 def mutate(seed, k, g_cols=None):
@@ -82,34 +100,16 @@ def mutate(seed, k, g_cols=None):
     if not 1 <= k <= n:
         raise IndexError(f"mutation direction {k} out of range 1..{n}")
     k -= 1
-    b, c, g = seed.b, seed.c, seed.g
-
-    new_b = tuple(
-        tuple(
-            -b[i][j]
-            if i == k or j == k
-            else b[i][j] + _pos(b[i][k]) * _pos(b[k][j]) - _pos(-b[i][k]) * _pos(-b[k][j])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    # same rule applied to the lower block of [B; C]
-    new_c = tuple(
-        tuple(
-            -c[i][j]
-            if j == k
-            else c[i][j] + _pos(c[i][k]) * _pos(b[k][j]) - _pos(-c[i][k]) * _pos(-b[k][j])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    bk = seed.b[k]
+    new_b = _mutated_rows(seed.b, bk, k)
+    new_b[k] = la.vneg(bk)
+    # the same rule on the lower block of [B; C]
+    new_c = _mutated_rows(seed.c, bk, k)
 
     if g_cols is None:
-        g_cols = la.columns(g)
+        g_cols = la.columns(seed.g)
         g_cols[k] = _exchanged_g(seed, g_cols, k)
-    new_g = la.from_columns(g_cols)
-
-    return ExtendedSeed(new_b, new_c, new_g)
+    return ExtendedSeed(tuple(new_b), tuple(new_c), la.from_columns(g_cols))
 
 
 def enumerate_gfan(b, budget=100_000):
@@ -125,8 +125,7 @@ def enumerate_gfan(b, budget=100_000):
     """
     seed0 = initial_seed(b)
     result = wall_crossing_search(la.columns(seed0.g), _exchanged_g, budget, seed0,
-                                  lambda seed, g_cols, k: mutate(seed, k + 1, g_cols),
-                                  partial_fan=True)
+                                  lambda seed, g_cols, k: mutate(seed, k + 1, g_cols))
     if isinstance(result, BudgetExhausted):
         return result
     return fan_from_cones(result, result[0], require_complete=True)

@@ -23,7 +23,8 @@ only says which ray replaces the one opposite a wall.
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 
 from . import lattice as la
 from .errors import (
@@ -83,16 +84,21 @@ class BudgetExhausted:
     """Normal outcome of a search that ran out of budget.
 
     `explored` chambers were found, and `frontier` of them have walls that
-    were not all crossed.  `partial_fan` is the fan of the chambers found
-    when the search was asked for it (the cluster search), else None (the
-    Weyl search).  Unlike a Fan it has no `chambers`, so
-    `hasattr(result, "chambers")` tells the two outcomes apart.
+    were not all crossed.  `cones` are the chambers found, each the tuple of
+    its rays, the start first.  `partial_fan` is their fan, built on first
+    use, so a caller that does not ask for it does not pay for it.  Unlike
+    a Fan it has no `chambers`, so `hasattr(result, "chambers")` tells the
+    two outcomes apart.
     """
 
     explored: int
     frontier: int
     budget: int
-    partial_fan: Fan = None
+    cones: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def partial_fan(self):
+        return fan_from_cones(self.cones, self.cones[0])
 
 
 def build_fan(rays, chambers, base, require_complete=False):
@@ -326,7 +332,7 @@ def _sign_incoherence(rays, chambers, base_rays):
     return None
 
 
-def wall_crossing_search(rays, exchange, budget, state=None, cross=None, partial_fan=False):
+def wall_crossing_search(rays, exchange, budget, state=None, cross=None):
     """Breadth-first search of a simplicial fan from one chamber by crossing walls.
 
     A chamber is the tuple of its rays, ray k opposite wall k.  Crossing
@@ -336,32 +342,35 @@ def wall_crossing_search(rays, exchange, budget, state=None, cross=None, partial
     new chamber; without `cross` every chamber shares the start's state.
     Chambers are deduplicated by their ray sets, and walls are crossed in
     increasing order with a FIFO queue, so the search is deterministic.
+    A chamber is not crossed back through the wall it was reached through:
+    `exchange` must be an involution there (an almost complete 2-term
+    silting complex has exactly two completions), so that chamber is its
+    parent, already found.
 
     Returns the chambers in the order found, the start first, once every
     wall has been crossed.  When a new chamber would exceed `budget` it
-    returns BudgetExhausted instead: `frontier` counts the chambers found
-    with walls not all crossed, and `partial_fan` is the fan of the chambers
-    found if `partial_fan` is set.
+    returns BudgetExhausted instead, which holds the chambers found;
+    `frontier` counts those with walls not all crossed.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rays = tuple(rays)
     found = {tuple(sorted(rays)): rays}
-    queue = deque([(rays, state)])
+    queue = deque([(rays, state, -1)])
     while queue:
-        rays, state = queue.popleft()
+        rays, state, arrival = queue.popleft()
         for k in range(len(rays)):
+            if k == arrival:
+                continue
             new = rays[:k] + (exchange(state, rays, k),) + rays[k + 1:]
             key = tuple(sorted(new))
             if key in found:
                 continue
             if len(found) >= budget:
                 # the chamber under expansion has walls not yet crossed too
-                cones = list(found.values())
-                partial = fan_from_cones(cones, cones[0]) if partial_fan else None
-                return BudgetExhausted(len(found), len(queue) + 1, budget, partial)
+                return BudgetExhausted(len(found), len(queue) + 1, budget, tuple(found.values()))
             found[key] = new
-            queue.append((new, cross(state, new, k) if cross else state))
+            queue.append((new, cross(state, new, k) if cross else state, k))
     return list(found.values())
 
 
@@ -382,16 +391,13 @@ def holds_test_point(det, adj, y0):
 
 
 def faces(fan, i):
-    """All i-subsets of ray indices spanning a cone of the fan (faces of chambers)."""
+    """The set of i-faces of the fan, each the sorted tuple of the ray indices
+    spanning it (the i-subsets of chambers)."""
     if fan.complete != CERTIFIED:
         raise IncompleteFan("face enumeration requires a certified-complete fan")
     if not 0 <= i <= fan.rank:
         raise TiltfanError(f"face dimension {i} out of range")
-    out = set()
-    for c in fan.chambers:
-        for sub in combinations(sorted(c), i):
-            out.add(frozenset(sub))
-    return out
+    return set(chain.from_iterable(combinations(sorted(c), i) for c in fan.chambers))
 
 
 @dataclass(frozen=True)

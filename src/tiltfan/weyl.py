@@ -110,8 +110,8 @@ def weyl_enumerate(cartan, budget=2_000_000):
     """Every element w as the rows of M_w^-1, its chamber's rays in generator
     order, found by crossing walls from the identity in breadth-first order.
 
-    Returns BudgetExhausted when the group fails to close within the budget
-    (non-finite type).
+    Returns BudgetExhausted, with the partial fan of the chambers found,
+    when the group fails to close within the budget (non-finite type).
     """
     return wall_crossing_search(la.identity(cartan.n), _crossed_ray, budget, cartan.c)
 

@@ -216,6 +216,28 @@ def test_partial_fan_has_one_status_word(tmp_path, capsys):
     assert result.partial_fan.complete == word == "unknown"
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--matrix", {"B": [[0, 2], [-2, 0]]}],
+    ["weyl", "--cartan", {"C": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "D": [1, 1, 1]}],
+], ids=["cluster Kronecker", "weyl affine A2"])
+def test_the_partial_fan_is_built_only_for_fan(argv, tmp_path, monkeypatch, capsys):
+    """At exit 2 the partial fan is built (one fan_from_cones call) only when
+    --fan asks for it."""
+    from tiltfan import fan as fan_module
+
+    built = []
+    original = fan_module.fan_from_cones
+    monkeypatch.setattr(fan_module, "fan_from_cones", lambda *a: built.append(1) or original(*a))
+    argv = argv[:2] + [write(tmp_path, "input.json", argv[2]), "--budget", "40"]
+    assert main(argv) == 2
+    assert not built
+    partial = str(tmp_path / "p.json")
+    assert main(argv + ["--fan", partial]) == 2
+    assert capsys.readouterr().err.endswith("budget 40; writing partial fan\n")
+    assert len(built) == 1
+    assert len(json.loads((tmp_path / "p.json").read_text())["chambers"]) == 40
+
+
 FANS = Path(__file__).resolve().parent.parent / "benchmarks" / "fans"
 
 

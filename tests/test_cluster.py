@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from tiltfan import lattice as la
 from tiltfan.cluster import (
     BudgetExhausted,
+    ExtendedSeed,
     enumerate_gfan,
     initial_seed,
     mutate,
@@ -104,6 +105,51 @@ def test_duality_and_sign_coherence_under_mutation(data):
         assert all(x >= 0 for x in row) or all(x <= 0 for x in row)
 
 
+def _dense_mutate_bc(b, c, k):
+    """Reference: B and C mutated at k (0-based) by the dense rule
+    b'_ij = b_ij + [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+ on every entry."""
+
+    def pos(x):
+        return max(x, 0)
+
+    n = len(b)
+
+    def rule(rows, negate_row_k):
+        return tuple(
+            tuple(
+                -row[j]
+                if j == k or (negate_row_k and i == k)
+                else row[j] + pos(row[k]) * pos(b[k][j]) - pos(-row[k]) * pos(-b[k][j])
+                for j in range(n)
+            )
+            for i, row in enumerate(rows)
+        )
+
+    return rule(b, True), rule(c, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+            st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n),
+        )
+    )
+)
+def test_sparse_mutation_matches_the_dense_rule(data):
+    """Only the rows with a nonzero entry in column k change, and they change
+    as the dense [x]+ formula says, for every k and any integer C."""
+    n, entries, c = data
+    b, c = _skew(n, entries), tuple(map(tuple, c))
+    seed = ExtendedSeed(b, c, la.identity(n))
+    for k in range(n):
+        # the g-matrix is passed in: an arbitrary C need not be sign-coherent
+        new = mutate(seed, k + 1, la.columns(seed.g))
+        assert (new.b, new.c) == _dense_mutate_bc(b, c, k)
+
+
 def test_general_g_rule_agrees_with_simplified():
     """Recompute g-columns with the two-sum recursion using the initial B
     columns and the C block; must match the sign-coherent shortcut."""
@@ -192,8 +238,9 @@ def test_g_first_search_matches_full_mutation_bfs(b, monkeypatch):
     monkeypatch.setattr(cluster, "mutate", counting_mutate)
     monkeypatch.setattr(cluster, "_exchanged_g", counting_exchange)
     fan = enumerate_gfan(b)
-    # each g-vector is exchanged once per wall crossing, never again in mutate
-    assert len(exchanges) == fan.rank * len(fan.chambers)
+    # each g-vector is exchanged once per wall crossing, never again in mutate;
+    # every chamber but the start skips the wall it was reached through
+    assert len(exchanges) == fan.rank * len(fan.chambers) - (len(fan.chambers) - 1)
     reference = _full_mutation_bfs(b)
     assert _chamber_keys(fan) == set(reference)
     assert len(calls) == len(fan.chambers) - 1

@@ -29,7 +29,16 @@ from tiltfan.fan import (
 )
 from tiltfan.weyl import cartan_preset, coxeter_fan
 
-from conftest import B_A2, B_A3, b_type_a, odd_cycle, odd_cycle_5, path_tree
+from conftest import (
+    B_A2,
+    B_A3,
+    B_KRONECKER,
+    b_type_a,
+    odd_cycle,
+    odd_cycle_5,
+    path_tree,
+    star_tree,
+)
 
 PENTAGON_RAYS = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)]
 PENTAGON_CHAMBERS = [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}]
@@ -75,9 +84,10 @@ def test_build_rejects_sign_incoherence():
 def test_faces_counts():
     fan = pentagon()
     assert len(faces(fan, 0)) == 1
-    assert faces(fan, 0) == {frozenset()}
+    assert faces(fan, 0) == {()}
+    assert faces(fan, 1) == {(0,), (1,), (2,), (3,), (4,)}
     assert len(faces(fan, 1)) == 5
-    assert len(faces(fan, 2)) == 5
+    assert faces(fan, 2) == {tuple(sorted(c)) for c in PENTAGON_CHAMBERS}
     incomplete = build_fan([(1, 0), (0, 1)], [{0, 1}], 0)
     with pytest.raises(IncompleteFan):
         faces(incomplete, 1)
@@ -445,6 +455,85 @@ def test_every_front_end_returns_the_canonical_form(name):
     assert (again.walls, again.complete) == (fan.walls, fan.complete)
 
 
+# -- the search against one that crosses every wall --------------------------
+
+
+def _crossing_every_wall(rays, exchange, budget, state=None, cross=None):
+    """Reference search: crosses every wall of every chamber, the one it was
+    reached through included."""
+    from collections import deque
+
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    rays = tuple(rays)
+    found = {tuple(sorted(rays)): rays}
+    queue = deque([(rays, state)])
+    while queue:
+        rays, state = queue.popleft()
+        for k in range(len(rays)):
+            new = rays[:k] + (exchange(state, rays, k),) + rays[k + 1:]
+            key = tuple(sorted(new))
+            if key in found:
+                continue
+            if len(found) >= budget:
+                return fan_module.BudgetExhausted(len(found), len(queue) + 1, budget,
+                                                  tuple(found.values()))
+            found[key] = new
+            queue.append((new, cross(state, new, k) if cross else state))
+    return list(found.values())
+
+
+@pytest.fixture
+def paired_searches(monkeypatch):
+    """Every front-end search also runs the reference search on the same
+    arguments; the list collects (search result, reference result)."""
+    from tiltfan import brauer, cluster, weyl
+
+    pairs = []
+
+    def paired(*args, **kwargs):
+        got = fan_module.wall_crossing_search(*args, **kwargs)
+        pairs.append((got, _crossing_every_wall(*args, **kwargs)))
+        return got
+
+    for module in (cluster, weyl, brauer):
+        monkeypatch.setattr(module, "wall_crossing_search", paired)
+    return pairs
+
+
+@pytest.mark.parametrize("build", [
+    lambda: enumerate_gfan(b_type_a(4)),
+    lambda: coxeter_fan(cartan_preset("B", 3)),
+    lambda: chambers_by_cliques(star_tree(4)),
+], ids=["cluster A4", "weyl B3", "brauer star 4"])
+def test_search_skipping_the_arrival_wall_finds_the_same_chambers(build, paired_searches):
+    """Crossing back through the arrival wall always finds the parent, so
+    skipping it leaves the chambers and their order as they were."""
+    build()
+    [(got, ref)] = paired_searches
+    assert len(got) > 1 and got == ref
+
+
+def test_search_skipping_the_arrival_wall_exhausts_budgets_the_same(paired_searches):
+    """Explored, frontier and partial fan at every budget up to the chamber
+    count of cluster A3 (14), and at budgets 1..50 on the Kronecker matrix."""
+    for budget in range(1, 15):
+        enumerate_gfan(B_A3, budget=budget)
+    for budget in range(1, 51):
+        enumerate_gfan(B_KRONECKER, budget=budget)
+    assert len(paired_searches) == 64
+    for got, ref in paired_searches:
+        if isinstance(ref, fan_module.BudgetExhausted):
+            assert isinstance(got, fan_module.BudgetExhausted)
+            assert (got.explored, got.frontier, got.budget, got.cones) == \
+                (ref.explored, ref.frontier, ref.budget, ref.cones)
+            assert fan_to_json(got.partial_fan) == fan_to_json(ref.partial_fan)
+        else:
+            assert got == ref
+    # A3 closes exactly at budget 14, the Kronecker search never does
+    assert [isinstance(got, list) for got, _ in paired_searches] == [False] * 13 + [True] + [False] * 50
+
+
 ORDER_FANS = [
     enumerate_gfan(B_A2),
     enumerate_gfan(B_A3),
@@ -501,7 +590,7 @@ def _shuffled(fan, rnd):
 def _front_end_fans():
     from tiltfan.weyl import CartanData
 
-    from conftest import B_KRONECKER, gamma2, star_tree
+    from conftest import gamma2
 
     yield from _wall_fans()
     yield "weyl B4", coxeter_fan(cartan_preset("B", 4))

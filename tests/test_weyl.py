@@ -288,9 +288,10 @@ def test_weyl_command_honours_the_budget(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "budget exhausted: explored 3 elements, frontier 3, budget 3\n"
     )
-    # the Weyl search has no partial fan, so --fan writes nothing
+    # --fan writes the partial fan of the elements found, as cluster does
     fan_path = str(tmp_path / "f")
     assert main(["weyl", "--type", "A", "--n", "3", "--budget", "3", "--fan", fan_path]) == 2
-    assert capsys.readouterr().err.endswith("budget 3\n")
-    assert not (tmp_path / "f").exists()
+    assert capsys.readouterr().err.endswith("budget 3; writing partial fan\n")
+    assert main(["fan", "--input", fan_path]) == 0
+    assert capsys.readouterr().out == "rank 3, 5 rays, 3 chambers, complete=unknown\n"
     assert main(["weyl", "--type", "A", "--n", "3", "--budget", "24", "--eulerian"]) == 0
