@@ -415,6 +415,8 @@ def chambers_by_cliques(graph):
     walk across the wall opposite c[k] is the one walk other than c[k]
     admissible with the rest of c (AssertionError if not exactly one).
     The budget, the number of n-subsets of the walks, cannot be reached.
+    The search's neighbour table goes to `build_fan` as it is: each chamber
+    keeps its walks' classes in the order of its walk indices.
     The name, from an earlier clique search, stays for its callers (the
     benchmark tracer among them).
     """
@@ -439,9 +441,9 @@ def chambers_by_cliques(graph):
 
     rays = [w.class_vector for w in walks]
     start = [rays.index(e) for e in la.identity(n)]
-    chambers = wall_crossing_search(start, exchange, comb(len(walks), n))
+    chambers, across = wall_crossing_search(start, exchange, comb(len(walks), n))
     return fan_from_cones([[rays[i] for i in c] for c in chambers], la.identity(n),
-                          require_complete=True)
+                          require_complete=True, across=across)
 
 
 @dataclass(frozen=True)

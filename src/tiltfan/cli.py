@@ -195,13 +195,13 @@ def cmd_brauer(args):
 def cmd_weyl(args):
     if args.type:
         if args.n is None:
-            print("--type requires --n", file=sys.stderr)
+            print("error: --type requires --n", file=sys.stderr)
             return 1
         cartan = weyl.cartan_preset(args.type, args.n)
     elif args.cartan:
         cartan = weyl.cartan_from_json(_load_json(args.cartan))
     else:
-        print("weyl needs either --type/--n or --cartan", file=sys.stderr)
+        print("error: weyl needs either --type/--n or --cartan", file=sys.stderr)
         return 1
     enum = weyl.weyl_enumerate(cartan, budget=_budget(args))
     if isinstance(enum, BudgetExhausted):
@@ -268,12 +268,20 @@ def _add_common(p):
     p.add_argument("--plot", help="write a rank-2 SVG rendering to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that rejects a bad command line with exit status 1
+    and one `error: ...` line, like every other bad input; status 2 stays
+    for an exhausted budget.  Its subparsers are of the same class."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: `set_defaults` binds the
     `cmd_*` functions as they are at the first call."""
-    ap = argparse.ArgumentParser(prog="tiltfan",
-                                 description="g-fans and g-polytopes, exactly")
+    ap = _Parser(prog="tiltfan", description="g-fans and g-polytopes, exactly")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cluster", help="g-fan of a skew-symmetric exchange matrix")
@@ -331,10 +339,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if not 1 <= getattr(args, "ell_max", 1) <= MAX_ELL:
-        print(f"--ell-max must be in 1..{MAX_ELL}", file=sys.stderr)
+        print(f"error: --ell-max must be in 1..{MAX_ELL}", file=sys.stderr)
         return 1
     if getattr(args, "budget", None) is not None and args.budget < 1:
-        print("--budget must be >= 1", file=sys.stderr)
+        print("error: --budget must be >= 1", file=sys.stderr)
         return 1
     try:
         return args.func(args)

@@ -121,11 +121,13 @@ def enumerate_gfan(b, budget=100_000):
     only the exchanged g-vector; the full seed is mutated only for a new
     chamber, taking its g-matrix from that chamber.  Directions are
     explored in increasing order with a FIFO frontier, which makes the
-    enumeration deterministic.
+    enumeration deterministic.  The search's neighbour table goes to
+    `build_fan` with the chambers.
     """
     seed0 = initial_seed(b)
     result = wall_crossing_search(la.columns(seed0.g), _exchanged_g, budget, seed0,
                                   lambda seed, g_cols, k: mutate(seed, k + 1, g_cols))
     if isinstance(result, BudgetExhausted):
         return result
-    return fan_from_cones(result, result[0], require_complete=True)
+    chambers, across = result
+    return fan_from_cones(chambers, chambers[0], require_complete=True, across=across)

@@ -8,17 +8,22 @@ chambers as frozensets of ray indices.  Completeness is a certificate
 two chambers on opposite sides of it, and a generic point lies in exactly
 one chamber (covering degree 1), which also makes the wall graph
 connected.  `build_fan` establishes it in every rank from one integer
-inverse per chamber; it proves that any two chambers meet in their common
-face, so the exhaustive pairwise check is needed only for fans that are not
-certified.  Every other fan, such as the partial fan of a search that ran
-out of budget, is "unknown"; there is no third status.
+inverse per chamber, in one breadth-first pass over a neighbour table; it
+proves that any two chambers meet in their common face, so the exhaustive
+pairwise check is needed only for fans that are not certified.  Every
+other fan, such as the partial fan of a search that ran out of budget, is
+"unknown"; there is no third status.
 
 Every Fan is made by `build_fan`; `fan_from_cones` builds the canonical ray
-and chamber tables from chambers given as sets of ray vectors.  The cluster,
-Weyl and Brauer front-ends find their chambers with one search,
+and chamber tables from chambers given as sequences of ray vectors.  The
+cluster, Weyl and Brauer front-ends find their chambers with one search,
 `wall_crossing_search`: each chamber of a g-fan has exactly one neighbour
 across each wall (mutation of 2-term silting complexes), so a front-end
-only says which ray replaces the one opposite a wall.
+only says which ray replaces the one opposite a wall, and the search hands
+back which chamber lies across every wall.  That neighbour table goes with
+the chambers to `build_fan`, which checks it instead of finding adjacency
+again; a fan read from a file, a partial fan or a reduction has its table
+derived from the chambers' facets.
 """
 
 from collections import deque
@@ -101,37 +106,46 @@ class BudgetExhausted:
         return fan_from_cones(self.cones, self.cones[0])
 
 
-def build_fan(rays, chambers, base, require_complete=False):
+def build_fan(rays, chambers, base, require_complete=False, across=None):
     """Validate and assemble a Fan.
 
     Checks ray primitivity/distinctness, chamber unimodularity, wall
     adjacency (free rays strictly on opposite sides of the shared
-    hyperplane) and sign-coherence relative to the base chamber.  Each
-    chamber's ray matrix is inverted once over the integers; a wall's normal
-    is the row of its first chamber's inverse at the ray off the wall, with
+    hyperplane) and sign-coherence relative to the base chamber.  A wall's
+    normal is the row of a chamber's inverse at the ray off the wall, with
     the sign fixed so that the last nonzero entry is positive.
 
-    Chambers are taken in the given order.  Adjacent chambers differ in one
-    ray, so a chamber's inverse is one exchange pivot (`la.exchange_inverse`)
-    away from that of an earlier neighbour across a wall, whose inverse is
-    rebuilt from the normals already found (`inverse_from_normals`); no
-    inverse is kept past its chamber.  Full elimination runs only for the
-    first chamber of each wall-graph component, for a chamber whose earlier
-    neighbours all have a facet without a normal (dangling, in more than
-    two chambers, or between overlapping chambers), and for a non-unit
-    pivot, where it gives the determinant of NonUnimodularChamber.
+    Adjacency is a neighbour table: across[ci][k] is the chamber on the
+    other side of the facet of chamber ci opposite its k-th ray, k counting
+    the rays of chambers[ci] in the order given.  A front-end's search
+    knows it (`wall_crossing_search`); without one it is derived from which
+    chambers own which facet, None marking a dangling face, and a face in
+    more than two chambers is an error.  A given table names a chamber
+    across every wall.  Every entry is checked: the neighbour has this
+    chamber's rays with exactly the k-th one swapped, and the table is
+    reciprocal; so every face of the table lies in two chambers, glued
+    across it in pairs.
 
-    Completeness is certified iff every codimension-1 face lies in exactly
-    two chambers and the test point y0 + eps e_1 + eps^2 e_2 + ... (y0 the
-    sum of the base rays, eps > 0 infinitesimal) lies in exactly one
-    chamber; the same inverses decide the last test (`holds_test_point`).
-    If no face dangles but the test point lies in d != 1 chambers, the
-    chambers overlap and TiltfanError is raised.  Why this suffices:
+    One breadth-first pass over the table, component by component, does
+    the rest.  The first chamber of a component is inverted by full
+    elimination; every other chamber's inverse is one exchange pivot
+    (`la.exchange_inverse`) from its parent's, which travels in the queue,
+    so only the frontier's inverses are alive.  A non-unit pivot or
+    determinant means a non-unimodular chamber; NonUnimodularChamber names
+    the lowest-index one.  Each wall's normal comes from the side reached
+    first, where the other side's free ray must pair negatively with it.
 
-    1. With no dangling face, every component of the wall graph is a
-       closed, oriented pseudomanifold: across every wall the two chambers
-       lie on opposite sides, so their union is a neighbourhood of the
-       wall's relative interior.
+    Completeness is certified iff no face dangles and the test point
+    y0 + eps e_1 + eps^2 e_2 + ... (y0 the sum of the base rays, eps > 0
+    infinitesimal) lies in exactly one chamber; the same inverses decide
+    the last test (`holds_test_point`).  If no face dangles but the test
+    point lies in d != 1 chambers, the chambers overlap and TiltfanError is
+    raised.  Why this suffices:
+
+    1. With no dangling face, glue the chambers along the table: every
+       component is a closed, oriented pseudomanifold, since across every
+       wall the two chambers lie on opposite sides, so their union is a
+       neighbourhood of the wall's relative interior.
     2. Hence the radial map of one component to the unit sphere is a local
        homeomorphism off the codimension-2 skeleton, and proper, so over
        the complement of that skeleton's image (connected for rank >= 2)
@@ -145,7 +159,10 @@ def build_fan(rays, chambers, base, require_complete=False):
        induction on the links of the lower faces (each a pseudomanifold of
        degree 1 in the quotient) it is a homeomorphism.  So the chambers
        cover the space once and any two meet in the cone on their shared
-       rays.
+       rays.  In particular no face lies in more than two chambers, table
+       given or not: a third chamber on a face glued in pairs would come
+       with its own neighbour across it, and a point near the face would
+       be covered twice.
 
     Rank 1 has only the two half-lines, where the count is 1 as well.  The
     certificate costs at most rank dot products per chamber.
@@ -163,7 +180,8 @@ def build_fan(rays, chambers, base, require_complete=False):
     if len(set(rays)) != len(rays):
         raise TiltfanError("duplicate rays")
 
-    chambers = tuple(frozenset(int(i) for i in c) for c in chambers)
+    positions = [tuple(int(i) for i in c) for c in chambers]
+    chambers = tuple(map(frozenset, positions))
     if len(set(chambers)) != len(chambers):
         raise TiltfanError("duplicate chambers")
     for ci, c in enumerate(chambers):
@@ -181,97 +199,121 @@ def build_fan(rays, chambers, base, require_complete=False):
         if len(c) != rank:
             raise TiltfanError(f"chamber {ci} has {len(c)} rays, expected {rank}")
 
-    # wall detection via shared (rank-1)-subsets
-    facet_owners = {}
-    for ci, c in enumerate(chambers):
-        for sub in combinations(sorted(c), rank - 1):
-            facet_owners.setdefault(frozenset(sub), []).append(ci)
-    first_owned = [[] for _ in chambers]
-    for sub, owners in facet_owners.items():
-        if len(owners) == 2:
-            first_owned[owners[0]].append(sub)
+    derived = across is None
+    if derived:
+        positions = [tuple(sorted(c)) for c in chambers]
+        across, crowded = _facet_table(positions)
+    else:
+        crowded = []
+        if len(across) != len(chambers):
+            raise TiltfanError(
+                f"the neighbour table has {len(across)} rows for {len(chambers)} chambers")
+        for ci, (p, row) in enumerate(zip(positions, across)):
+            if len(p) != rank:
+                raise TiltfanError(f"chamber {ci} repeats a ray")
+            if len(row) != rank:
+                raise TiltfanError(
+                    f"row {ci} of the neighbour table has {len(row)} entries, expected {rank}")
 
-    # one integer inverse per chamber, kept only while its walls are filled
-    # and the test point is located in it: row p of the inverse vanishes on
-    # every ray but the p-th, where it is 1, so it is the primitive normal
-    # of the facet opposite that ray; None marks a wall whose two free rays
-    # are not strictly on opposite sides
     y0 = tuple(map(sum, zip(*(rays[i] for i in chambers[base]))))
     covering = 0
-    normals = {}
-    for ci, c in enumerate(chambers):
-        idx = sorted(c)
-        inv = _inverse_across_a_wall(rays, chambers, ci, idx, facet_owners, normals)
-        if inv is not None:
-            det, adj = 1, inv
-        else:
-            det, adj = la.scaled_inverse(la.from_columns([rays[i] for i in idx])) or (0, None)
-            if det not in (1, -1):
-                raise NonUnimodularChamber(ci, det)
-        covering += holds_test_point(det, adj, y0)
-        for sub in first_owned[ci]:
-            (free_a,) = c - sub
-            (free_b,) = chambers[facet_owners[sub][1]] - sub
-            row = adj[idx.index(free_a)]  # det times the inverse row
-            if det * la.dot(row, rays[free_b]) >= 0:
-                normals[sub] = None
-            else:
-                last = next(x for x in reversed(row) if x)
-                normals[sub] = row if last > 0 else la.vneg(row)
+    walls, dangling, overlaps = [], [], []
+    reached = [-1] * len(chambers)  # place in the breadth-first order
+    count = 0
+    for start in range(len(chambers)):
+        if reached[start] >= 0:
+            continue
+        found = la.scaled_inverse(la.from_columns([rays[i] for i in positions[start]]))
+        if found is None or found[0] not in (1, -1):
+            raise _non_unimodular(rays, chambers)
+        det, inv = found
+        reached[start], count = count, count + 1
+        queue = deque([(start, inv if det == 1 else tuple(map(la.vneg, inv)))])
+        while queue:
+            ci, inv = queue.popleft()
+            covering += holds_test_point(1, inv, y0)
+            p, c = positions[ci], chambers[ci]
+            for k, j in enumerate(across[ci]):
+                if j is None:
+                    if not derived:
+                        raise TiltfanError(
+                            f"the neighbour table names no chamber across wall {k} of chamber {ci}")
+                    dangling.append(p[:k] + p[k + 1:])
+                    continue
+                if not 0 <= j < len(chambers):
+                    raise TiltfanError(
+                        f"the neighbour table names chamber {j} outside 0..{len(chambers) - 1}")
+                free_a, other = p[k], chambers[j]
+                free = other - c
+                if len(free) != 1 or free_a in other:
+                    raise TiltfanError(f"chamber {j}, across wall {k} of chamber {ci}, "
+                                       f"does not share its other {rank - 1} rays")
+                (free_b,) = free
+                back = across[j][positions[j].index(free_b)]
+                if back != ci:
+                    raise TiltfanError(f"the neighbour table is not reciprocal: chamber {ci} "
+                                       f"has {j} across a wall, {j} has {back} across it")
+                if reached[j] < 0:
+                    # the pivot's rows follow p, with free_b in place k
+                    nxt = la.exchange_inverse(inv, k, rays[free_b])
+                    if nxt is None:
+                        raise _non_unimodular(rays, chambers)
+                    row_of = dict(zip(p, nxt))
+                    row_of[free_b] = row_of.pop(free_a)
+                    queue.append((j, tuple(row_of[i] for i in positions[j])))
+                    reached[j], count = count, count + 1
+                if reached[j] > reached[ci]:
+                    # the first side reached: row k vanishes on the face and is 1 on free_a
+                    row, face, pair = inv[k], c & other, (ci, j) if ci < j else (j, ci)
+                    if la.dot(row, rays[free_b]) >= 0:
+                        overlaps.append((tuple(sorted(face)), pair))
+                    else:
+                        last = next(x for x in reversed(row) if x)
+                        walls.append(Wall(face, pair, row if last > 0 else la.vneg(row)))
 
     incoherent = _sign_incoherence(rays, chambers, [rays[i] for i in chambers[base]])
     if incoherent:
         raise SignCoherenceViolation(*incoherent)
-
-    walls = []
-    dangling = []
-    for sub, owners in sorted(facet_owners.items(), key=lambda kv: tuple(sorted(kv[0]))):
-        if len(owners) > 2:
-            raise TiltfanError(f"face {tuple(sorted(sub))} lies in {len(owners)} chambers")
-        if len(owners) == 1:
-            dangling.append(sub)
-            continue
-        ca, cb = owners
-        normal = normals[sub]
-        if normal is None:
-            raise TiltfanError(
-                f"chambers {ca} and {cb} share face {tuple(sorted(sub))} but overlap"
-            )
-        walls.append(Wall(sub, (ca, cb), normal))
-
+    # the first offending face in sorted order
+    problems = [(face, f"face {face} lies in {owners} chambers") for face, owners in crowded]
+    problems += [(face, f"chambers {ca} and {cb} share face {face} but overlap")
+                 for face, (ca, cb) in overlaps]
+    if problems:
+        raise TiltfanError(min(problems)[1])
     if dangling and require_complete:
-        raise DanglingWall(tuple(sorted(dangling[0])))
+        raise DanglingWall(min(dangling))
     if not dangling and covering != 1:
         raise TiltfanError(f"a generic point lies in {covering} chambers")
+    walls.sort(key=lambda w: sorted(w.shared))
     return Fan(rank, rays, chambers, base, tuple(walls), UNKNOWN if dangling else CERTIFIED)
 
 
-def _inverse_across_a_wall(rays, chambers, ci, idx, facet_owners, normals):
-    """Inverse of the ray matrix of chamber ci (columns in the sorted order
-    idx) by one exchange pivot from an earlier neighbour across a wall.
+def _facet_table(positions):
+    """The neighbour table read off facet ownership, for chambers given as
+    sorted tuples of ray indices: None across a facet of one chamber, and
+    (facet, number of chambers) for every facet in more than two."""
+    owners = {}
+    for ci, p in enumerate(positions):
+        for k in range(len(p)):
+            owners.setdefault(p[:k] + p[k + 1:], []).append((ci, k))
+    across = [[None] * len(p) for p in positions]
+    crowded = []
+    for face, owned in owners.items():
+        if len(owned) == 2:
+            (ca, ka), (cb, kb) = owned
+            across[ca][ka], across[cb][kb] = cb, ca
+        elif len(owned) > 2:
+            crowded.append((face, len(owned)))
+    return across, crowded
 
-    The neighbour's inverse is rebuilt from the normals of its facets; the
-    first neighbour whose facets all have one is used.  None if there is no
-    such neighbour, or if the pivot is not a unit (then chamber ci is not
-    unimodular).
-    """
-    c = chambers[ci]
-    for free_a in idx:
-        sub = c - {free_a}
-        owners = facet_owners[sub]
-        if len(owners) != 2 or owners[1] != ci:
-            continue
-        nb = sorted(chambers[owners[0]])
-        inv = inverse_from_normals(rays, nb, normals)
-        if inv is None:
-            continue
-        (free_b,) = chambers[owners[0]] - sub
-        inv = la.exchange_inverse(inv, nb.index(free_b), rays[free_a])
-        if inv is None:
-            return None
-        row_of = dict(zip((free_a if i == free_b else i for i in nb), inv))
-        return tuple(row_of[i] for i in idx)
-    return None
+
+def _non_unimodular(rays, chambers):
+    """NonUnimodularChamber for the lowest-index chamber whose ray matrix,
+    columns in sorted order, has a determinant other than +-1."""
+    for ci, c in enumerate(chambers):
+        det = la.determinant(la.from_columns([rays[i] for i in sorted(c)]))
+        if det not in (1, -1):
+            return NonUnimodularChamber(ci, det)
 
 
 def inverse_from_normals(rays, idx, normals):
@@ -293,22 +335,31 @@ def inverse_from_normals(rays, idx, normals):
     return tuple(inv)
 
 
-def fan_from_cones(cones, base_cone, require_complete=False):
-    """The Fan whose chambers are the given cones, each a collection of ray
+def fan_from_cones(cones, base_cone, require_complete=False, across=None):
+    """The Fan whose chambers are the given cones, each a sequence of ray
     vectors (tuples of integers), with base chamber base_cone.
 
     The ray table is sorted and the chambers are sorted by their ray
     indices, as in `fan_to_json`, so the result does not depend on the
-    order of the cones or of the rays inside them.  Equal cones are passed
-    on to `build_fan`, which rejects them.
+    order of the cones or of the rays inside them.  `across`, a search's
+    neighbour table over the cones as given (see `build_fan`), is
+    re-indexed to that chamber order; each chamber keeps its rays in the
+    cone's order, which the table's positions refer to.  Equal cones are
+    passed on to `build_fan`, which rejects them.
     """
-    cones = [frozenset(c) for c in cones]
+    cones = [tuple(c) for c in cones]
     rays = sorted(set().union(*cones))
     ray_index = {r: i for i, r in enumerate(rays)}
-    chambers = sorted((frozenset(ray_index[r] for r in c) for c in cones),
-                      key=lambda c: tuple(sorted(c)))
-    base = chambers.index(frozenset(ray_index[r] for r in base_cone))
-    return build_fan(rays, chambers, base, require_complete)
+    chambers = [tuple(ray_index[r] for r in c) for c in cones]
+    keys = [sorted(c) for c in chambers]
+    order = sorted(range(len(chambers)), key=keys.__getitem__)
+    base = [keys[ci] for ci in order].index(sorted({ray_index[r] for r in base_cone}))
+    if across is not None:
+        new_of_old = [0] * len(order)
+        for new, old in enumerate(order):
+            new_of_old[old] = new
+        across = [[new_of_old[j] for j in across[old]] for old in order]
+    return build_fan(rays, [chambers[ci] for ci in order], base, require_complete, across)
 
 
 def _sign_incoherence(rays, chambers, base_rays):
@@ -347,31 +398,42 @@ def wall_crossing_search(rays, exchange, budget, state=None, cross=None):
     silting complex has exactly two completions), so that chamber is its
     parent, already found.
 
-    Returns the chambers in the order found, the start first, once every
-    wall has been crossed.  When a new chamber would exceed `budget` it
-    returns BudgetExhausted instead, which holds the chambers found;
-    `frontier` counts those with walls not all crossed.
+    Returns (chambers, across) once every wall has been crossed: the
+    chambers in the order found, the start first, and the neighbour table,
+    across[i][k] the index of the chamber across wall k of chamber i.  A
+    new chamber j reached through wall k of chamber i gets across[j][k] = i;
+    every other crossing records the chamber it finds by its ray set.
+    When a new chamber would exceed `budget` it returns BudgetExhausted
+    instead, which holds the chambers found; `frontier` counts those with
+    walls not all crossed.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rays = tuple(rays)
-    found = {tuple(sorted(rays)): rays}
-    queue = deque([(rays, state, -1)])
+    n = len(rays)
+    found = {tuple(sorted(rays)): 0}
+    chambers, across = [rays], [[None] * n]
+    queue = deque([(rays, state, -1, 0)])
     while queue:
-        rays, state, arrival = queue.popleft()
-        for k in range(len(rays)):
+        rays, state, arrival, i = queue.popleft()
+        row = across[i]
+        for k in range(n):
             if k == arrival:
                 continue
             new = rays[:k] + (exchange(state, rays, k),) + rays[k + 1:]
             key = tuple(sorted(new))
-            if key in found:
-                continue
-            if len(found) >= budget:
-                # the chamber under expansion has walls not yet crossed too
-                return BudgetExhausted(len(found), len(queue) + 1, budget, tuple(found.values()))
-            found[key] = new
-            queue.append((new, cross(state, new, k) if cross else state, k))
-    return list(found.values())
+            j = found.get(key)
+            if j is None:
+                if len(chambers) >= budget:
+                    # the chamber under expansion has walls not yet crossed too
+                    return BudgetExhausted(len(chambers), len(queue) + 1, budget, tuple(chambers))
+                j = found[key] = len(chambers)
+                chambers.append(new)
+                across.append([None] * n)
+                across[j][k] = i
+                queue.append((new, cross(state, new, k) if cross else state, k, j))
+            row[k] = j
+    return chambers, across
 
 
 def holds_test_point(det, adj, y0):
@@ -447,7 +509,13 @@ def hasse_orient(fan):
 
 def restrict_to_coordinates(fan, indices):
     """Subfan of cones lying in the span of the chosen base-chamber rays,
-    re-expressed in base-chamber coordinates of rank len(indices)."""
+    re-expressed in base-chamber coordinates of rank len(indices).
+
+    This is a section of the fan by a coordinate subspace, not the fan
+    Sigma(A/<e>) of an idempotent reduction: Coxeter A4 at {0, 2} gives 6
+    chambers, where A1 x A1 has 4.  The reduction at a face of the fan
+    (Jasso reduction) is `reduce_at_cone`.
+    """
     indices = sorted(set(indices))
     if not all(0 <= i < fan.rank for i in indices):
         raise TiltfanError("coordinate index out of range")

@@ -12,9 +12,10 @@ w s_k, and (M_w s_k)^{-1} = s_k M_w^{-1} changes only row k, to
 r_k' = -r_k - sum_{j != k} c_kj r_j, with c_kj read from row k of C (the
 transpose would give the dual type).  Each element is its tuple of rays in
 generator order; the descents are read off its columns.  The functions that
-need the whole group accept an already enumerated element list, so one
-enumeration can serve a fan and its descents.  The roots need no group:
-finiteness is read off the Cartan data.
+need the whole group accept an already enumerated element list with the
+search's neighbour table, so one enumeration can serve a fan and its
+descents; without one they check finiteness before they enumerate.  The
+roots need no group: finiteness is read off the Cartan data.
 """
 
 from dataclasses import dataclass
@@ -107,8 +108,10 @@ def _crossed_ray(c, rays, k):
 
 
 def weyl_enumerate(cartan, budget=2_000_000):
-    """Every element w as the rows of M_w^-1, its chamber's rays in generator
-    order, found by crossing walls from the identity in breadth-first order.
+    """(elements, across): every element w as the rows of M_w^-1, its
+    chamber's rays in generator order, found by crossing walls from the
+    identity in breadth-first order, and the search's neighbour table
+    (across[i][k] is the index of w_i s_k).
 
     Returns BudgetExhausted, with the partial fan of the chambers found,
     when the group fails to close within the budget (non-finite type).
@@ -117,8 +120,10 @@ def weyl_enumerate(cartan, budget=2_000_000):
 
 
 def _finite_elements(cartan, budget, elements):
-    """The given element list, else a fresh enumeration that must close."""
+    """The given enumeration, else a fresh one of a group that
+    `require_finite_type` admits; it must close within the budget."""
     if elements is None:
+        require_finite_type(cartan)
         elements = weyl_enumerate(cartan, budget)
     if isinstance(elements, BudgetExhausted):
         raise NotFiniteType(f"Weyl group did not close within {elements.budget} elements")
@@ -128,11 +133,11 @@ def _finite_elements(cartan, budget, elements):
 def coxeter_fan(cartan, budget=2_000_000, elements=None):
     """Fan of Weyl chambers in dominant-weight coordinates; |W| chambers.
 
-    `elements` is the output of `weyl_enumerate`; without it the group is
-    enumerated here under `budget`.
+    `elements` is the output of `weyl_enumerate`, whose neighbour table goes
+    to `build_fan`; without it the group is enumerated here under `budget`.
     """
-    elements = _finite_elements(cartan, budget, elements)
-    return fan_from_cones(elements, la.identity(cartan.n), require_complete=True)
+    elements, across = _finite_elements(cartan, budget, elements)
+    return fan_from_cones(elements, la.identity(cartan.n), require_complete=True, across=across)
 
 
 def require_finite_type(cartan):
@@ -175,8 +180,9 @@ def descent_histogram(cartan, budget=2_000_000, elements=None):
     """W-Eulerian numbers: counts of elements by number of left descents.
 
     s_i is a descent of w iff w^{-1}(alpha_i) is a negative root.
+    `elements` is the output of `weyl_enumerate`, as for `coxeter_fan`.
     """
-    elements = _finite_elements(cartan, budget, elements)
+    elements, _across = _finite_elements(cartan, budget, elements)
     n = cartan.n
     hist = [0] * (n + 1)
     for w in elements:

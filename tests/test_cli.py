@@ -153,7 +153,39 @@ def test_ell_max_below_one_is_a_one_line_error(capsys, ell_max):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "--ell-max must be in 1..8\n"
+    assert captured.err == "error: --ell-max must be in 1..8\n"
+
+
+@pytest.mark.parametrize("argv", [["weyl", "--type", "Q", "--n", "2"],
+                                  ["kase", "--ell", "x", "--m", "1"],
+                                  ["nosuch"],
+                                  []])
+def test_a_bad_command_line_is_a_one_line_error(argv, capsys):
+    """argparse's rejections exit 1 with one line, not 2 with the usage text:
+    exit 2 means an exhausted budget."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["weyl", "--type", "A", "--n", "2", "--budget", "0"], "--budget must be >= 1"),
+    (["weyl", "--type", "A"], "--type requires --n"),
+    (["weyl"], "weyl needs either --type/--n or --cartan"),
+])
+def test_checked_options_are_one_line_errors(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tiltfan")
 
 
 def test_fan_command_paranoid(tmp_path, capsys):

@@ -460,7 +460,8 @@ def test_every_front_end_returns_the_canonical_form(name):
 
 def _crossing_every_wall(rays, exchange, budget, state=None, cross=None):
     """Reference search: crosses every wall of every chamber, the one it was
-    reached through included."""
+    reached through included, and fills the neighbour table by ray set at
+    every crossing."""
     from collections import deque
 
     if budget < 1:
@@ -468,11 +469,13 @@ def _crossing_every_wall(rays, exchange, budget, state=None, cross=None):
     rays = tuple(rays)
     found = {tuple(sorted(rays)): rays}
     queue = deque([(rays, state)])
+    walls = []
     while queue:
         rays, state = queue.popleft()
         for k in range(len(rays)):
             new = rays[:k] + (exchange(state, rays, k),) + rays[k + 1:]
             key = tuple(sorted(new))
+            walls.append((tuple(sorted(rays)), k, key))
             if key in found:
                 continue
             if len(found) >= budget:
@@ -480,7 +483,11 @@ def _crossing_every_wall(rays, exchange, budget, state=None, cross=None):
                                                   tuple(found.values()))
             found[key] = new
             queue.append((new, cross(state, new, k) if cross else state))
-    return list(found.values())
+    index = {key: i for i, key in enumerate(found)}
+    across = [[None] * len(rays) for _ in found]
+    for key, k, other in walls:
+        across[index[key]][k] = index[other]
+    return list(found.values()), across
 
 
 @pytest.fixture
@@ -508,10 +515,11 @@ def paired_searches(monkeypatch):
 ], ids=["cluster A4", "weyl B3", "brauer star 4"])
 def test_search_skipping_the_arrival_wall_finds_the_same_chambers(build, paired_searches):
     """Crossing back through the arrival wall always finds the parent, so
-    skipping it leaves the chambers and their order as they were."""
+    skipping it leaves the chambers and their order as they were, and the
+    neighbour table is the one read off every crossing."""
     build()
     [(got, ref)] = paired_searches
-    assert len(got) > 1 and got == ref
+    assert len(got[0]) > 1 and got == ref
 
 
 def test_search_skipping_the_arrival_wall_exhausts_budgets_the_same(paired_searches):
@@ -531,7 +539,8 @@ def test_search_skipping_the_arrival_wall_exhausts_budgets_the_same(paired_searc
         else:
             assert got == ref
     # A3 closes exactly at budget 14, the Kronecker search never does
-    assert [isinstance(got, list) for got, _ in paired_searches] == [False] * 13 + [True] + [False] * 50
+    closed = [isinstance(got, tuple) for got, _ in paired_searches]
+    assert closed == [False] * 13 + [True] + [False] * 50
 
 
 ORDER_FANS = [
@@ -566,12 +575,94 @@ def _outcome(rays, chambers, base, require_complete=False):
     return fan, fan.walls, fan.complete
 
 
+def _eliminating_build_fan(rays, chambers, base, require_complete=False):
+    """build_fan as it was before it pivoted across walls: facets and their
+    owners by subsets, every chamber inverted by full elimination in index
+    order, each wall's normal from its first owner."""
+    from itertools import combinations
+
+    from tiltfan.fan import Fan, Wall, holds_test_point
+
+    rays = tuple(tuple(int(x) for x in r) for r in rays)
+    rank = len(rays[0]) if rays else 0
+    for r in rays:
+        if la.is_zero(r) or la.primitive(r) != r:
+            raise TiltfanError(f"ray {r} is not primitive")
+    if any(len(r) != rank for r in rays):
+        raise TiltfanError(f"rays of lengths {sorted({len(r) for r in rays})} in one fan")
+    if len(set(rays)) != len(rays):
+        raise TiltfanError("duplicate rays")
+    chambers = tuple(frozenset(int(i) for i in c) for c in chambers)
+    if len(set(chambers)) != len(chambers):
+        raise TiltfanError("duplicate chambers")
+    for ci, c in enumerate(chambers):
+        if any(not 0 <= i < len(rays) for i in c):
+            raise TiltfanError(f"chamber {ci} names a ray index outside 0..{len(rays) - 1}")
+    if not 0 <= base < len(chambers):
+        raise TiltfanError("base chamber index out of range")
+    if rank == 0:
+        if chambers != (frozenset(),):
+            raise TiltfanError("a rank-0 fan has exactly the trivial chamber")
+        return Fan(0, (), chambers, 0, (), CERTIFIED)
+    for ci, c in enumerate(chambers):
+        if len(c) != rank:
+            raise TiltfanError(f"chamber {ci} has {len(c)} rays, expected {rank}")
+
+    facet_owners = {}
+    for ci, c in enumerate(chambers):
+        for sub in combinations(sorted(c), rank - 1):
+            facet_owners.setdefault(frozenset(sub), []).append(ci)
+    y0 = tuple(map(sum, zip(*(rays[i] for i in chambers[base]))))
+    covering = 0
+    normals = {}
+    for ci, c in enumerate(chambers):
+        idx = sorted(c)
+        det, adj = la.scaled_inverse(la.from_columns([rays[i] for i in idx])) or (0, None)
+        if det not in (1, -1):
+            raise NonUnimodularChamber(ci, det)
+        covering += holds_test_point(det, adj, y0)
+        for free_a in idx:
+            sub = c - {free_a}
+            owners = facet_owners[sub]
+            if len(owners) != 2 or owners[0] != ci:
+                continue
+            (free_b,) = chambers[owners[1]] - sub
+            row = adj[idx.index(free_a)]
+            if det * la.dot(row, rays[free_b]) >= 0:
+                normals[sub] = None
+            else:
+                last = next(x for x in reversed(row) if x)
+                normals[sub] = row if last > 0 else la.vneg(row)
+
+    incoherent = fan_module._sign_incoherence(rays, chambers, [rays[i] for i in chambers[base]])
+    if incoherent:
+        raise SignCoherenceViolation(*incoherent)
+    walls, dangling = [], []
+    for sub, owners in sorted(facet_owners.items(), key=lambda kv: tuple(sorted(kv[0]))):
+        if len(owners) > 2:
+            raise TiltfanError(f"face {tuple(sorted(sub))} lies in {len(owners)} chambers")
+        if len(owners) == 1:
+            dangling.append(sub)
+            continue
+        ca, cb = owners
+        if normals[sub] is None:
+            raise TiltfanError(
+                f"chambers {ca} and {cb} share face {tuple(sorted(sub))} but overlap")
+        walls.append(Wall(sub, (ca, cb), normals[sub]))
+    if dangling and require_complete:
+        raise DanglingWall(tuple(sorted(dangling[0])))
+    if not dangling and covering != 1:
+        raise TiltfanError(f"a generic point lies in {covering} chambers")
+    return Fan(rank, rays, chambers, base, tuple(walls), UNKNOWN if dangling else CERTIFIED)
+
+
 def _reference_outcome(*args):
-    """_outcome with every chamber inverted by full elimination, as build_fan
-    did before it pivoted across walls."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fan_module, "_inverse_across_a_wall", lambda *a: None)
-        return _outcome(*args)
+    """_outcome of `_eliminating_build_fan`, an independent route."""
+    try:
+        fan = _eliminating_build_fan(*args)
+    except TiltfanError as exc:
+        return type(exc), str(exc)
+    return fan, fan.walls, fan.complete
 
 
 def _assert_pivots_match_elimination(rays, chambers, base, require_complete=False):
@@ -717,3 +808,127 @@ def test_sign_incoherence_matches_the_coordinate_loop(case):
     base = [tuple(r) for r in base]
     assert (fan_module._sign_incoherence(rays, chambers, base)
             == _reference_sign_incoherence(rays, chambers, base))
+
+
+# -- the search's neighbour table against the derived one ---------------------
+
+
+def test_search_tables_give_the_fans_of_the_derived_tables(monkeypatch):
+    """Every front-end fan built through its search's neighbour table equals
+    fan_from_json(fan_to_json(fan)), whose table is derived from the facets:
+    the same Fan, walls, normals and status."""
+    tables = []
+    original = fan_module.build_fan
+
+    def recording(rays, chambers, base, require_complete=False, across=None):
+        tables.append(across is not None)
+        return original(rays, chambers, base, require_complete, across)
+
+    monkeypatch.setattr(fan_module, "build_fan", recording)
+    searched = set()
+    for name, fan in _front_end_fans():
+        if tables == [True]:
+            searched.add(name)
+        again = fan_from_json(fan_to_json(fan))
+        assert (again, again.walls, again.complete) == (fan, fan.walls, fan.complete), name
+        assert all(w.normal for w in fan.walls), name
+        tables.clear()
+    assert searched == {
+        "cluster A2", "cluster A3", "cluster A4", "cluster A5", "cluster D4",
+        "weyl A3", "weyl B3", "weyl B4", "weyl G2",
+        "brauer path 4", "brauer triangle", "brauer odd 5", "brauer star 4", "brauer gamma2",
+    }
+
+
+def _search_tables():
+    """(rays, chambers, base, across) as the cluster, Weyl and Brauer
+    front-ends hand them to build_fan, on cluster A3, Weyl B3 and Brauer
+    star 3."""
+    captured = []
+    original = fan_module.build_fan
+
+    def capturing(rays, chambers, base, require_complete=False, across=None):
+        captured.append((rays, chambers, base, across))
+        return original(rays, chambers, base, require_complete, across)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fan_module, "build_fan", capturing)
+        enumerate_gfan(B_A3)
+        coxeter_fan(cartan_preset("B", 3))
+        chambers_by_cliques(star_tree(3))
+    return captured
+
+
+def _corrupted_tables():
+    """(kind, rays, chambers, base, across) with one fault in a search table,
+    put in the row of chamber 0, where the pass over the table starts."""
+    for rays, chambers, base, across in _search_tables():
+        n = len(rays[0])
+        sets = [frozenset(c) for c in chambers]
+        for k in range(n):
+            j = across[0][k]
+            table = [list(row) for row in across]
+            table[0][k] = 0
+            yield "itself", rays, chambers, base, table
+            far = next(i for i, c in enumerate(sets) if len(c & sets[0]) == n - 2)
+            table = [list(row) for row in across]
+            table[0][k] = far
+            yield "n - 2 rays", rays, chambers, base, table
+            # chamber j names another of its neighbours across the wall it
+            # shares with chamber 0
+            (free_b,) = sets[j] - sets[0]
+            kb = list(chambers[j]).index(free_b)
+            table = [list(row) for row in across]
+            table[j][kb] = across[j][(kb + 1) % n]
+            yield "non-reciprocal", rays, chambers, base, table
+        for short in (across[0][:-1], across[0] + [0]):
+            table = [list(row) for row in across]
+            table[0] = short
+            yield "row length", rays, chambers, base, table
+        table = [list(row) for row in across]
+        table[0][0] = None
+        yield "no neighbour", rays, chambers, base, table
+        table[0][0] = len(chambers)
+        yield "out of range", rays, chambers, base, table
+        yield "row count", rays, chambers, base, across[:-1]
+
+
+CORRUPTION_MESSAGES = {
+    "itself": r"^chamber 0, across wall \d of chamber 0, does not share its other 2 rays$",
+    "n - 2 rays": r"^chamber \d+, across wall \d of chamber 0, does not share its other 2 rays$",
+    "non-reciprocal": r"^the neighbour table is not reciprocal: chamber 0 has \d+ across a wall, "
+                      r"\d+ has \d+ across it$",
+    "row length": r"^row 0 of the neighbour table has [24] entries, expected 3$",
+    "no neighbour": r"^the neighbour table names no chamber across wall 0 of chamber 0$",
+    "out of range": r"^the neighbour table names chamber \d+ outside 0\.\.\d+$",
+    "row count": r"^the neighbour table has \d+ rows for \d+ chambers$",
+}
+
+
+def test_corrupted_search_tables_are_refused():
+    """A table with one bad entry or row raises TiltfanError, never a Fan,
+    and the intact tables still give certified fans."""
+    for rays, chambers, base, across in _search_tables():
+        assert build_fan(rays, chambers, base, True, across).complete == CERTIFIED
+    kinds = []
+    for kind, rays, chambers, base, table in _corrupted_tables():
+        with pytest.raises(TiltfanError, match=CORRUPTION_MESSAGES[kind]):
+            build_fan(rays, chambers, base, True, table)
+        kinds.append(kind)
+    assert len(kinds) == 3 * (3 * 3 + 2 + 3)
+
+
+def test_a_face_in_three_chambers_is_refused_with_or_without_a_table():
+    """Chambers {e1, e2}, {e2, -e1} and {e2, e1 + e2} share the ray e2.  A
+    table that passes each of them on to the next is not reciprocal; the
+    derived table finds the face in three chambers."""
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)]
+    chambers = [(0, 1), (1, 2), (1, 4), (2, 3), (3, 0)]
+    # each of the three names the next across the face (1,); the face (4,)
+    # of the third lies in no other chamber
+    across = [[1, 4], [3, 2], [None, 0], [4, 1], [0, 3]]
+    with pytest.raises(TiltfanError, match=r"^the neighbour table is not reciprocal: "
+                                           r"chamber 0 has 1 across a wall, 1 has 2 across it$"):
+        build_fan(rays, chambers, 0, across=across)
+    with pytest.raises(TiltfanError, match=r"^face \(1,\) lies in 3 chambers$"):
+        build_fan(rays, chambers, 0)

@@ -78,7 +78,7 @@ def reference_descents(cartan, reference):
 def test_wall_crossing_matches_the_matrix_search(cd):
     reference = reference_enumerate(cd)
     # the same chambers in the same order: the chamber of w is M_w^-1 by rows
-    assert weyl_enumerate(cd) == [inv for _m, _word, inv in reference]
+    assert weyl_enumerate(cd)[0] == [inv for _m, _word, inv in reference]
     expected = fan_from_cones([inv for _m, _w, inv in reference], la.identity(cd.n),
                               require_complete=True)
     assert fan_to_json(coxeter_fan(cd)) == fan_to_json(expected)
@@ -111,12 +111,12 @@ def test_preset_b2():
 
 
 def test_enumeration_counts():
-    assert len(weyl_enumerate(cartan_preset("A", 2))) == 6
-    assert len(weyl_enumerate(cartan_preset("B", 2))) == 8
+    assert len(weyl_enumerate(cartan_preset("A", 2))[0]) == 6
+    assert len(weyl_enumerate(cartan_preset("B", 2))[0]) == 8
     for n in (1, 2, 3, 4):
-        assert len(weyl_enumerate(cartan_preset("A", n))) == _factorial(n + 1)
+        assert len(weyl_enumerate(cartan_preset("A", n))[0]) == _factorial(n + 1)
     for n in (2, 3, 4):
-        assert len(weyl_enumerate(cartan_preset("B", n))) == 2**n * _factorial(n)
+        assert len(weyl_enumerate(cartan_preset("B", n))[0]) == 2**n * _factorial(n)
 
 
 def _factorial(n):
@@ -235,7 +235,7 @@ def test_word_lengths_are_coxeter_lengths():
     # the positive roots that are negative inside the chamber
     for cd in (cd, cartan_preset("A", 3), cartan_preset("B", 3)):
         positive = [r for r in root_system(cd)[0] if min(r) >= 0]
-        for (_m, word, _inv), rays in zip(reference_enumerate(cd), weyl_enumerate(cd)):
+        for (_m, word, _inv), rays in zip(reference_enumerate(cd), weyl_enumerate(cd)[0]):
             inside = tuple(map(sum, zip(*rays)))
             assert sum(1 for r in positive if la.dot(r, inside) < 0) == len(word)
 
@@ -250,7 +250,7 @@ def test_reflections_are_involutions():
 @pytest.mark.parametrize("type_, n", [("A", 3), ("B", 3)])
 def test_tracked_inverses(type_, n):
     reference = reference_enumerate(cartan_preset(type_, n))
-    for (m, _word, inverse), rays in zip(reference, weyl_enumerate(cartan_preset(type_, n))):
+    for (m, _word, inverse), rays in zip(reference, weyl_enumerate(cartan_preset(type_, n))[0]):
         assert la.matmul(m, inverse) == la.identity(n)
         assert inverse == la.invert_unimodular(m)
         assert la.matmul(m, rays) == la.identity(n)
@@ -295,3 +295,15 @@ def test_weyl_command_honours_the_budget(tmp_path, capsys):
     assert main(["fan", "--input", fan_path]) == 0
     assert capsys.readouterr().out == "rank 3, 5 rays, 3 chambers, complete=unknown\n"
     assert main(["weyl", "--type", "A", "--n", "3", "--budget", "24", "--eulerian"]) == 0
+
+
+def test_a_non_finite_type_is_refused_before_any_enumeration(monkeypatch):
+    """Without `elements`, the leading minors of C D decide finiteness first:
+    affine A2 at the default budget makes no `weyl_enumerate` call."""
+    calls = []
+    monkeypatch.setattr(weyl, "weyl_enumerate", lambda *args, **kwargs: calls.append(args))
+    for function in (coxeter_fan, descent_histogram):
+        with pytest.raises(NotFiniteType,
+                           match=r"^not of finite type: leading principal minor 3 of C D is 0$"):
+            function(A_TILDE_2)
+    assert calls == []
