@@ -91,7 +91,7 @@ class NotRank2(TiltfanError):
 
 
 class DimensionTooLarge(TiltfanError):
-    pass
+    """Raised only by `polytope.lattice_iso`, whose search stops at rank 3."""
 
 
 class ParseError(TiltfanError):

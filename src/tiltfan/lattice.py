@@ -135,9 +135,15 @@ def solve_exact(m, rhs):
     return tuple(Fraction(row[cols_n], d) for row in a[:cols_n])
 
 
+def pivot_columns(rows, ncols):
+    """Indices of the columns of the integer matrix with the given rows and
+    ncols columns that are not in the span of the columns left of them."""
+    return _eliminate([list(row) for row in rows], ncols)[0]
+
+
 def rank(rows, ncols):
     """Rank of the integer matrix with the given rows and ncols columns."""
-    return len(_eliminate([list(row) for row in rows], ncols)[0])
+    return len(pivot_columns(rows, ncols))
 
 
 def scaled_inverse(m):

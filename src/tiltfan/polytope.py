@@ -1,8 +1,8 @@
-"""Lattice polytopes by exact arithmetic: convexity of fan polytopes, the
+"""Lattice polytopes by exact arithmetic: the convex hull of integer points
+by double description in every rank, convexity of fan polytopes, the
 g-polytope and its dual read off the chamber inverses in every rank,
 reflexivity, the smooth-Fano test, the rank-2 classification, and root
-polytopes of types A and C, hulls of the roots of `weyl.root_system` in
-rank <= 4."""
+polytopes of types A and C, hulls of the roots of `weyl.root_system`."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,55 +40,63 @@ class LatticePolytope:
         return all(off > 0 for _n, off in self.facets)
 
 
-def _hyperplane_through(points, rank):
-    """Primitive (normal, offset) of the affine hyperplane through the points,
-    or None if they are affinely dependent."""
-    diffs = [la.vsub(p, points[0]) for p in points[1:]]
-    try:
-        normal = la.kernel_functional(diffs, rank)
-    except ValueError:
-        return None
-    return normal, la.dot(normal, points[0])
-
-
 def convex_hull(points, rank=None):
-    """Exact hull of full-dimensional integer point sets in rank <= 4.
+    """Exact hull of a full-dimensional set of integer points, by double
+    description (Motzkin et al. 1953; Fukuda-Prodon 1996).
 
-    Facets come from supporting hyperplanes through rank-subsets; vertices
-    are the points whose active facet normals span the whole space.
+    The facets a . x <= b are the extreme rays (a, b) of the cone of valid
+    inequalities {(a, b) : a . p - b <= 0 for every point p}.  For the first
+    n + 1 affinely independent points the cone is simplicial, its rays the
+    columns of one scaled inverse.  Every further point p cuts it by
+    a . p - b <= 0: the rays it violates go, and each violating ray that is
+    adjacent to a satisfying one (no third ray vanishes on every point on
+    which both vanish) gives the primitive combination of the two that
+    vanishes on p.  Zero sets are bitmasks over the points.  The vertices
+    are the points whose incident facet normals span the space.  Raises
+    ValueError unless every point has n coordinates and n + 1 of them are
+    affinely independent.
     """
     points = sorted({tuple(int(x) for x in p) for p in points})
     if not points:
         raise ValueError("no points")
-    rank = rank or len(points[0])
-    if rank == 1:
-        lo, hi = points[0], points[-1]
-        if lo == hi:
-            raise ValueError("hull is not full-dimensional")
-        return LatticePolytope((lo, hi), (((1,), hi[0]), ((-1,), -lo[0])))
-    if rank > 4:
-        raise DimensionTooLarge("hull implemented for rank <= 4 only")
-
-    facets = {}
-    for sub in combinations(points, rank):
-        hp = _hyperplane_through(list(sub), rank)
-        if hp is None:
-            continue
-        normal, off = hp
-        vals = [la.dot(normal, p) - off for p in points]
-        if all(v <= 0 for v in vals):
-            facets[(normal, off)] = True
-        elif all(v >= 0 for v in vals):
-            facets[(la.vneg(normal), -off)] = True
-    if not facets:
+    n = rank or len(points[0])
+    if any(len(p) != n for p in points):
+        raise ValueError(f"hull of points with other than {n} coordinates")
+    lifted = [p + (-1,) for p in points]
+    simplex = la.pivot_columns(la.from_columns(lifted), len(points))
+    if len(simplex) <= n:
         raise ValueError("hull is not full-dimensional")
-
-    vertices = []
-    for p in points:
-        active = [n for (n, off) in facets if la.dot(n, p) == off]
-        if len(active) >= rank and la.rank(active, rank) == rank:
-            vertices.append(p)
-    return LatticePolytope(tuple(sorted(vertices)), tuple(sorted(facets)))
+    if n == 1:
+        lo, hi = points[0], points[-1]
+        return LatticePolytope((lo, hi), (((1,), hi[0]), ((-1,), -lo[0])))
+    det, adj = la.scaled_inverse([lifted[i] for i in simplex])
+    # H (-det adj) = -det^2 I for H the simplex rows: column k of -det adj
+    # vanishes on every simplex point but the k-th
+    on_all = sum(1 << i for i in simplex)
+    rays = [(on_all ^ 1 << i, la.primitive(la.vscale(-det, col)))
+            for i, col in zip(simplex, la.columns(adj))]
+    for i in sorted(set(range(len(points))) - set(simplex)):
+        h, bit = lifted[i], 1 << i
+        signed = [(la.dot(h, x), z, x) for z, x in rays]
+        kept = [(z | bit if s == 0 else z, x) for s, z, x in signed if s <= 0]
+        plus = [r for r in signed if r[0] > 0]
+        minus = [r for r in signed if r[0] < 0]
+        masks = [z for z, _x in rays]
+        for sp, zp, xp in plus:
+            for sm, zm, xm in minus:
+                z = zp & zm
+                if z.bit_count() < n - 1 or any(
+                    z & w == z and w != zp and w != zm for w in masks
+                ):
+                    continue
+                combined = la.vsub(la.vscale(sp, xm), la.vscale(sm, xp))
+                kept.append((z | bit, la.primitive(combined)))
+        rays = kept
+    vertices = tuple(
+        p for i, p in enumerate(points)
+        if la.rank([x[:n] for z, x in rays if z >> i & 1], n) == n
+    )
+    return LatticePolytope(vertices, tuple(sorted((x[:n], x[n]) for _z, x in rays)))
 
 
 # -- convexity of the fan polytope ------------------------------------------

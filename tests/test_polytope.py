@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltfan import lattice as la
 from tiltfan.brauer import chambers_by_cliques
@@ -12,6 +14,7 @@ from tiltfan.polytope import (
     NONCONVEX_POSITIVE,
     SINGLE_RAY,
     ZERO,
+    LatticePolytope,
     canonical_rank2_fan,
     convex_hull,
     convexity_report,
@@ -22,7 +25,7 @@ from tiltfan.polytope import (
     root_polytope,
     smooth_fano,
 )
-from tiltfan.weyl import cartan_preset, coxeter_fan
+from tiltfan.weyl import CartanData, cartan_preset, coxeter_fan, root_system, short_root_polytope
 
 from conftest import B_D4, b_type_a, gamma3, odd_cycle, path_tree, star_tree
 
@@ -52,6 +55,98 @@ def test_hull_oracle_rank3():
     assert len(poly.facets) == 8
     assert poly.contains((0, 0, 0))
     assert not poly.contains((1, 1, 1))
+
+
+def _rank_subset_hull(points, rank=None):
+    """`convex_hull` as it was before double description, the oracle for
+    rank <= 4: the facets are the supporting hyperplanes through
+    rank-subsets of the points, the vertices the points whose active facet
+    normals span the space.  It adds the check the old hull lacked: the
+    points are not full-dimensional iff no subset spans a hyperplane or
+    every point lies on one facet."""
+    points = sorted({tuple(int(x) for x in p) for p in points})
+    if not points:
+        raise ValueError("no points")
+    rank = rank or len(points[0])
+    if rank == 1:
+        lo, hi = points[0], points[-1]
+        if lo == hi:
+            raise ValueError("hull is not full-dimensional")
+        return LatticePolytope((lo, hi), (((1,), hi[0]), ((-1,), -lo[0])))
+    facets = set()
+    for sub in combinations(points, rank):
+        try:
+            normal = la.kernel_functional([la.vsub(p, sub[0]) for p in sub[1:]], rank)
+        except ValueError:
+            continue
+        off = la.dot(normal, sub[0])
+        values = [la.dot(normal, p) - off for p in points]
+        if all(v <= 0 for v in values):
+            facets.add((normal, off))
+        elif all(v >= 0 for v in values):
+            facets.add((la.vneg(normal), -off))
+    if not facets or any(all(la.dot(n, p) == off for p in points) for n, off in facets):
+        raise ValueError("hull is not full-dimensional")
+    vertices = [p for p in points
+                if la.rank([n for n, off in facets if la.dot(n, p) == off], rank) == rank]
+    return LatticePolytope(tuple(vertices), tuple(sorted(facets)))
+
+
+@st.composite
+def point_sets(draw):
+    """Integer point sets in ranks 1-4 with repeated points.  Half of them
+    also hold the points +-4 e_i, whose hull contains every other point;
+    then half of all sets are flattened onto the hyperplane x_n = x_1 + c
+    (x_n = c in rank 1), so that they are not full-dimensional."""
+    n = draw(st.integers(1, 4))
+    coord = st.integers(-2, 2)
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=7))
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    if draw(st.booleans()):
+        points += [tuple(s * 4 * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    if draw(st.booleans()):
+        c = draw(coord)
+        points = [p[:-1] + ((p[0] if n > 1 else 0) + c,) for p in points]
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_hull_matches_the_rank_subset_oracle(points):
+    try:
+        expected = _rank_subset_hull(points)
+    except ValueError:
+        with pytest.raises(ValueError, match="^hull is not full-dimensional$"):
+            convex_hull(points)
+        return
+    assert convex_hull(points) == expected
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+    [(0, 0), (1, 1), (2, 2)],
+    [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1)],
+    [(0, 0, 0, 0), (1, 1, 1, 1), (-2, -2, -2, -2)],
+    [(3,), (3,)],
+], ids=["coplanar rank 3", "collinear rank 2", "flat rank 4", "collinear rank 4", "one point"])
+def test_hull_of_points_that_are_not_full_dimensional_raises(points):
+    with pytest.raises(ValueError, match="^hull is not full-dimensional$"):
+        convex_hull(points)
+
+
+@pytest.mark.parametrize("points, rank", [
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 2),
+    ([(0, 0), (1, 0), (0, 1)], 3),
+    ([(0, 0), (1, 0, 5), (0, 1)], None),
+], ids=["rank below the points", "rank above the points", "ragged"])
+def test_hull_refuses_points_of_another_rank(points, rank):
+    with pytest.raises(ValueError, match="^hull of points with other than [23] coordinates$"):
+        convex_hull(points, rank)
+
+
+def test_hull_of_a_segment_keeps_its_facet_order():
+    assert convex_hull([(2,), (-1,), (0,), (2,)]) == LatticePolytope(
+        ((-1,), (2,)), (((1,), 2), ((-1,), 1)))
 
 
 def test_convexity_pentagon(pentagon_fan):
@@ -227,7 +322,8 @@ def _reference_polar_pair(fan):
         tuple(la.solve_exact(la.transpose(fan.ray_matrix(ci)), (1,) * fan.rank))
         for ci in range(len(fan.chambers))
     )
-    return convex_hull(fan.rays, fan.rank), convex_hull(per_chamber, fan.rank), per_chamber
+    return (_rank_subset_hull(fan.rays, fan.rank), _rank_subset_hull(per_chamber, fan.rank),
+            per_chamber)
 
 
 ORACLE_FANS = {
@@ -365,7 +461,8 @@ def test_g_polytope_rebuilds_each_chamber_inverse_once(monkeypatch):
 
 def _reference_root_polytope(type_, n):
     """`root_polytope` as it was before it read `weyl.root_system`: the roots
-    listed in the unit basis u_i, then solved in the simple-root basis."""
+    listed in the unit basis u_i, then solved in the simple-root basis, and
+    their hull by the rank-subset oracle."""
     t = type_.upper()
     nv = n + 1 if t == "A" else n
     unit = lambda k: tuple(1 if i == k else 0 for i in range(nv))
@@ -387,7 +484,7 @@ def _reference_root_polytope(type_, n):
         sol = la.solve_exact(b, r)
         assert all(x.denominator == 1 for x in sol)
         coords.append(tuple(int(x) for x in sol))
-    return convex_hull(coords, n)
+    return _rank_subset_hull(coords, n)
 
 
 @pytest.mark.parametrize("type_, n", [(t, n) for t in "AC" for n in range(1, 5)])
@@ -399,3 +496,37 @@ def test_root_polytope_matches_the_unit_basis_construction(type_, n):
 def test_root_polytope_rejects_bad_input(type_, n):
     with pytest.raises(ValueError):
         root_polytope(type_, n)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_root_polytope_closed_forms_past_rank_4(n):
+    a_n, c_n = root_polytope("A", n), root_polytope("C", n)
+    assert (len(a_n.vertices), len(a_n.facets)) == (n * (n + 1), 2 ** (n + 1) - 2)
+    assert (len(c_n.vertices), len(c_n.facets)) == (2 * n, 2 ** n)
+
+
+def _simply_laced(n, edges):
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        c[i][j] = c[j][i] = -1
+    return CartanData(la.mat(c), (1,) * n)
+
+
+@pytest.mark.parametrize("cd, vertices, facets", [
+    (_simply_laced(5, [(0, 1), (1, 2), (2, 3), (2, 4)]), 40, 42),
+    (_simply_laced(6, [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]), 72, 54),
+], ids=["D5", "E6"])
+def test_simply_laced_root_polytopes(cd, vertices, facets):
+    """Every root of D5 and E6 is short and a vertex of the root polytope."""
+    roots, short = root_system(cd)
+    poly = short_root_polytope(cd)
+    assert short == roots and poly.vertices == tuple(sorted(roots))
+    assert (len(poly.vertices), len(poly.facets)) == (vertices, facets)
+
+
+@pytest.mark.parametrize("type_, n", [(t, n) for t in "AB" for n in (3, 4, 5)])
+def test_short_root_polytope_is_the_dual_of_the_coxeter_fan(type_, n):
+    """The dual of the preprojective g-polytope is the short root polytope:
+    a hull of the short roots against the v_C of the chamber inverses."""
+    cd = cartan_preset(type_, n)
+    assert short_root_polytope(cd) == dual_polytope(coxeter_fan(cd))[0]
