@@ -1,6 +1,5 @@
 """Simplicial fan data model: validation, the wall-crossing search, faces,
-walls, Hasse orientation, coordinate restriction, sign filtering and
-reduction.
+walls, Hasse orientation, sign filtering and Jasso reduction.
 
 A fan is stored combinatorially: a table of primitive rays plus the maximal
 chambers as frozensets of ray indices.  Completeness is a certificate
@@ -72,13 +71,11 @@ class Fan:
         idx = sorted(self.chambers[chamber_index])
         return la.from_columns([self.rays[i] for i in idx], rank=self.rank)
 
-    def base_basis(self):
-        """Base-chamber rays in descending lex order, so that a standard
-        orthant base yields the unit vectors e_1, ..., e_n in order."""
-        return sorted((self.rays[i] for i in self.chambers[self.base]), reverse=True)
-
     def base_matrix(self):
-        return la.from_columns(self.base_basis(), rank=self.rank)
+        """Columns are the base-chamber rays in descending lex order, so that
+        a standard orthant base yields the identity."""
+        base_rays = sorted((self.rays[i] for i in self.chambers[self.base]), reverse=True)
+        return la.from_columns(base_rays, rank=self.rank)
 
     def chamber_key(self, chamber_index):
         return tuple(sorted(self.rays[i] for i in self.chambers[chamber_index]))
@@ -507,31 +504,6 @@ def hasse_orient(fan):
     return HasseOrientation(tuple(arrows))
 
 
-def restrict_to_coordinates(fan, indices):
-    """Subfan of cones lying in the span of the chosen base-chamber rays,
-    re-expressed in base-chamber coordinates of rank len(indices).
-
-    This is a section of the fan by a coordinate subspace, not the fan
-    Sigma(A/<e>) of an idempotent reduction: Coxeter A4 at {0, 2} gives 6
-    chambers, where A1 x A1 has 4.  The reduction at a face of the fan
-    (Jasso reduction) is `reduce_at_cone`.
-    """
-    indices = sorted(set(indices))
-    if not all(0 <= i < fan.rank for i in indices):
-        raise TiltfanError("coordinate index out of range")
-    s_inv = la.invert_unimodular(fan.base_matrix())
-    coords = [la.matvec(s_inv, r) for r in fan.rays]
-    inside = {
-        i
-        for i, c in enumerate(coords)
-        if all(c[j] == 0 for j in range(fan.rank) if j not in indices)
-    }
-    new_ray_of = {i: tuple(coords[i][j] for j in indices) for i in inside}
-    cones = {frozenset(new_ray_of[i] for i in c & inside) for c in fan.chambers}
-    base_cone = [new_ray_of[i] for i in fan.chambers[fan.base] & inside]
-    return fan_from_cones([c for c in cones if len(c) == len(indices)], base_cone)
-
-
 def sign_filter(fan, eps):
     """Chamber indices contained in the closed orthant eps of the base coordinates."""
     if len(eps) != fan.rank or any(e not in (1, -1) for e in eps):
@@ -546,17 +518,21 @@ def sign_filter(fan, eps):
 
 
 def reduce_at_cone(fan, cone_ray_indices):
-    """Project the star of a cone along the quotient by its span.
+    """The Jasso reduction at a cone: its star projected along the quotient
+    by its span.
 
-    cone_ray_indices must be a face of some chamber.  The quotient map is
-    the rows of the inverse ray matrix of the first star chamber C (in the
-    order below) at the rays of C off the cone: it maps Z^n onto
-    Z^(n - |cone|) with kernel the span of the cone.  The base of the
-    reduced fan is the image of the lexicographically least chamber (by
-    sorted ray vectors) containing the cone whose image keeps the projected
-    fan sign-coherent; it exists, as the reduced fan is again a g-fan
-    (Jasso reduction).  Candidates are tested on the projected rays, so the
-    reduced fan is built once.
+    cone_ray_indices must be a face of some chamber.  The quotient map q is
+    the rows of the inverse ray matrix of the first star chamber C (by
+    sorted ray vectors) at the rays of C off the cone: it maps Z^n onto
+    Z^(n - |cone|) with kernel the span of the cone, so the projected star
+    is a complete unimodular fan.  Its base is the image cone that holds
+    q(y0) + eps e_1 + eps^2 e_2 + ... (y0 the sum of the base rays, eps > 0
+    infinitesimal; `holds_test_point`), and exactly one does, by the
+    covering argument of `build_fan`.  For a c-sign-coherent fan that is
+    the image of the star chamber on the base side of every wall through
+    the cone, the Bongartz completion (Jasso 2015).  At the cone of the rays
+    -e_j, the shifted projectives P_j[1], the reduction is the fan
+    Sigma(A/<e>) of the idempotent reduction, in the coordinates of q.
     """
     sigma = frozenset(cone_ray_indices)
     if fan.complete != CERTIFIED:
@@ -573,15 +549,12 @@ def reduce_at_cone(fan, cone_ray_indices):
     first = sorted(star[0])
     inv = la.invert_unimodular(la.from_columns([fan.rays[i] for i in first]))
     q = [row for i, row in zip(first, inv) if i not in sigma]
-    link = sorted(set().union(*star) - sigma)
-    image = [la.matvec(q, fan.rays[i]) for i in link]
-    position = {i: p for p, i in enumerate(link)}
-    cones = [[position[i] for i in c - sigma] for c in star]
-    for cone in cones:
-        if _sign_incoherence(image, cones, [image[p] for p in cone]) is None:
-            return fan_from_cones([[image[p] for p in c] for c in cones],
-                                  [image[p] for p in cone])
-    raise TiltfanError(f"no chamber around {tuple(sorted(sigma))} gives a sign-coherent reduction")
+    image = {i: la.matvec(q, fan.rays[i]) for i in set().union(*star) - sigma}
+    cones = [[image[i] for i in c - sigma] for c in star]
+    y0 = la.matvec(q, tuple(map(sum, zip(*(fan.rays[i] for i in fan.chambers[fan.base])))))
+    base = next(c for c in cones
+                if holds_test_point(*la.scaled_inverse(la.from_columns(c)), y0))
+    return fan_from_cones(cones, base)
 
 
 def verify_pairwise_intersections(fan):

@@ -321,32 +321,6 @@ def root_polytope(type_, n):
 # -- lattice isomorphism (rank <= 3) ------------------------------------------
 
 
-def compare_fan_invariants(fan_a, fan_b, ell_max=3):
-    """Invariant-level comparison for fans beyond the isomorphism-search cap.
-
-    Compares f-vectors, g-polytope vertex counts (for convex inputs) and
-    Ehrhart counts up to ell_max; "match" is a necessary condition only,
-    never an isomorphism claim.
-    """
-    from .combinatorics import ehrhart_count, f_vector, h_vector
-
-    def profile(fan):
-        f = f_vector(fan)
-        h = h_vector(f)
-        try:
-            hull_vertices = len(g_polytope(fan).vertices)
-        except NotConvex:
-            hull_vertices = None
-        return {
-            "f": f,
-            "hull_vertices": hull_vertices,
-            "ehrhart": tuple(ehrhart_count(h, ell) for ell in range(1, ell_max + 1)),
-        }
-
-    pa, pb = profile(fan_a), profile(fan_b)
-    return ("match" if pa == pb else "differ"), pa, pb
-
-
 def lattice_iso(p, q):
     """Unimodular map carrying the vertex set of p onto that of q, or None.
 

@@ -70,10 +70,6 @@ class CartanData:
             tuple(k * self.c[i][j] // self.d[i] for j in range(self.n)) for i in range(self.n)
         )
 
-    def norm(self, v):
-        g = self.gram()
-        return sum(v[i] * g[i][j] * v[j] for i in range(self.n) for j in range(self.n))
-
 
 def cartan_preset(type_, n):
     """Cartan data of type A_n (symmetrizer 1) or B_n (last entry doubled)."""
@@ -171,8 +167,10 @@ def root_system(cartan):
                     roots.add(r2)
                     nxt.append(r2)
         frontier = nxt
-    min_norm = min(cartan.norm(r) for r in roots)
-    short = {r for r in roots if cartan.norm(r) == min_norm}
+    g = cartan.gram()
+    norm = {r: la.dot(r, la.matvec(g, r)) for r in roots}
+    min_norm = min(norm.values())
+    short = {r for r, x in norm.items() if x == min_norm}
     return roots, short
 
 

@@ -174,6 +174,22 @@ def test_root_map_edge_images_are_roots():
             assert img in tgt
 
 
+@pytest.mark.parametrize("make", [lambda: path_tree(5), lambda: star_tree(5),
+                                  lambda: odd_cycle(3), lambda: odd_cycle(5)],
+                         ids=["path 5", "star 5", "odd 3", "odd 5"])
+def test_root_map_is_a_lattice_isomorphism_onto_the_root_system(make):
+    """`root_map` sends the rays bijectively onto the roots, and its n edge
+    images have rank n, so it carries the g-polytope (the hull of the rays)
+    onto the root polytope, lattice onto root lattice, in every rank."""
+    graph = make()
+    fan = chambers_by_cliques(graph)
+    rm = root_map(graph)
+    images = [rm.apply(r) for r in fan.rays]
+    assert len(set(images)) == len(images)
+    assert set(images) == target_roots(graph)
+    assert la.rank(rm.edge_images, rm.n_vertices) == fan.rank
+
+
 def test_fan_sign_coherent_wrt_positive_base():
     # build_fan validates sign-coherence; reaching here means it held
     fan = chambers_by_cliques(star_tree(3))

@@ -1,3 +1,5 @@
+from itertools import combinations, permutations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,10 +26,9 @@ from tiltfan.fan import (
     fan_to_json,
     hasse_orient,
     reduce_at_cone,
-    restrict_to_coordinates,
     sign_filter,
 )
-from tiltfan.weyl import cartan_preset, coxeter_fan
+from tiltfan.weyl import CartanData, cartan_preset, coxeter_fan
 
 from conftest import (
     B_A2,
@@ -140,28 +141,6 @@ def test_hasse_acyclic_unique_source_sink(pentagon_fan, a3_cluster_fan):
         assert seen == n
 
 
-def test_restrict_pentagon():
-    fan = pentagon()
-    sub = restrict_to_coordinates(fan, [0])
-    assert set(sub.rays) == {(1,), (-1,)}
-    assert sub.complete == CERTIFIED
-    full = restrict_to_coordinates(fan, [0, 1])
-    assert set(full.rays) == set(fan.rays)
-    assert len(full.chambers) == len(fan.chambers)
-
-
-def test_restrict_ray_support_invariant(a3_cluster_fan):
-    fan = a3_cluster_fan
-    for subset in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
-        sub = restrict_to_coordinates(fan, subset)
-        expected = {
-            tuple(r[j] for j in subset)
-            for r in fan.rays
-            if all(r[j] == 0 for j in range(fan.rank) if j not in subset)
-        }
-        assert set(sub.rays) == expected
-
-
 def test_sign_filter_pentagon():
     fan = pentagon()
     plus = sign_filter(fan, (1, 1))
@@ -183,8 +162,6 @@ def test_sign_filter_covers_all_chambers(pentagon_fan, a3_cluster_fan):
 
 
 def _orthants(n):
-    from itertools import product
-
     return product((1, -1), repeat=n)
 
 
@@ -224,8 +201,7 @@ def test_reduce_not_a_face():
     lambda: chambers_by_cliques(path_tree(4)),
 ], ids=["cluster A3", "cluster A4", "weyl A3", "weyl B3", "brauer path4"])
 def test_each_reduction_builds_one_fan(make, monkeypatch):
-    # the candidate bases are tested on the projected rays, so no refused
-    # candidate pays for a build_fan call
+    # the base is picked on the projected rays, so the reduced fan is built once
     fan = make()
     calls = []
     original = fan_module.build_fan
@@ -252,6 +228,69 @@ def test_reduce_a3_star_counts(a3_cluster_fan):
         assert red.rank == 2
         assert len(red.chambers) == star
         assert red.complete == CERTIFIED
+
+
+# -- idempotent reduction: Sigma(A/<e>) at the shifted projectives -------------
+
+
+def _tree_orientations(n, edges):
+    """Exchange matrices of every orientation of the tree on vertices 0..n-1."""
+    for signs in product((1, -1), repeat=len(edges)):
+        b = [[0] * n for _ in range(n)]
+        for (i, j), sign in zip(edges, signs):
+            b[i][j], b[j][i] = sign, -sign
+        yield tuple(map(tuple, b))
+
+
+def _principal(m, keep):
+    return tuple(tuple(m[i][j] for j in keep) for i in keep)
+
+
+def _chamber_sets(fan, base_rays):
+    """The chambers as sets of ray vectors, in the coordinates of base_rays."""
+    s_inv = la.invert_unimodular(la.from_columns(base_rays))
+    coords = [la.matvec(s_inv, r) for r in fan.rays]
+    return {frozenset(coords[i] for i in c) for c in fan.chambers}
+
+
+def check_idempotent_reductions(fan, sub_fan):
+    """At the cone of the rays -e_j, j outside each nonempty proper vertex
+    subset S, compare with sub_fan(S), the front-end fan of the sub-diagram:
+    (a) the star with coordinates j dropped, unit vectors as base, equals it;
+    (b) `reduce_at_cone` equals it in base-chamber coordinates, up to the
+    order of the base rays."""
+    n = fan.rank
+    for size in range(1, n):
+        for keep in combinations(range(n), size):
+            sigma = {fan.rays.index(tuple(-int(i == j) for i in range(n)))
+                     for j in range(n) if j not in keep}
+            expected = sub_fan(keep)
+            star = [[tuple(fan.rays[i][j] for j in keep) for i in c - sigma]
+                    for c in fan.chambers if sigma <= c]
+            assert fan_from_cones(star, la.identity(size)) == expected, keep
+            red = reduce_at_cone(fan, sigma)
+            target = _chamber_sets(expected, la.identity(size))
+            base = [red.rays[i] for i in red.chambers[red.base]]
+            assert any(_chamber_sets(red, order) == target for order in permutations(base)), keep
+
+
+A_EDGES = {n: [(i, i + 1) for i in range(n - 1)] for n in (3, 4, 5)}
+D_EDGES = {n: [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)] for n in (4, 5)}
+
+
+@pytest.mark.parametrize("n, edges", [(3, A_EDGES[3]), (4, A_EDGES[4]), (4, D_EDGES[4])],
+                         ids=["A3", "A4", "D4"])
+def test_idempotent_reductions_of_cluster_fans(n, edges):
+    for b in _tree_orientations(n, edges):
+        check_idempotent_reductions(enumerate_gfan(b),
+                                    lambda keep, b=b: enumerate_gfan(_principal(b, keep)))
+
+
+@pytest.mark.parametrize("type_, n", [("A", 3), ("A", 4), ("A", 5), ("B", 3), ("B", 4), ("B", 5)])
+def test_idempotent_reductions_of_coxeter_fans(type_, n):
+    cd = cartan_preset(type_, n)
+    check_idempotent_reductions(coxeter_fan(cd), lambda keep: coxeter_fan(
+        CartanData(_principal(cd.c, keep), tuple(cd.d[i] for i in keep))))
 
 
 def test_paranoid_verification(a3_cluster_fan):
@@ -795,7 +834,7 @@ def _reference_sign_incoherence(rays, chambers, base_rays):
 )))
 def test_sign_incoherence_matches_the_coordinate_loop(case):
     """The same (chamber, coordinate) as the plain loop, for chambers given
-    as lists (as `reduce_at_cone` passes them) or frozensets."""
+    as lists or frozensets (as `build_fan` passes them)."""
     rays, chambers, ops, as_sets = case
     n = len(rays[0])
     base = [list(row) for row in la.identity(n)]

@@ -295,25 +295,6 @@ def test_d4_not_convex():
         g_polytope(fan)
 
 
-def test_compare_fan_invariants(pentagon_fan, a3_cluster_fan):
-    from tiltfan.polytope import compare_fan_invariants
-
-    verdict, _, _ = compare_fan_invariants(pentagon_fan, pentagon_fan)
-    assert verdict == "match"
-    verdict, pa, pb = compare_fan_invariants(pentagon_fan, a3_cluster_fan)
-    assert verdict == "differ"
-    assert pa["f"] != pb["f"]
-
-
-def test_compare_fan_invariants_counts_vertices_in_rank5():
-    from tiltfan.polytope import compare_fan_invariants
-
-    verdict, pa, pb = compare_fan_invariants(chambers_by_cliques(path_tree(5)),
-                                             chambers_by_cliques(odd_cycle(5)), ell_max=1)
-    assert verdict == "differ"
-    assert (pa["hull_vertices"], pb["hull_vertices"]) == (30, 10)
-
-
 def _reference_polar_pair(fan):
     """`g_polytope` and `dual_polytope` as they were before they read the
     chamber inverses: the hulls of the rays and of the v_C, each v_C by an
@@ -530,3 +511,29 @@ def test_short_root_polytope_is_the_dual_of_the_coxeter_fan(type_, n):
     a hull of the short roots against the v_C of the chamber inverses."""
     cd = cartan_preset(type_, n)
     assert short_root_polytope(cd) == dual_polytope(coxeter_fan(cd))[0]
+
+
+FINITE_TYPES = {
+    **{f"{t}{n}": cartan_preset(t, n) for t in "AB" for n in (2, 3, 4, 5)},
+    **{f"C{n}": CartanData(la.transpose(cartan_preset("B", n).c), (2,) * (n - 1) + (1,))
+       for n in (3, 4, 5)},
+    "D4": _simply_laced(4, [(0, 1), (1, 2), (1, 3)]),
+    "D5": _simply_laced(5, [(0, 1), (1, 2), (2, 3), (2, 4)]),
+    "F4": CartanData(((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+                     (2, 2, 1, 1)),
+    "G2": CartanData(((2, -1), (-3, 2)), (1, 3)),
+    "G2 dual": CartanData(((2, -3), (-1, 2)), (3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", FINITE_TYPES)
+def test_g_convex_preprojective_types(name):
+    """Of the finite types of rank <= 5, exactly A_n and B_n (in the
+    preset's convention) have a convex g-polytope; the others raise
+    NotConvex."""
+    fan = coxeter_fan(FINITE_TYPES[name])
+    if name[0] in "AB":
+        g_polytope(fan)
+    else:
+        with pytest.raises(NotConvex):
+            g_polytope(fan)

@@ -211,6 +211,21 @@ def test_root_system_b2():
     assert (1, 1) in short  # the sum of the simple roots is short
 
 
+@pytest.mark.parametrize("type_, n, roots, short", [("A", 4, 20, 20), ("B", 4, 32, 8)])
+def test_root_system_builds_the_gram_matrix_once(type_, n, roots, short, monkeypatch):
+    calls = []
+    original = CartanData.gram
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CartanData, "gram", counting)
+    found, found_short = root_system(cartan_preset(type_, n))
+    assert (len(found), len(found_short)) == (roots, short)
+    assert len(calls) == 1
+
+
 def test_short_root_polytope_shapes():
     seg = short_root_polytope(cartan_preset("A", 1))
     assert seg.vertices == ((-1,), (1,))
