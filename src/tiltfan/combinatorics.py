@@ -1,17 +1,45 @@
 """Enumerative invariants of a complete fan: f-, h- and gamma-vectors,
-Dehn-Sommerville symmetry, Ehrhart counts (closed form and brute force)."""
+Dehn-Sommerville symmetry, Ehrhart counts (closed form and brute force).
 
+The f-vector is counted from the walls, not from the faces.  For a complete
+simplicial fan and a generic direction v, h_i is the number of chambers
+that v leaves through exactly i walls (Fulton, Introduction to Toric
+Varieties, 1993, section 5.2).  `build_fan` already holds every wall
+normal, so this costs one dot product per wall; `fan.faces` lists the
+faces themselves.  With v inside the base chamber of a g-fan, the count
+is the paper's: h_i counts the 2-term silting complexes with i left
+mutations, the out-degrees of the Hasse quiver (`fan.hasse_orient`).
+"""
+
+from itertools import combinations_with_replacement
 from math import comb
 
+from . import lattice as la
 from .errors import IncompleteFan, NotPalindromic
-from .fan import CERTIFIED, faces
+from .fan import CERTIFIED, faces  # noqa: F401 (faces is re-exported)
 
 
 def f_vector(fan):
-    """(f_-1, f_0, ..., f_{n-1}) where f_{i-1} counts i-element faces."""
+    """(f_-1, f_0, ..., f_{n-1}) where f_{i-1} counts i-element faces.
+
+    Counted from the h-vector of the direction v = e_n + eps e_{n-1} +
+    eps^2 e_{n-2} + ... (eps > 0 infinitesimal).  Every wall normal has
+    its last nonzero entry positive, so it is positive on v, and v leaves
+    the wall's chamber whose free ray pairs negatively with the normal.
+    h_i is the number of chambers with i such exits (Fulton 1993, 5.2),
+    and f follows by `recover_f`.  This is O(walls * n).
+    """
     if fan.complete != CERTIFIED:
         raise IncompleteFan("f-vector requires a certified-complete fan")
-    return tuple(len(faces(fan, i)) for i in range(fan.rank + 1))
+    exits = [0] * len(fan.chambers)
+    for w in fan.walls:
+        ca, cb = w.chambers
+        (free_a,) = fan.chambers[ca] - w.shared
+        exits[ca if la.dot(w.normal, fan.rays[free_a]) < 0 else cb] += 1
+    h = [0] * (fan.rank + 1)
+    for e in exits:
+        h[e] += 1
+    return recover_f(h)
 
 
 def h_vector(f):
@@ -66,32 +94,22 @@ def ehrhart_count(h, ell):
 def ehrhart_bruteforce(fan, ell):
     """Exact count of points of the ell-th dilate of the fan's polytope.
 
-    Enumerates integer combinations sum a_i r_i with a_i >= 0 and
-    sum a_i <= ell inside every chamber and dedupes; unimodularity of the
-    chambers makes this the full set of lattice points.
+    Still brute force: every point is listed and deduplicated.  Inside a
+    chamber the points are the sums of t of its rays, repeats allowed, for
+    t = 0..ell (the multisets of `combinations_with_replacement`); the
+    chambers are unimodular, so these are all of its lattice points.  A
+    rank-0 fan has the one point 0.
     """
     if fan.complete != CERTIFIED:
         raise IncompleteFan("Ehrhart enumeration requires a certified-complete fan")
     if ell < 1:
         raise ValueError("dilation factor must be >= 1")
-    points = set()
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
+    points = {(0,) * fan.rank}
     for c in fan.chambers:
         rays = [fan.rays[i] for i in sorted(c)]
-        for total in range(ell + 1):
-            for coeffs in compositions(total, len(rays)):
-                p = tuple(
-                    sum(a * r[j] for a, r in zip(coeffs, rays)) for j in range(fan.rank)
-                )
-                points.add(p)
+        for t in range(1, ell + 1):
+            points.update(tuple(map(sum, zip(*combo)))
+                          for combo in combinations_with_replacement(rays, t))
     return len(points)
 
 

@@ -1,9 +1,13 @@
 """Shared builders for the test graphs and fans."""
 
+from functools import cache
+
 import pytest
 
-from tiltfan.brauer import BrauerGraph
+from tiltfan import lattice as la
+from tiltfan.brauer import BrauerGraph, chambers_by_cliques
 from tiltfan.cluster import enumerate_gfan
+from tiltfan.weyl import CartanData, cartan_preset, coxeter_fan
 
 
 def cyc_sigma(cycles):
@@ -95,6 +99,46 @@ def b_type_a(n, perm=None):
         b[perm[i]][perm[i + 1]] = 1
         b[perm[i + 1]][perm[i]] = -1
     return tuple(tuple(r) for r in b)
+
+
+def simply_laced(n, edges):
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        c[i][j] = c[j][i] = -1
+    return CartanData(la.mat(c), (1,) * n)
+
+
+FINITE_TYPES = {
+    **{f"{t}{n}": cartan_preset(t, n) for t in "AB" for n in (2, 3, 4, 5)},
+    **{f"C{n}": CartanData(la.transpose(cartan_preset("B", n).c), (2,) * (n - 1) + (1,))
+       for n in (3, 4, 5)},
+    "D4": simply_laced(4, [(0, 1), (1, 2), (1, 3)]),
+    "D5": simply_laced(5, [(0, 1), (1, 2), (2, 3), (2, 4)]),
+    "F4": CartanData(((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+                     (2, 2, 1, 1)),
+    "G2": CartanData(((2, -1), (-3, 2)), (1, 3)),
+    "G2 dual": CartanData(((2, -3), (-1, 2)), (3, 1)),
+}
+
+# one builder per front-end fan of rank <= 6 that the tests build
+FRONT_END_FANS = {
+    **{f"cluster A{n}": (lambda n=n: enumerate_gfan(b_type_a(n))) for n in range(1, 6)},
+    "cluster A3 (B_A3)": lambda: enumerate_gfan(B_A3),
+    "cluster D4": lambda: enumerate_gfan(B_D4),
+    "coxeter A1": lambda: coxeter_fan(cartan_preset("A", 1)),
+    **{f"coxeter {name}": (lambda cd=cd: coxeter_fan(cd)) for name, cd in FINITE_TYPES.items()},
+    **{f"path {n}": (lambda n=n: chambers_by_cliques(path_tree(n))) for n in range(2, 7)},
+    **{f"star {n}": (lambda n=n: chambers_by_cliques(star_tree(n))) for n in range(3, 7)},
+    **{f"odd {n}": (lambda n=n: chambers_by_cliques(odd_cycle(n))) for n in range(3, 7)},
+    **{f"brauer {make.__name__}": (lambda make=make: chambers_by_cliques(make()))
+       for make in (loop_graph, gamma2, gamma3, triangle)},
+}
+
+
+@cache
+def front_end_fan(name):
+    """The fan of FRONT_END_FANS[name], built once per test session."""
+    return FRONT_END_FANS[name]()
 
 
 @pytest.fixture(scope="session")

@@ -25,9 +25,19 @@ from tiltfan.polytope import (
     root_polytope,
     smooth_fano,
 )
-from tiltfan.weyl import CartanData, cartan_preset, coxeter_fan, root_system, short_root_polytope
+from tiltfan.weyl import cartan_preset, coxeter_fan, root_system, short_root_polytope
 
-from conftest import B_D4, b_type_a, gamma3, odd_cycle, path_tree, star_tree
+from conftest import (
+    B_D4,
+    FINITE_TYPES,
+    b_type_a,
+    front_end_fan,
+    gamma3,
+    odd_cycle,
+    path_tree,
+    simply_laced,
+    star_tree,
+)
 
 
 def square_fan():
@@ -486,16 +496,9 @@ def test_root_polytope_closed_forms_past_rank_4(n):
     assert (len(c_n.vertices), len(c_n.facets)) == (2 * n, 2 ** n)
 
 
-def _simply_laced(n, edges):
-    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
-    for i, j in edges:
-        c[i][j] = c[j][i] = -1
-    return CartanData(la.mat(c), (1,) * n)
-
-
 @pytest.mark.parametrize("cd, vertices, facets", [
-    (_simply_laced(5, [(0, 1), (1, 2), (2, 3), (2, 4)]), 40, 42),
-    (_simply_laced(6, [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]), 72, 54),
+    (simply_laced(5, [(0, 1), (1, 2), (2, 3), (2, 4)]), 40, 42),
+    (simply_laced(6, [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]), 72, 54),
 ], ids=["D5", "E6"])
 def test_simply_laced_root_polytopes(cd, vertices, facets):
     """Every root of D5 and E6 is short and a vertex of the root polytope."""
@@ -513,17 +516,19 @@ def test_short_root_polytope_is_the_dual_of_the_coxeter_fan(type_, n):
     assert short_root_polytope(cd) == dual_polytope(coxeter_fan(cd))[0]
 
 
-FINITE_TYPES = {
-    **{f"{t}{n}": cartan_preset(t, n) for t in "AB" for n in (2, 3, 4, 5)},
-    **{f"C{n}": CartanData(la.transpose(cartan_preset("B", n).c), (2,) * (n - 1) + (1,))
-       for n in (3, 4, 5)},
-    "D4": _simply_laced(4, [(0, 1), (1, 2), (1, 3)]),
-    "D5": _simply_laced(5, [(0, 1), (1, 2), (2, 3), (2, 4)]),
-    "F4": CartanData(((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
-                     (2, 2, 1, 1)),
-    "G2": CartanData(((2, -1), (-3, 2)), (1, 3)),
-    "G2 dual": CartanData(((2, -3), (-1, 2)), (3, 1)),
-}
+def check_dual_is_the_short_root_polytope(fan, cd):
+    """Hull-free certificate that the dual of the preprojective g-polytope
+    is conv(short roots): its vertices are exactly the short roots, and
+    every short root satisfies every dual facet."""
+    dual = dual_polytope(fan)[0]
+    _roots, short = root_system(cd)
+    assert set(dual.vertices) == short
+    assert all(dual.contains(s) for s in short)
+
+
+@pytest.mark.parametrize("name", [f"{t}{n}" for t in "AB" for n in (2, 3, 4, 5)])
+def test_dual_is_the_short_root_polytope_without_a_hull(name):
+    check_dual_is_the_short_root_polytope(front_end_fan(f"coxeter {name}"), FINITE_TYPES[name])
 
 
 @pytest.mark.parametrize("name", FINITE_TYPES)
