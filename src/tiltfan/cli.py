@@ -8,7 +8,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import brauer, cluster, combinatorics, polytope, weyl
 from .errors import NotConvex, NotRank2, ParseError, TiltfanError, parse_int, reading
@@ -51,17 +50,12 @@ def _load_json(path):
             raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _rat(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def polytope_to_json(poly):
     return {
         "schema_version": 1,
         "vertices": [list(v) for v in poly.vertices],
         "facets": [
-            {"normal": [_rat(x) for x in n], "offset": _rat(off)} for n, off in poly.facets
+            {"normal": [str(x) for x in n], "offset": str(off)} for n, off in poly.facets
         ],
     }
 

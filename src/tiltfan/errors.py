@@ -90,10 +90,6 @@ class NotRank2(TiltfanError):
     pass
 
 
-class DimensionTooLarge(TiltfanError):
-    """Raised only by `polytope.lattice_iso`, whose search stops at rank 3."""
-
-
 class ParseError(TiltfanError):
     pass
 

@@ -313,25 +313,6 @@ def _non_unimodular(rays, chambers):
             return NonUnimodularChamber(ci, det)
 
 
-def inverse_from_normals(rays, idx, normals):
-    """Inverse of the unimodular ray matrix with columns rays[i], i in idx,
-    from the normals of its facets (`normals` maps a facet, the frozenset of
-    its ray indices, to its primitive normal or None).
-
-    Row q vanishes on every ray but idx[q], where it is 1, so it is the
-    facet normal opposite that ray, signed by its unit dot with the ray.
-    None if a facet has no normal.
-    """
-    c = frozenset(idx)
-    inv = []
-    for q in idx:
-        normal = normals.get(c - {q})
-        if normal is None:
-            return None
-        inv.append(normal if la.dot(normal, rays[q]) > 0 else la.vneg(normal))
-    return tuple(inv)
-
-
 def fan_from_cones(cones, base_cone, require_complete=False, across=None):
     """The Fan whose chambers are the given cones, each a sequence of ray
     vectors (tuples of integers), with base chamber base_cone.

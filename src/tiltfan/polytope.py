@@ -1,22 +1,28 @@
 """Lattice polytopes by exact arithmetic: the convex hull of integer points
 by double description in every rank, convexity of fan polytopes, the
-g-polytope and its dual read off the chamber inverses in every rank,
-reflexivity, the smooth-Fano test, the rank-2 classification, and root
-polytopes of types A and C, hulls of the roots of `weyl.root_system`."""
+g-polytope and its dual, reflexivity, the smooth-Fano test, the rank-2
+classification, and root polytopes of types A and C, hulls of the roots of
+`weyl.root_system`.
+
+Every chamber inverse is read off the wall normals: the normal of the wall
+of C opposite ray i, signed to be 1 on it, is row i of C's inverse ray
+matrix.  Their sum is v_C, with v_C . r = 1 on the rays of C.  The fan
+polytope is convex iff v_C . r_b <= 1 across every wall, r_b the free ray
+of the chamber on the other side (Cox-Little-Schenck, Toric Varieties,
+2011, section 6.1); `convexity_report` also gives each wall the paper's
+exchange-triangle class, which is its convexity test on g-fans."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
 
 from . import lattice as la
 from .errors import (
-    DimensionTooLarge,
     IncompleteFan,
     NotConvex,
     NotRank2,
     OriginNotInterior,
 )
-from .fan import CERTIFIED, fan_from_cones, inverse_from_normals
+from .fan import CERTIFIED, fan_from_cones
 from .weyl import CartanData, cartan_preset, root_system
 
 
@@ -122,47 +128,44 @@ class ConvexityReport:
 
 
 def convexity_report(fan):
-    """Classify v + v' over every wall in the shared-ray basis.
+    """Classify r_a + r_b, the sum of a wall's free rays, in the basis of
+    its shared rays, by the first chamber's inverse rows, over every wall.
 
-    The sum of the two free rays is an integer combination of the shared
-    rays (unimodularity); the fan polytope is convex iff every wall gives
-    0, one shared ray, or a sum of two shared rays.  The coefficients are
-    read off the inverse of the wall's first chamber's ray matrix, whose
-    rows are the fan's signed wall normals; each chamber's inverse is
-    rebuilt once, for all the walls it is first in.
+    The sum s of the shared-ray coefficients is the same from either side,
+    and v_C . r_b = s - 1 for C the first chamber, so the fan polytope is
+    convex iff s <= 2 on every wall: the toric criterion (Cox-Little-Schenck,
+    Toric Varieties, 2011, section 6.1).  The classes are the paper's
+    exchange-triangle classification on g-fans, whose coefficients are
+    >= 0; other fans can have NotPositive walls and still be convex.
     """
-    return _chamber_pass(fan, every_chamber=False)[0]
+    rows = _inverse_rows(fan)
+    classes = [_wall_class(fan, w, rows[w.chambers[0]]) for w in fan.walls]
+    return ConvexityReport(all(s <= 2 for _wc, s in classes),
+                           tuple(wc for wc, _s in classes))
 
 
-def _chamber_pass(fan, every_chamber):
-    """The ConvexityReport and, if every_chamber, v_C for each chamber C (the
-    sum of the rows of its inverse), from one pass that rebuilds the inverse
-    of each chamber first in some wall, or of every chamber."""
+def _inverse_rows(fan):
+    """rows[C][i], for each chamber C and ray i of C, is row i of the
+    inverse of C's ray matrix: the normal of C's wall opposite ray i,
+    signed to be 1 on it.  The free rays of a wall lie on opposite sides
+    of it, so the two chambers take opposite signs."""
     if fan.complete != CERTIFIED:
         raise IncompleteFan("convexity requires a certified-complete fan")
-    normals = {w.shared: w.normal for w in fan.walls}
-    first_in = [[] for _ in fan.chambers]
-    for wi, w in enumerate(fan.walls):
-        first_in[w.chambers[0]].append(wi)
-    out = [None] * len(fan.walls)
-    per_chamber = []
-    for ca, wall_indices in enumerate(first_in):
-        if not (wall_indices or every_chamber):
-            continue
-        idx = sorted(fan.chambers[ca])
-        inv = inverse_from_normals(fan.rays, idx, normals)
-        row_of = dict(zip(idx, inv))
-        for wi in wall_indices:
-            out[wi] = _wall_class(fan, fan.walls[wi], row_of)
-        if every_chamber:
-            per_chamber.append(tuple(map(sum, zip(*inv))))
-    convex = all(wc.kind in (ZERO, SINGLE_RAY, RAY_SUM) for wc in out)
-    return ConvexityReport(convex, tuple(out)), tuple(per_chamber)
+    rows = [{} for _ in fan.chambers]
+    for w in fan.walls:
+        ca, cb = w.chambers
+        (a,), (b,) = fan.chambers[ca] - w.shared, fan.chambers[cb] - w.shared
+        pos, neg = w.normal, la.vneg(w.normal)
+        if la.dot(pos, fan.rays[a]) < 0:
+            pos, neg = neg, pos
+        rows[ca][a], rows[cb][b] = pos, neg
+    return rows
 
 
 def _wall_class(fan, w, row_of):
-    """The WallClass of wall w; row_of maps each ray of its first chamber
-    to the matching row of that chamber's inverse ray matrix."""
+    """The WallClass of wall w and the sum of its shared-ray coefficients;
+    row_of maps each ray of its first chamber to the matching row of that
+    chamber's inverse ray matrix."""
     shared = sorted(w.shared)
     (free_a,), (free_b,) = (fan.chambers[ci] - w.shared for ci in w.chambers)
     total = la.vadd(fan.rays[free_a], fan.rays[free_b])
@@ -178,22 +181,27 @@ def _wall_class(fan, w, row_of):
         kind, data = RAY_SUM, tuple(shared[i] for i, c in enumerate(shared_part) for _ in range(c))
     else:
         kind, data = NONCONVEX_POSITIVE, coeffs
-    return WallClass(tuple(shared), kind, data)
+    return WallClass(tuple(shared), kind, data), sum(shared_part)
 
 
 def _polar_pair(fan):
     """The g-polytope of a convex fan, its dual, and v_C for each chamber C.
 
     v_C = (M_C^T)^-1 1 is the sum of the rows of M_C^-1, the chamber's signed
-    wall normals, so it is integral (reflexivity).  The g-polytope has the
-    facets v_C . x <= 1 and as vertices the rays whose incident v_C span the
-    space; its dual has the two lists swapped.
+    wall normals, so it is integral (reflexivity).  NotConvex is raised at
+    the first wall with v_C . r_b > 1, C its first chamber and r_b the
+    free ray of the other: the toric criterion of `convexity_report`.  The
+    g-polytope has the facets v_C . x <= 1 and as vertices the rays whose
+    incident v_C span the space; its dual has the two lists swapped.
     """
     if fan.rank == 0:
         raise ValueError("a rank-0 fan has no polytope")
-    report, per_chamber = _chamber_pass(fan, every_chamber=True)
-    if not report.convex:
-        raise NotConvex("fan polytope is not convex")
+    per_chamber = tuple(tuple(map(sum, zip(*r.values()))) for r in _inverse_rows(fan))
+    for w in fan.walls:
+        ca, cb = w.chambers
+        (free_b,) = fan.chambers[cb] - w.shared
+        if la.dot(per_chamber[ca], fan.rays[free_b]) > 1:
+            raise NotConvex("fan polytope is not convex")
     incident = [set() for _ in fan.rays]
     for c, v in zip(fan.chambers, per_chamber):
         for i in c:
@@ -316,55 +324,3 @@ def root_polytope(type_, n):
         raise ValueError(f"root polytope type must be A or C, got {type_!r}")
     roots, _short = root_system(cartan)
     return convex_hull(roots, n)
-
-
-# -- lattice isomorphism (rank <= 3) ------------------------------------------
-
-
-def lattice_iso(p, q):
-    """Unimodular map carrying the vertex set of p onto that of q, or None.
-
-    Brute force: anchor an independent vertex tuple of p and try every
-    ordered tuple of q's vertices as its image; first match wins under a
-    deterministic ordering.
-    """
-    n = p.rank
-    if n != q.rank:
-        return None
-    if n > 3:
-        raise DimensionTooLarge("isomorphism search implemented for rank <= 3")
-    if len(p.vertices) != len(q.vertices):
-        return None
-    anchor = None
-    for sub in combinations(p.vertices, n):
-        if la.determinant(la.from_columns(list(sub))) != 0:
-            anchor = sub
-            break
-    if anchor is None:
-        return None
-    a_mat = la.from_columns(list(anchor))
-    p_set = set(p.vertices)
-    q_set = set(q.vertices)
-    for image in permutations(q.vertices, n):
-        # solve M * anchor_i = image_i  =>  M = image_mat * anchor_mat^{-1}
-        img_mat = la.from_columns(list(image))
-        m = _rational_matmul_inverse(img_mat, a_mat)
-        if m is None:
-            continue
-        if la.determinant(m) not in (1, -1):
-            continue
-        if {tuple(la.matvec(m, v)) for v in p_set} == q_set:
-            return m
-    return None
-
-
-def _rational_matmul_inverse(img_mat, a_mat):
-    """Integer matrix M with M a_mat = img_mat, or None."""
-    inv = la.scaled_inverse(a_mat)
-    if inv is None:
-        return None
-    d, adj = inv
-    m = la.matmul(img_mat, adj)  # d * M
-    if any(x % d for row in m for x in row):
-        return None
-    return tuple(tuple(x // d for x in row) for row in m)

@@ -1,6 +1,7 @@
 """Shared builders for the test graphs and fans."""
 
 from functools import cache
+from itertools import combinations, permutations
 
 import pytest
 
@@ -149,3 +150,54 @@ def pentagon_fan():
 @pytest.fixture(scope="session")
 def a3_cluster_fan():
     return enumerate_gfan(B_A3)
+
+
+def lattice_iso(p, q):
+    """Unimodular map carrying the vertex set of p onto that of q, or None:
+    the isomorphism oracle for rank <= 3, where the tests compare polytopes
+    up to lattice isomorphism.
+
+    Brute force: anchor an independent vertex tuple of p and try every
+    ordered tuple of q's vertices as its image; first match wins under a
+    deterministic ordering.
+    """
+    n = p.rank
+    if n != q.rank:
+        return None
+    if n > 3:
+        raise ValueError("isomorphism search implemented for rank <= 3")
+    if len(p.vertices) != len(q.vertices):
+        return None
+    anchor = None
+    for sub in combinations(p.vertices, n):
+        if la.determinant(la.from_columns(list(sub))) != 0:
+            anchor = sub
+            break
+    if anchor is None:
+        return None
+    a_mat = la.from_columns(list(anchor))
+    p_set = set(p.vertices)
+    q_set = set(q.vertices)
+    for image in permutations(q.vertices, n):
+        # solve M * anchor_i = image_i  =>  M = image_mat * anchor_mat^{-1}
+        img_mat = la.from_columns(list(image))
+        m = _rational_matmul_inverse(img_mat, a_mat)
+        if m is None:
+            continue
+        if la.determinant(m) not in (1, -1):
+            continue
+        if {tuple(la.matvec(m, v)) for v in p_set} == q_set:
+            return m
+    return None
+
+
+def _rational_matmul_inverse(img_mat, a_mat):
+    """Integer matrix M with M a_mat = img_mat, or None."""
+    inv = la.scaled_inverse(a_mat)
+    if inv is None:
+        return None
+    d, adj = inv
+    m = la.matmul(img_mat, adj)  # d * M
+    if any(x % d for row in m for x in row):
+        return None
+    return tuple(tuple(x // d for x in row) for row in m)

@@ -27,7 +27,6 @@ from tiltfan.polytope import (
     convexity_report,
     dual_polytope,
     g_polytope,
-    lattice_iso,
     rank2_classify,
     root_polytope,
 )
@@ -40,6 +39,7 @@ from conftest import (
     B_KRONECKER,
     gamma2,
     gamma3,
+    lattice_iso,
     odd_cycle_5,
     path_tree,
     star_tree,

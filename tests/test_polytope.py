@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +9,11 @@ from tiltfan.brauer import chambers_by_cliques
 from tiltfan.cli import kase_family_fan
 from tiltfan.cluster import enumerate_gfan
 from tiltfan.errors import NotConvex, NotRank2
-from tiltfan.fan import inverse_from_normals
+from tiltfan.fan import CERTIFIED, fan_from_cones
 from tiltfan.polytope import (
     NONCONVEX_POSITIVE,
+    NOT_POSITIVE,
+    RAY_SUM,
     SINGLE_RAY,
     ZERO,
     LatticePolytope,
@@ -20,7 +22,6 @@ from tiltfan.polytope import (
     convexity_report,
     dual_polytope,
     g_polytope,
-    lattice_iso,
     rank2_classify,
     root_polytope,
     smooth_fano,
@@ -30,9 +31,11 @@ from tiltfan.weyl import cartan_preset, coxeter_fan, root_system, short_root_pol
 from conftest import (
     B_D4,
     FINITE_TYPES,
+    FRONT_END_FANS,
     b_type_a,
     front_end_fan,
     gamma3,
+    lattice_iso,
     odd_cycle,
     path_tree,
     simply_laced,
@@ -305,6 +308,57 @@ def test_d4_not_convex():
         g_polytope(fan)
 
 
+def starred_orthant_fan():
+    """The eight coordinate orthants of Z^3, the positive one starred at
+    (1, 1, 1) into three chambers: a certified, sign-coherent fan whose
+    polytope is the hull of its rays, but not a g-fan.  The walls inside
+    the positive orthant have r_a + r_b = (1, 1, 1) - e_i, a negative
+    shared-ray coefficient."""
+    e = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    cones = [(e[i], e[j], (1, 1, 1)) for i, j in combinations(range(3), 2)]
+    cones += [tuple(la.vscale(s, u) for s, u in zip(signs, e))
+              for signs in product((1, -1), repeat=3) if signs != (1, 1, 1)]
+    return fan_from_cones(cones, tuple(la.vneg(u) for u in e), require_complete=True)
+
+
+def test_a_fan_with_not_positive_walls_can_be_convex():
+    fan = starred_orthant_fan()
+    assert fan.complete == CERTIFIED
+    assert (len(fan.chambers), len(fan.walls)) == (10, 15)
+    rep = convexity_report(fan)
+    kinds = [wc.kind for wc in rep.walls]
+    assert {k: kinds.count(k) for k in kinds} == {ZERO: 9, RAY_SUM: 3, NOT_POSITIVE: 3}
+    assert all(wc.data[:2] == (-1, 1) for wc in rep.walls if wc.kind == NOT_POSITIVE)
+    assert rep.convex
+    g = g_polytope(fan)
+    assert g == convex_hull(fan.rays)
+    assert (len(g.vertices), len(g.facets)) == (7, 7)
+    assert all(off == 1 for _n, off in g.facets)
+    dual, _reflexive, per_chamber = dual_polytope(fan)
+    assert len(set(per_chamber)) == 7
+    assert dual == convex_hull(per_chamber)
+    assert smooth_fano(g) is False
+
+
+def test_convexity_report_agrees_with_g_polytope():
+    """convexity_report says convex exactly when g_polytope succeeds, and on
+    a convex fan the polytope is smooth Fano iff the v_C are pairwise
+    distinct: a unimodular facet simplex is the cone of one chamber."""
+    fans = [front_end_fan(name) for name in FRONT_END_FANS]
+    fans += [kase_family_fan(ell, m) for ell in range(1, 9) for m in range(1, 9)]
+    fans += [canonical_rank2_fan(k) for k in range(1, 8)]
+    for fan in fans:
+        convex = convexity_report(fan).convex
+        try:
+            g = g_polytope(fan)
+        except NotConvex:
+            assert not convex
+            continue
+        assert convex
+        per_chamber = dual_polytope(fan)[2]
+        assert smooth_fano(g) == (len(set(per_chamber)) == len(fan.chambers))
+
+
 def _reference_polar_pair(fan):
     """`g_polytope` and `dual_polytope` as they were before they read the
     chamber inverses: the hulls of the rays and of the v_C, each v_C by an
@@ -420,34 +474,21 @@ def test_convexity_report_matches_the_exact_solve():
     assert kinds == {ZERO, SINGLE_RAY, NONCONVEX_POSITIVE, "RaySum"}
 
 
-def test_convexity_report_rebuilds_each_chamber_inverse_once(monkeypatch):
-    from tiltfan import polytope
-
+def test_polytope_layer_reads_the_inverses_off_the_walls(monkeypatch):
+    """Convexity, the g-polytope and its dual take every chamber inverse
+    from the wall normals: no inverse is computed by elimination."""
     fan = coxeter_fan(cartan_preset("A", 3))
-    calls = []
 
-    def counted(rays, idx, normals):
-        calls.append(tuple(idx))
-        return inverse_from_normals(rays, idx, normals)
+    def refuse(*args):
+        raise AssertionError("a chamber inverse was computed by elimination")
 
-    monkeypatch.setattr(polytope, "inverse_from_normals", counted)
+    for name in ("scaled_inverse", "invert_unimodular", "exchange_inverse", "solve_exact"):
+        monkeypatch.setattr(la, name, refuse)
     assert convexity_report(fan).convex
-    assert sorted(calls) == sorted({tuple(sorted(fan.chambers[w.chambers[0]])) for w in fan.walls})
-
-
-def test_g_polytope_rebuilds_each_chamber_inverse_once(monkeypatch):
-    from tiltfan import polytope
-
-    fan = coxeter_fan(cartan_preset("A", 3))
-    calls = []
-
-    def counted(rays, idx, normals):
-        calls.append(tuple(idx))
-        return inverse_from_normals(rays, idx, normals)
-
-    monkeypatch.setattr(polytope, "inverse_from_normals", counted)
-    g_polytope(fan)
-    assert sorted(calls) == sorted(tuple(sorted(c)) for c in fan.chambers)
+    g = g_polytope(fan)
+    dual, reflexive, per_chamber = dual_polytope(fan)
+    assert reflexive and len(per_chamber) == len(fan.chambers) == 24
+    assert set(dual.vertices) == {n for n, _off in g.facets}
 
 
 def _reference_root_polytope(type_, n):
