@@ -474,19 +474,56 @@ def test_convexity_report_matches_the_exact_solve():
     assert kinds == {ZERO, SINGLE_RAY, NONCONVEX_POSITIVE, "RaySum"}
 
 
-def test_polytope_layer_reads_the_inverses_off_the_walls(monkeypatch):
-    """Convexity, the g-polytope and its dual take every chamber inverse
-    from the wall normals: no inverse is computed by elimination."""
-    fan = coxeter_fan(cartan_preset("A", 3))
+def _count_inverse_passes(monkeypatch):
+    """Refuse every elimination in `la` and record the chamber inverses of
+    each `_inverse_rows` pass, so a test sees how often they are built."""
+    from tiltfan import polytope
 
     def refuse(*args):
         raise AssertionError("a chamber inverse was computed by elimination")
 
     for name in ("scaled_inverse", "invert_unimodular", "exchange_inverse", "solve_exact"):
         monkeypatch.setattr(la, name, refuse)
+    passes = []
+    build = polytope._inverse_rows
+
+    def counted(fan):
+        rows = build(fan)
+        passes.append(rows)
+        return rows
+
+    monkeypatch.setattr(polytope, "_inverse_rows", counted)
+    return passes
+
+
+def _assert_inverses(fan, rows):
+    assert len(rows) == len(fan.chambers)
+    for c, row_of in zip(fan.chambers, rows):
+        assert set(row_of) == set(c)
+        for i in c:
+            assert all(la.dot(row_of[i], fan.rays[j]) == int(i == j) for j in c)
+
+
+def test_convexity_report_rebuilds_each_chamber_inverse_once(monkeypatch):
+    """convexity_report builds every chamber inverse in one pass over the
+    walls, each row a signed wall normal: no inverse by elimination."""
+    fan = coxeter_fan(cartan_preset("A", 3))
+    passes = _count_inverse_passes(monkeypatch)
     assert convexity_report(fan).convex
+    assert len(passes) == 1
+    _assert_inverses(fan, passes[0])
+
+
+def test_g_polytope_rebuilds_each_chamber_inverse_once(monkeypatch):
+    """g_polytope and dual_polytope each build every chamber inverse in one
+    pass over the walls: no inverse by elimination."""
+    fan = coxeter_fan(cartan_preset("A", 3))
+    passes = _count_inverse_passes(monkeypatch)
     g = g_polytope(fan)
+    assert len(passes) == 1
+    _assert_inverses(fan, passes[0])
     dual, reflexive, per_chamber = dual_polytope(fan)
+    assert len(passes) == 2
     assert reflexive and len(per_chamber) == len(fan.chambers) == 24
     assert set(dual.vertices) == {n for n, _off in g.facets}
 
