@@ -442,8 +442,7 @@ def chambers_by_cliques(graph):
     rays = [w.class_vector for w in walks]
     start = [rays.index(e) for e in la.identity(n)]
     chambers, across = wall_crossing_search(start, exchange, comb(len(walks), n))
-    return fan_from_cones([[rays[i] for i in c] for c in chambers], la.identity(n),
-                          require_complete=True, across=across)
+    return fan_from_cones([[rays[i] for i in c] for c in chambers], la.identity(n), across=across)
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,11 @@ def polytope_to_json(poly):
     }
 
 
-def fan_svg(fan, g_poly=None, size=400):
-    """Deterministic SVG of a rank-2 fan: chamber simplices, rays, polygon."""
+def fan_svg(fan, g_poly=None):
+    """Deterministic 400 x 400 SVG of a rank-2 fan: chamber simplices, rays, polygon."""
     if fan.rank != 2:
         raise NotRank2(f"SVG output is rank-2 only; the fan has rank {fan.rank}")
+    size = 400
     pts = list(fan.rays)
     if g_poly is not None:
         pts += list(g_poly.vertices)

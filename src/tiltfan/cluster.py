@@ -130,4 +130,4 @@ def enumerate_gfan(b, budget=100_000):
     if isinstance(result, BudgetExhausted):
         return result
     chambers, across = result
-    return fan_from_cones(chambers, chambers[0], require_complete=True, across=across)
+    return fan_from_cones(chambers, chambers[0], across=across)

@@ -5,16 +5,16 @@ The f-vector is counted from the walls, not from the faces.  For a complete
 simplicial fan and a generic direction v, h_i is the number of chambers
 that v leaves through exactly i walls (Fulton, Introduction to Toric
 Varieties, 1993, section 5.2).  `build_fan` already holds every wall
-normal, so this costs one dot product per wall; `fan.faces` lists the
-faces themselves.  With v inside the base chamber of a g-fan, the count
-is the paper's: h_i counts the 2-term silting complexes with i left
-mutations, the out-degrees of the Hasse quiver (`fan.hasse_orient`).
+normal, signed by its sides, so this costs one sign read per wall;
+`fan.faces` lists the faces themselves.  With v inside the base chamber
+of a g-fan, the count is the paper's: h_i counts the 2-term silting
+complexes with i left mutations, the out-degrees of the Hasse quiver
+(`fan.hasse_orient`).
 """
 
 from itertools import combinations_with_replacement
 from math import comb
 
-from . import lattice as la
 from .errors import IncompleteFan, NotPalindromic
 from .fan import CERTIFIED, faces  # noqa: F401 (faces is re-exported)
 
@@ -23,19 +23,19 @@ def f_vector(fan):
     """(f_-1, f_0, ..., f_{n-1}) where f_{i-1} counts i-element faces.
 
     Counted from the h-vector of the direction v = e_n + eps e_{n-1} +
-    eps^2 e_{n-2} + ... (eps > 0 infinitesimal).  Every wall normal has
-    its last nonzero entry positive, so it is positive on v, and v leaves
-    the wall's chamber whose free ray pairs negatively with the normal.
-    h_i is the number of chambers with i such exits (Fulton 1993, 5.2),
-    and f follows by `recover_f`.  This is O(walls * n).
+    eps^2 e_{n-2} + ... (eps > 0 infinitesimal).  A wall normal has the
+    sign of its last nonzero entry on v, and it is positive on the free
+    ray of the wall's first chamber, so v leaves the first chamber if that
+    entry is negative and the second if it is positive: one sign read per
+    wall.  h_i is the number of chambers with i such exits (Fulton 1993,
+    5.2), and f follows by `recover_f`.
     """
     if fan.complete != CERTIFIED:
         raise IncompleteFan("f-vector requires a certified-complete fan")
     exits = [0] * len(fan.chambers)
     for w in fan.walls:
-        ca, cb = w.chambers
-        (free_a,) = fan.chambers[ca] - w.shared
-        exits[ca if la.dot(w.normal, fan.rays[free_a]) < 0 else cb] += 1
+        last = next(x for x in reversed(w.normal) if x)
+        exits[w.chambers[last > 0]] += 1
     h = [0] * (fan.rank + 1)
     for e in exits:
         h[e] += 1

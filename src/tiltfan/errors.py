@@ -32,12 +32,6 @@ class SignCoherenceViolation(TiltfanError):
         self.coordinate = coordinate
 
 
-class DanglingWall(TiltfanError):
-    def __init__(self, wall):
-        super().__init__(f"codimension-1 face {wall} lies in only one chamber")
-        self.wall = wall
-
-
 class IncompleteFan(TiltfanError):
     pass
 

@@ -32,7 +32,6 @@ from itertools import chain, combinations
 
 from . import lattice as la
 from .errors import (
-    DanglingWall,
     TiltfanError,
     IncompleteFan,
     NonUnimodularChamber,
@@ -48,13 +47,14 @@ CERTIFIED = "certified"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wall:
     """Shared codimension-1 face of two chambers."""
 
     shared: frozenset
-    chambers: tuple  # pair of chamber indices
-    normal: tuple  # primitive integer functional vanishing on the shared rays
+    chambers: tuple  # pair of chamber indices, ascending
+    free: tuple  # each chamber's ray off the wall, in the order of chambers
+    normal: tuple  # chambers[0]'s inverse row at free[0]: 1 on it, -1 on free[1]
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,15 @@ class BudgetExhausted:
         return fan_from_cones(self.cones, self.cones[0])
 
 
-def build_fan(rays, chambers, base, require_complete=False, across=None):
+def build_fan(rays, chambers, base, across=None):
     """Validate and assemble a Fan.
 
     Checks ray primitivity/distinctness, chamber unimodularity, wall
     adjacency (free rays strictly on opposite sides of the shared
-    hyperplane) and sign-coherence relative to the base chamber.  A wall's
-    normal is the row of a chamber's inverse at the ray off the wall, with
-    the sign fixed so that the last nonzero entry is positive.
+    hyperplane) and sign-coherence relative to the base chamber.  It is the
+    one place that decides which side of each wall a chamber lies on: a
+    `Wall`'s normal is its first chamber's inverse row at free[0], which
+    the unimodular chambers make 1 on free[0] and -1 on free[1].
 
     Adjacency is a neighbour table: across[ci][k] is the chamber on the
     other side of the facet of chamber ci opposite its k-th ray, k counting
@@ -130,14 +131,17 @@ def build_fan(rays, chambers, base, require_complete=False, across=None):
     so only the frontier's inverses are alive.  A non-unit pivot or
     determinant means a non-unimodular chamber; NonUnimodularChamber names
     the lowest-index one.  Each wall's normal comes from the side reached
-    first, where the other side's free ray must pair negatively with it.
+    first, where the other side's free ray must pair negatively with it,
+    and is negated when that side is the higher-index chamber.
 
     Completeness is certified iff no face dangles and the test point
     y0 + eps e_1 + eps^2 e_2 + ... (y0 the sum of the base rays, eps > 0
     infinitesimal) lies in exactly one chamber; the same inverses decide
     the last test (`holds_test_point`).  If no face dangles but the test
     point lies in d != 1 chambers, the chambers overlap and TiltfanError is
-    raised.  Why this suffices:
+    raised.  A fan with a dangling face is still built, with status
+    "unknown"; `Fan.complete` is the one verdict on completeness.  Why this
+    suffices:
 
     1. With no dangling face, glue the chambers along the table: every
        component is a closed, oriented pseudomanifold, since across every
@@ -261,12 +265,13 @@ def build_fan(rays, chambers, base, require_complete=False, across=None):
                     reached[j], count = count, count + 1
                 if reached[j] > reached[ci]:
                     # the first side reached: row k vanishes on the face and is 1 on free_a
-                    row, face, pair = inv[k], c & other, (ci, j) if ci < j else (j, ci)
+                    row, face = inv[k], c & other
                     if la.dot(row, rays[free_b]) >= 0:
-                        overlaps.append((tuple(sorted(face)), pair))
+                        overlaps.append((tuple(sorted(face)), (min(ci, j), max(ci, j))))
+                    elif ci < j:
+                        walls.append(Wall(face, (ci, j), (free_a, free_b), row))
                     else:
-                        last = next(x for x in reversed(row) if x)
-                        walls.append(Wall(face, pair, row if last > 0 else la.vneg(row)))
+                        walls.append(Wall(face, (j, ci), (free_b, free_a), la.vneg(row)))
 
     incoherent = _sign_incoherence(rays, chambers, [rays[i] for i in chambers[base]])
     if incoherent:
@@ -277,8 +282,6 @@ def build_fan(rays, chambers, base, require_complete=False, across=None):
                  for face, (ca, cb) in overlaps]
     if problems:
         raise TiltfanError(min(problems)[1])
-    if dangling and require_complete:
-        raise DanglingWall(min(dangling))
     if not dangling and covering != 1:
         raise TiltfanError(f"a generic point lies in {covering} chambers")
     walls.sort(key=lambda w: sorted(w.shared))
@@ -313,7 +316,7 @@ def _non_unimodular(rays, chambers):
             return NonUnimodularChamber(ci, det)
 
 
-def fan_from_cones(cones, base_cone, require_complete=False, across=None):
+def fan_from_cones(cones, base_cone, across=None):
     """The Fan whose chambers are the given cones, each a sequence of ray
     vectors (tuples of integers), with base chamber base_cone.
 
@@ -323,7 +326,8 @@ def fan_from_cones(cones, base_cone, require_complete=False, across=None):
     neighbour table over the cones as given (see `build_fan`), is
     re-indexed to that chamber order; each chamber keeps its rays in the
     cone's order, which the table's positions refer to.  Equal cones are
-    passed on to `build_fan`, which rejects them.
+    passed on to `build_fan`, which rejects them; cones that leave a face
+    dangling give a fan with status "unknown".
     """
     cones = [tuple(c) for c in cones]
     rays = sorted(set().union(*cones))
@@ -337,7 +341,7 @@ def fan_from_cones(cones, base_cone, require_complete=False, across=None):
         for new, old in enumerate(order):
             new_of_old[old] = new
         across = [[new_of_old[j] for j in across[old]] for old in order]
-    return build_fan(rays, [chambers[ci] for ci in order], base, require_complete, across)
+    return build_fan(rays, [chambers[ci] for ci in order], base, across)
 
 
 def _sign_incoherence(rays, chambers, base_rays):
@@ -462,26 +466,24 @@ class HasseOrientation:
 def hasse_orient(fan):
     """Orient every wall from the chamber on the base side to the other side.
 
-    The wall normal is fixed to be nonnegative on the base chamber's rays;
-    if neither sign of the normal achieves that, the fan is not ordered.
+    The normal is positive on the first chamber's free ray, so that chamber
+    is on the base side iff the normal is >= 0 on the base chamber's rays,
+    and the other one iff it is <= 0; if neither holds, the fan is not
+    ordered.
     """
     if fan.complete != CERTIFIED:
         raise IncompleteFan("orientation requires a certified-complete fan")
     base_rays = [fan.rays[i] for i in sorted(fan.chambers[fan.base])]
     arrows = []
     for w in fan.walls:
-        f = w.normal
-        vals = [la.dot(f, r) for r in base_rays]
-        if all(v <= 0 for v in vals):
-            f = la.vneg(f)
-        elif not all(v >= 0 for v in vals):
-            raise OrderViolation(tuple(sorted(w.shared)))
+        vals = [la.dot(w.normal, r) for r in base_rays]
         ca, cb = w.chambers
-        free_a = next(iter(fan.chambers[ca] - w.shared))
-        if la.dot(f, fan.rays[free_a]) > 0:
+        if all(v >= 0 for v in vals):
             arrows.append((ca, cb, w))
-        else:
+        elif all(v <= 0 for v in vals):
             arrows.append((cb, ca, w))
+        else:
+            raise OrderViolation(tuple(sorted(w.shared)))
     return HasseOrientation(tuple(arrows))
 
 

@@ -147,31 +147,28 @@ def convexity_report(fan):
 def _inverse_rows(fan):
     """rows[C][i], for each chamber C and ray i of C, is row i of the
     inverse of C's ray matrix: the normal of C's wall opposite ray i,
-    signed to be 1 on it.  The free rays of a wall lie on opposite sides
-    of it, so the two chambers take opposite signs."""
+    signed to be 1 on it.  A wall's normal is that row for its first
+    chamber, and its negative is the row of the second."""
     if fan.complete != CERTIFIED:
         raise IncompleteFan("convexity requires a certified-complete fan")
     rows = [{} for _ in fan.chambers]
     for w in fan.walls:
-        ca, cb = w.chambers
-        (a,), (b,) = fan.chambers[ca] - w.shared, fan.chambers[cb] - w.shared
-        pos, neg = w.normal, la.vneg(w.normal)
-        if la.dot(pos, fan.rays[a]) < 0:
-            pos, neg = neg, pos
-        rows[ca][a], rows[cb][b] = pos, neg
+        (ca, cb), (a, b) = w.chambers, w.free
+        rows[ca][a], rows[cb][b] = w.normal, la.vneg(w.normal)
     return rows
 
 
 def _wall_class(fan, w, row_of):
     """The WallClass of wall w and the sum of its shared-ray coefficients;
     row_of maps each ray of its first chamber to the matching row of that
-    chamber's inverse ray matrix."""
+    chamber's inverse ray matrix.  The last of coeffs, at free_a, is 0:
+    the normal is 1 on free_a and -1 on free_b."""
     shared = sorted(w.shared)
-    (free_a,), (free_b,) = (fan.chambers[ci] - w.shared for ci in w.chambers)
+    free_a, free_b = w.free
     total = la.vadd(fan.rays[free_a], fan.rays[free_b])
     coeffs = tuple(la.dot(row_of[i], total) for i in shared + [free_a])
-    shared_part, last = coeffs[:-1], coeffs[-1]
-    if last != 0 or any(c < 0 for c in shared_part):
+    shared_part = coeffs[:-1]
+    if any(c < 0 for c in shared_part):
         kind, data = NOT_POSITIVE, coeffs
     elif all(c == 0 for c in shared_part):
         kind, data = ZERO, ()
@@ -198,9 +195,7 @@ def _polar_pair(fan):
         raise ValueError("a rank-0 fan has no polytope")
     per_chamber = tuple(tuple(map(sum, zip(*r.values()))) for r in _inverse_rows(fan))
     for w in fan.walls:
-        ca, cb = w.chambers
-        (free_b,) = fan.chambers[cb] - w.shared
-        if la.dot(per_chamber[ca], fan.rays[free_b]) > 1:
+        if la.dot(per_chamber[w.chambers[0]], fan.rays[w.free[1]]) > 1:
             raise NotConvex("fan polytope is not convex")
     incident = [set() for _ in fan.rays]
     for c, v in zip(fan.chambers, per_chamber):
@@ -266,11 +261,12 @@ def angle_key(v):
     return (half, 0 if y == 0 else 1, Fraction(-x, y) if y != 0 else Fraction(0))
 
 
-def rank2_fan_from_rays(rays, base_pair=((1, 0), (0, 1))):
-    """Complete rank-2 fan with chambers the angularly consecutive ray pairs."""
+def rank2_fan_from_rays(rays):
+    """Complete rank-2 fan with chambers the angularly consecutive ray pairs,
+    base chamber cone{e1, e2}."""
     ordered = sorted(rays, key=angle_key)
     cones = zip(ordered, ordered[1:] + ordered[:1])
-    return fan_from_cones(cones, base_pair, require_complete=True)
+    return fan_from_cones(cones, ((1, 0), (0, 1)))
 
 
 def rank2_classify(fan):

@@ -133,7 +133,7 @@ def coxeter_fan(cartan, budget=2_000_000, elements=None):
     to `build_fan`; without it the group is enumerated here under `budget`.
     """
     elements, across = _finite_elements(cartan, budget, elements)
-    return fan_from_cones(elements, la.identity(cartan.n), require_complete=True, across=across)
+    return fan_from_cones(elements, la.identity(cartan.n), across=across)
 
 
 def require_finite_type(cartan):

@@ -1,4 +1,7 @@
-from itertools import combinations
+from collections import Counter
+from functools import cache
+from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 
@@ -19,7 +22,8 @@ from tiltfan.brauer import (
 )
 from tiltfan.combinatorics import f_vector, h_vector
 from tiltfan.errors import Disconnected, UnsupportedGraph
-from tiltfan.fan import fan_from_cones, hasse_orient
+from tiltfan.fan import CERTIFIED, fan_from_cones, hasse_orient
+from tiltfan.polytope import g_polytope, root_polytope
 
 from conftest import (
     cyc_sigma,
@@ -242,7 +246,7 @@ def _clique_fan(graph):
     assert all(len(c) == n for c in cliques)
     rays = [w.class_vector for w in walks]
     cones = [[rays[i] for i in c] for c in cliques]
-    return fan_from_cones(cones, la.identity(n), require_complete=True)
+    return fan_from_cones(cones, la.identity(n))
 
 
 @pytest.mark.parametrize("make, args", [(path_tree, (n,)) for n in range(2, 8)]
@@ -337,3 +341,127 @@ def test_root_map_reads_the_graph_spanning_tree(make, args):
 def test_no_half_edges_is_disconnected():
     with pytest.raises(Disconnected):
         BrauerGraph((), {}, {})
+
+
+# -- every small ribbon graph -------------------------------------------------
+
+
+def _sigmas(n):
+    """Every vertex permutation of the half-edges 0..2n-1 with n or n + 1
+    cycles, as the tuple of images: the candidates for a connected ribbon
+    graph with n edges that is a tree or has one cycle."""
+    for sigma in permutations(range(2 * n)):
+        seen, cycles = set(), 0
+        for h in range(2 * n):
+            if h not in seen:
+                cycles += 1
+                while h not in seen:
+                    seen.add(h)
+                    h = sigma[h]
+        if cycles in (n, n + 1):
+            yield sigma
+
+
+def _ribbon_graph(sigma):
+    """The BrauerGraph on half-edges h0..h(2n-1) with vertex permutation
+    sigma and bar h(2i) <-> h(2i+1); Disconnected if it is not connected."""
+    names = [f"h{h}" for h in range(len(sigma))]
+    return BrauerGraph(names, {names[h]: names[x] for h, x in enumerate(sigma)},
+                       {names[h]: names[h ^ 1] for h in range(len(sigma))})
+
+
+def ribbon_graphs(n):
+    """(graph, 1) for every connected ribbon graph with n edges on n or
+    n + 1 vertices, half-edges labelled as in `_ribbon_graph`."""
+    for sigma in _sigmas(n):
+        try:
+            yield _ribbon_graph(sigma), 1
+        except Disconnected:
+            pass
+
+
+def ribbon_graph_classes(n):
+    """(graph, count) for one graph of each isomorphism class of
+    `ribbon_graphs(n)`, count the number of labelled graphs in the class.
+
+    Two labellings are isomorphic when a relabelling that keeps the bar
+    pairs (permute the edges, swap the ends of some) conjugates one sigma
+    into the other; the class of sigma is its orbit under those 2^n n!
+    relabellings, and its first member in the order of `_sigmas` stands
+    for it.
+    """
+    relabellings = [
+        tuple(2 * order[h >> 1] + ((h & 1) ^ flips[h >> 1]) for h in range(2 * n))
+        for order in permutations(range(n)) for flips in product((0, 1), repeat=n)
+    ]
+    seen = set()
+    for sigma in _sigmas(n):
+        if sigma in seen:
+            continue
+        orbit = set()
+        for g in relabellings:
+            conjugate = [0] * (2 * n)
+            for h, x in enumerate(sigma):
+                conjugate[g[h]] = g[x]
+            orbit.add(tuple(conjugate))
+        seen |= orbit
+        try:
+            yield _ribbon_graph(sigma), len(orbit)
+        except Disconnected:
+            pass
+
+
+@cache
+def _root_polytope_counts(type_, n):
+    poly = root_polytope(type_, n)
+    return len(poly.vertices), len(poly.facets)
+
+
+def check_ribbon_graphs(graphs):
+    """Run the paper's classification over (graph, count) pairs and return
+    the counts of trees, odd cycles and other graphs.
+
+    A tree or odd cycle with n edges has a certified fan of C(2n, n) or
+    2^(2n-1) chambers whose rays `root_map` sends one-to-one onto
+    `target_roots`, and a g-polytope with the vertex and facet counts of
+    the A_n or C_n root polytope.  Every other graph raises
+    UnsupportedGraph.
+    """
+    counts = Counter()
+    for graph, count in graphs:
+        kind = graph.classify()
+        counts[kind] += count
+        n = graph.n_edges
+        if kind == OTHER:
+            with pytest.raises(UnsupportedGraph):
+                chambers_by_cliques(graph)
+            with pytest.raises(UnsupportedGraph):
+                root_map(graph)
+            continue
+        fan = chambers_by_cliques(graph)
+        assert fan.complete == CERTIFIED, graph_to_json(graph)
+        chambers = comb(2 * n, n) if kind == TREE else 2 ** (2 * n - 1)
+        assert len(fan.chambers) == chambers, graph_to_json(graph)
+        rm = root_map(graph)
+        images = [rm.apply(r) for r in fan.rays]
+        assert len(set(images)) == len(images), graph_to_json(graph)
+        assert set(images) == target_roots(graph), graph_to_json(graph)
+        g = g_polytope(fan)
+        assert (len(g.vertices), len(g.facets)) == _root_polytope_counts(
+            "A" if kind == TREE else "C", n), graph_to_json(graph)
+    return counts[TREE], counts[ODD_CYCLE], counts[OTHER]
+
+
+# (trees, odd cycles, other graphs) among the connected labelled ribbon
+# graphs with n edges on n or n + 1 vertices
+RIBBON_GRAPH_COUNTS = {1: (1, 1, 0), 2: (4, 8, 2), 3: (40, 128, 48), 4: (672, 3072, 1392)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_small_ribbon_graph(n):
+    assert check_ribbon_graphs(ribbon_graphs(n)) == RIBBON_GRAPH_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ribbon_graph_classes_count_the_labelled_graphs(n):
+    assert check_ribbon_graphs(ribbon_graph_classes(n)) == RIBBON_GRAPH_COUNTS[n]

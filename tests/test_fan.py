@@ -9,7 +9,6 @@ from tiltfan.brauer import chambers_by_cliques
 from tiltfan.cli import kase_family_fan
 from tiltfan.cluster import enumerate_gfan
 from tiltfan.errors import (
-    DanglingWall,
     IncompleteFan,
     NonUnimodularChamber,
     NotAFace,
@@ -58,8 +57,6 @@ def test_build_pentagon_complete():
 def test_build_single_orthant_unknown():
     fan = build_fan([(1, 0), (0, 1)], [{0, 1}], 0)
     assert fan.complete == UNKNOWN
-    with pytest.raises(DanglingWall):
-        build_fan([(1, 0), (0, 1)], [{0, 1}], 0, require_complete=True)
 
 
 def test_build_rejects_dependent_rays():
@@ -338,7 +335,8 @@ def _wall_fans():
 
 def test_wall_normals_match_kernel_functional():
     """The normals taken from chamber inverses equal the kernel functional of
-    the shared rays, and the two free rays lie strictly on opposite sides."""
+    the shared rays, signed to be positive on the first chamber's free ray,
+    and are 1 and -1 on the free rays, which the wall holds in chamber order."""
     from tiltfan import lattice as la
 
     names = []
@@ -347,11 +345,15 @@ def test_wall_normals_match_kernel_functional():
         assert fan.walls, name
         for w in fan.walls:
             shared = [fan.rays[i] for i in sorted(w.shared)]
-            assert w.normal == la.kernel_functional(shared, fan.rank), (name, w)
+            kf = la.kernel_functional(shared, fan.rank)
             ca, cb = w.chambers
             (free_a,) = fan.chambers[ca] - w.shared
             (free_b,) = fan.chambers[cb] - w.shared
-            assert la.dot(w.normal, fan.rays[free_a]) * la.dot(w.normal, fan.rays[free_b]) < 0
+            assert w.free == (free_a, free_b), (name, w)
+            signed = kf if la.dot(kf, fan.rays[free_a]) > 0 else la.vneg(kf)
+            assert w.normal == signed, (name, w)
+            sides = la.dot(w.normal, fan.rays[free_a]), la.dot(w.normal, fan.rays[free_b])
+            assert sides == (1, -1), (name, w)
     assert sum(name.endswith(".json") for name in names) == 12
 
 
@@ -605,19 +607,19 @@ def test_fan_from_cones_ignores_the_order_of_cones_and_rays(k, data):
 # -- chamber inverses by exchange pivots against full elimination -------------
 
 
-def _outcome(rays, chambers, base, require_complete=False):
+def _outcome(rays, chambers, base):
     """build_fan's Fan, walls and status, or its error as (class, message)."""
     try:
-        fan = build_fan(rays, chambers, base, require_complete)
+        fan = build_fan(rays, chambers, base)
     except TiltfanError as exc:
         return type(exc), str(exc)
     return fan, fan.walls, fan.complete
 
 
-def _eliminating_build_fan(rays, chambers, base, require_complete=False):
+def _eliminating_build_fan(rays, chambers, base):
     """build_fan as it was before it pivoted across walls: facets and their
     owners by subsets, every chamber inverted by full elimination in index
-    order, each wall's normal from its first owner."""
+    order, each wall's free rays and normal from its first owner."""
     from itertools import combinations
 
     from tiltfan.fan import Fan, Wall, holds_test_point
@@ -666,12 +668,11 @@ def _eliminating_build_fan(rays, chambers, base, require_complete=False):
             if len(owners) != 2 or owners[0] != ci:
                 continue
             (free_b,) = chambers[owners[1]] - sub
-            row = adj[idx.index(free_a)]
-            if det * la.dot(row, rays[free_b]) >= 0:
+            row = la.vscale(det, adj[idx.index(free_a)])
+            if la.dot(row, rays[free_b]) >= 0:
                 normals[sub] = None
             else:
-                last = next(x for x in reversed(row) if x)
-                normals[sub] = row if last > 0 else la.vneg(row)
+                normals[sub] = (free_a, free_b), row
 
     incoherent = fan_module._sign_incoherence(rays, chambers, [rays[i] for i in chambers[base]])
     if incoherent:
@@ -687,9 +688,7 @@ def _eliminating_build_fan(rays, chambers, base, require_complete=False):
         if normals[sub] is None:
             raise TiltfanError(
                 f"chambers {ca} and {cb} share face {tuple(sorted(sub))} but overlap")
-        walls.append(Wall(sub, (ca, cb), normals[sub]))
-    if dangling and require_complete:
-        raise DanglingWall(tuple(sorted(dangling[0])))
+        walls.append(Wall(sub, (ca, cb), *normals[sub]))
     if not dangling and covering != 1:
         raise TiltfanError(f"a generic point lies in {covering} chambers")
     return Fan(rank, rays, chambers, base, tuple(walls), UNKNOWN if dangling else CERTIFIED)
@@ -704,9 +703,9 @@ def _reference_outcome(*args):
     return fan, fan.walls, fan.complete
 
 
-def _assert_pivots_match_elimination(rays, chambers, base, require_complete=False):
-    got = _outcome(rays, chambers, base, require_complete)
-    assert got == _reference_outcome(rays, chambers, base, require_complete)
+def _assert_pivots_match_elimination(rays, chambers, base):
+    got = _outcome(rays, chambers, base)
+    assert got == _reference_outcome(rays, chambers, base)
     return got
 
 
@@ -740,8 +739,7 @@ def test_pivoted_inverses_match_full_elimination_on_front_end_fans():
 
     rnd = random.Random(7)
     for name, fan in _front_end_fans():
-        complete = fan.complete == CERTIFIED
-        got = _assert_pivots_match_elimination(fan.rays, fan.chambers, fan.base, complete)
+        got = _assert_pivots_match_elimination(fan.rays, fan.chambers, fan.base)
         assert got == (fan, fan.walls, fan.complete), name
         for _ in range(2):
             got = _assert_pivots_match_elimination(*_shuffled(fan, rnd))
@@ -859,9 +857,9 @@ def test_search_tables_give_the_fans_of_the_derived_tables(monkeypatch):
     tables = []
     original = fan_module.build_fan
 
-    def recording(rays, chambers, base, require_complete=False, across=None):
+    def recording(rays, chambers, base, across=None):
         tables.append(across is not None)
-        return original(rays, chambers, base, require_complete, across)
+        return original(rays, chambers, base, across)
 
     monkeypatch.setattr(fan_module, "build_fan", recording)
     searched = set()
@@ -886,9 +884,9 @@ def _search_tables():
     captured = []
     original = fan_module.build_fan
 
-    def capturing(rays, chambers, base, require_complete=False, across=None):
+    def capturing(rays, chambers, base, across=None):
         captured.append((rays, chambers, base, across))
-        return original(rays, chambers, base, require_complete, across)
+        return original(rays, chambers, base, across)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fan_module, "build_fan", capturing)
@@ -948,11 +946,11 @@ def test_corrupted_search_tables_are_refused():
     """A table with one bad entry or row raises TiltfanError, never a Fan,
     and the intact tables still give certified fans."""
     for rays, chambers, base, across in _search_tables():
-        assert build_fan(rays, chambers, base, True, across).complete == CERTIFIED
+        assert build_fan(rays, chambers, base, across).complete == CERTIFIED
     kinds = []
     for kind, rays, chambers, base, table in _corrupted_tables():
         with pytest.raises(TiltfanError, match=CORRUPTION_MESSAGES[kind]):
-            build_fan(rays, chambers, base, True, table)
+            build_fan(rays, chambers, base, table)
         kinds.append(kind)
     assert len(kinds) == 3 * (3 * 3 + 2 + 3)
 

@@ -318,7 +318,7 @@ def starred_orthant_fan():
     cones = [(e[i], e[j], (1, 1, 1)) for i, j in combinations(range(3), 2)]
     cones += [tuple(la.vscale(s, u) for s, u in zip(signs, e))
               for signs in product((1, -1), repeat=3) if signs != (1, 1, 1)]
-    return fan_from_cones(cones, tuple(la.vneg(u) for u in e), require_complete=True)
+    return fan_from_cones(cones, tuple(la.vneg(u) for u in e))
 
 
 def test_a_fan_with_not_positive_walls_can_be_convex():
