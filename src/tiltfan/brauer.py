@@ -38,7 +38,7 @@ class BrauerGraph:
     at the vertex of the least half-edge with edges taken in index order and
     loops skipped, decides connectivity (`Disconnected` if it misses a vertex
     or there are no half-edges) and keeps the bipartite colours and the tree
-    edges that `root_map` reads.
+    edges that `classify` and `root_map` read.
     """
 
     def __init__(self, half_edges, sigma, bar):
@@ -129,38 +129,21 @@ class BrauerGraph:
         return (pb - pa) % n < (pc - pa) % n
 
     def classify(self):
-        """Tree / OddCycle / Other, by Betti number and cycle parity."""
+        """Tree / OddCycle / Other, read off the spanning tree.
+
+        Betti number E - V + 1 = 0 is a tree and any value but 1 is Other.
+        With one cycle, the one edge off the tree closes it, and the cycle is
+        odd iff the two ends of that edge have one colour; a loop has both
+        ends at one vertex, so it is an odd cycle.
+        """
         betti = self.n_edges - self.n_vertices + 1
         if betti == 0:
             return TREE
         if betti != 1:
             return OTHER
-        return ODD_CYCLE if len(self.cycle_edges()) % 2 == 1 else OTHER
-
-    def cycle_edges(self):
-        """Edge indices on the unique cycle (empty for a tree).
-
-        These are the edges that survive repeatedly stripping non-loop edges
-        at a degree-1 vertex; with more than one cycle, all edges on cycles
-        or on paths between them survive.
-        """
-        deg = [0] * self.n_vertices
-        alive = set(range(self.n_edges))
-        for h, hb in self.edges:
-            deg[self.vertex_of[h]] += 1
-            deg[self.vertex_of[hb]] += 1
-        changed = True
-        while changed:
-            changed = False
-            for e in sorted(alive):
-                h, hb = self.edges[e]
-                u, v = self.vertex_of[h], self.vertex_of[hb]
-                if u != v and (deg[u] == 1 or deg[v] == 1):
-                    alive.discard(e)
-                    deg[u] -= 1
-                    deg[v] -= 1
-                    changed = True
-        return frozenset(alive)
+        (e,) = set(range(self.n_edges)) - self._tree_edges
+        u, v = (self.vertex_of[h] for h in self.edges[e])
+        return ODD_CYCLE if self._colour[u] == self._colour[v] else OTHER
 
 
 def graph_to_json(graph):
@@ -208,7 +191,8 @@ class SignedWalk:
       (outgoing symbol, sign)) of the walk there; the first and last
       contain a virtual edge.
 
-    Hash and equality read (halves, first_sign) only.
+    Hash and equality are the dataclass's, on the graph (by identity), the
+    canonical halves and the first sign.
     """
 
     graph: object
@@ -239,12 +223,6 @@ class SignedWalk:
                   "class_vector": tuple(vec), "end_signs": end_signs, "turns": turns}
         for name, value in record.items():
             object.__setattr__(self, name, value)
-
-    def __hash__(self):
-        return hash((self.halves, self.first_sign))
-
-    def __eq__(self, other):
-        return (self.halves, self.first_sign) == (other.halves, other.first_sign)
 
 
 def _reading(graph, halves, first):
@@ -335,11 +313,7 @@ def _nc3_pattern(graph, vertex, nb1, nb2):
     for primary, secondary in ((nb1, nb2), (nb2, nb1)):
         plus = next(s for s, sg in primary if sg == 1)
         minus = next(s for s, sg in primary if sg == -1)
-        q1, q2 = (s for s, _ in secondary)
-        pos = graph._positions[vertex]
-        n = len(pos)
-        d_minus = (pos[minus] - pos[plus]) % n
-        if d_minus < (pos[q1] - pos[plus]) % n and d_minus < (pos[q2] - pos[plus]) % n:
+        if all(graph.cyclic_before(vertex, plus, minus, q) for q, _ in secondary):
             return True
     return False
 
@@ -353,42 +327,38 @@ def pair_admissible(w1, w2):
 
 
 def _candidate_walks(graph):
-    """All signed walks: non-backtracking, parity-consistent, each edge <= 2 uses."""
-    out = set()
-    cap = 2 * graph.n_edges
-    cyc_edges = graph.cycle_edges()
+    """All signed walks: non-backtracking, with an alternating signature.
 
-    def extend(path, edge_parity, edge_count):
-        m = len(path)
+    The enumeration is finite only on trees and odd cycles, the graphs that
+    `self_admissible_walks` passes.  On a tree a non-backtracking walk is a
+    simple path.  On an odd cycle a second pass over a cycle edge comes an
+    odd number of steps after the first, so it needs the other sign, which
+    the parity check refuses.
+    """
+    out = set()
+
+    def extend(path, edge_parity):
         for sign in (1, -1):
             out.add(SignedWalk(graph, tuple(path), sign))
-        if m >= cap:
-            return
         tail = graph.bar[path[-1]]
-        v = graph.vertex_of[tail]
-        for nxt in graph.vertex_cycles[v]:
+        parity = len(path) % 2
+        for nxt in graph.vertex_cycles[graph.vertex_of[tail]]:
             if nxt == tail:
                 continue
             e = graph.edge_of[nxt]
-            parity = m % 2
-            if e in edge_parity and edge_parity[e] != parity:
+            if edge_parity.get(e, parity) != parity:
                 continue  # no alternating signature exists
-            limit = 1 if e in cyc_edges else 2
-            if edge_count.get(e, 0) >= limit:
-                continue
-            edge_count[e] = edge_count.get(e, 0) + 1
             fresh = e not in edge_parity
             if fresh:
                 edge_parity[e] = parity
             path.append(nxt)
-            extend(path, edge_parity, edge_count)
+            extend(path, edge_parity)
             path.pop()
             if fresh:
                 del edge_parity[e]
-            edge_count[e] -= 1
 
     for h in graph.half_edges:
-        extend([h], {graph.edge_of[h]: 0}, {graph.edge_of[h]: 1})
+        extend([h], {graph.edge_of[h]: 0})
     return out
 
 

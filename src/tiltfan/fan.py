@@ -69,13 +69,13 @@ class Fan:
     def ray_matrix(self, chamber_index):
         """Columns are the rays of the chamber, in sorted index order."""
         idx = sorted(self.chambers[chamber_index])
-        return la.from_columns([self.rays[i] for i in idx], rank=self.rank)
+        return la.from_columns([self.rays[i] for i in idx])
 
     def base_matrix(self):
         """Columns are the base-chamber rays in descending lex order, so that
         a standard orthant base yields the identity."""
         base_rays = sorted((self.rays[i] for i in self.chambers[self.base]), reverse=True)
-        return la.from_columns(base_rays, rank=self.rank)
+        return la.from_columns(base_rays)
 
     def chamber_key(self, chamber_index):
         return tuple(sorted(self.rays[i] for i in self.chambers[chamber_index]))
@@ -344,13 +344,11 @@ def fan_from_cones(cones, base_cone, across=None):
     return build_fan(rays, [chambers[ci] for ci in order], base, across)
 
 
-def _sign_incoherence(rays, chambers, base_rays):
-    """Sign-coherence: every chamber sits in one closed orthant of the
-    coordinates in the basis base_rays.  Returns (chamber index, coordinate)
-    of the first chamber with rays strictly on both sides, else None.
-    Chambers are collections of ray indices."""
+def _base_sides(rays, base_rays):
+    """For each coordinate in the basis base_rays, taken in descending
+    order: the indices of the rays strictly positive on it, and of those
+    strictly negative."""
     s_inv = la.invert_unimodular(la.from_columns(sorted(base_rays, reverse=True)))
-    # per coordinate: the rays strictly positive on it, and strictly negative
     sides = [(set(), set()) for _ in s_inv]
     for i, r in enumerate(rays):
         for (positive, negative), x in zip(sides, la.matvec(s_inv, r)):
@@ -358,6 +356,15 @@ def _sign_incoherence(rays, chambers, base_rays):
                 positive.add(i)
             elif x < 0:
                 negative.add(i)
+    return sides
+
+
+def _sign_incoherence(rays, chambers, base_rays):
+    """Sign-coherence: every chamber sits in one closed orthant of the
+    coordinates in the basis base_rays.  Returns (chamber index, coordinate)
+    of the first chamber with rays strictly on both sides, else None.
+    Chambers are collections of ray indices."""
+    sides = _base_sides(rays, base_rays)
     for ci, c in enumerate(chambers):
         for coord, (positive, negative) in enumerate(sides):
             if not (positive.isdisjoint(c) or negative.isdisjoint(c)):
@@ -491,13 +498,10 @@ def sign_filter(fan, eps):
     """Chamber indices contained in the closed orthant eps of the base coordinates."""
     if len(eps) != fan.rank or any(e not in (1, -1) for e in eps):
         raise TiltfanError("eps must be a vector over {+1,-1} of length rank")
-    s_inv = la.invert_unimodular(fan.base_matrix())
-    coords = [la.matvec(s_inv, r) for r in fan.rays]
-    out = []
-    for ci, c in enumerate(fan.chambers):
-        if all(eps[j] * coords[i][j] >= 0 for i in c for j in range(fan.rank)):
-            out.append(ci)
-    return out
+    sides = _base_sides(fan.rays, [fan.rays[i] for i in fan.chambers[fan.base]])
+    # a chamber in the orthant has no ray strictly on the side -eps[j] of coordinate j
+    against = [negative if e == 1 else positive for (positive, negative), e in zip(sides, eps)]
+    return [ci for ci, c in enumerate(fan.chambers) if all(s.isdisjoint(c) for s in against)]
 
 
 def reduce_at_cone(fan, cone_ray_indices):

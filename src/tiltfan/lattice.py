@@ -29,10 +29,10 @@ def columns(m):
     return [tuple(row[j] for row in m) for j in range(len(m[0]))] if m else []
 
 
-def from_columns(cols, rank=None):
-    """Matrix whose j-th column is cols[j]; rank fixes the row count when cols is empty."""
+def from_columns(cols):
+    """Matrix whose j-th column is cols[j]; () when cols is empty."""
     if not cols:
-        return tuple(() for _ in range(rank or 0))
+        return ()
     return tuple(tuple(c[i] for c in cols) for i in range(len(cols[0])))
 
 

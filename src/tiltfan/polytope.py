@@ -46,7 +46,7 @@ class LatticePolytope:
         return all(off > 0 for _n, off in self.facets)
 
 
-def convex_hull(points, rank=None):
+def convex_hull(points):
     """Exact hull of a full-dimensional set of integer points, by double
     description (Motzkin et al. 1953; Fukuda-Prodon 1996).
 
@@ -65,7 +65,7 @@ def convex_hull(points, rank=None):
     points = sorted({tuple(int(x) for x in p) for p in points})
     if not points:
         raise ValueError("no points")
-    n = rank or len(points[0])
+    n = len(points[0])
     if any(len(p) != n for p in points):
         raise ValueError(f"hull of points with other than {n} coordinates")
     lifted = [p + (-1,) for p in points]
@@ -319,4 +319,4 @@ def root_polytope(type_, n):
     else:
         raise ValueError(f"root polytope type must be A or C, got {type_!r}")
     roots, _short = root_system(cartan)
-    return convex_hull(roots, n)
+    return convex_hull(roots)

@@ -134,18 +134,6 @@ def test_hasse_histogram_matches_h():
     assert hist == (1, 9, 9, 1)
 
 
-def test_walk_edge_multiplicity_bounds():
-    g = odd_cycle_5()
-    cyc = g.cycle_edges()
-    for w in self_admissible_walks(g):
-        counts = {}
-        for h in w.halves:
-            e = g.edge_of[h]
-            counts[e] = counts.get(e, 0) + 1
-        for e, c in counts.items():
-            assert c <= (1 if e in cyc else 2)
-
-
 def test_tree_walks_are_simple_paths():
     g = path_tree(4)
     for w in self_admissible_walks(g):
@@ -209,14 +197,6 @@ def test_graph_json_round_trip():
     f1 = f_vector(chambers_by_cliques(g))
     f2 = f_vector(chambers_by_cliques(g2))
     assert f1 == f2
-
-
-def test_cycle_edges():
-    assert path_tree(4).cycle_edges() == frozenset()
-    assert star_tree(3).cycle_edges() == frozenset()
-    assert loop_graph().cycle_edges() == frozenset({1})
-    assert odd_cycle_5().cycle_edges() == frozenset({0, 1, 2})
-    assert double_edge().cycle_edges() == frozenset({0, 1})
 
 
 def _clique_fan(graph):
@@ -411,6 +391,40 @@ def ribbon_graph_classes(n):
             pass
 
 
+def _reference_cycle_edges(graph):
+    """The leaf-stripping rule `BrauerGraph` used before `classify` read the
+    spanning tree: the edges that survive repeatedly stripping non-loop
+    edges at a degree-1 vertex, empty for a tree and the cycle for a graph
+    with one cycle."""
+    deg = [0] * graph.n_vertices
+    alive = set(range(graph.n_edges))
+    for h, hb in graph.edges:
+        deg[graph.vertex_of[h]] += 1
+        deg[graph.vertex_of[hb]] += 1
+    changed = True
+    while changed:
+        changed = False
+        for e in sorted(alive):
+            h, hb = graph.edges[e]
+            u, v = graph.vertex_of[h], graph.vertex_of[hb]
+            if u != v and (deg[u] == 1 or deg[v] == 1):
+                alive.discard(e)
+                deg[u] -= 1
+                deg[v] -= 1
+                changed = True
+    return frozenset(alive)
+
+
+def _reference_classify(graph, cycle):
+    """`classify` by Betti number and the parity of the stripped cycle."""
+    betti = graph.n_edges - graph.n_vertices + 1
+    if betti == 0:
+        return TREE
+    if betti != 1:
+        return OTHER
+    return ODD_CYCLE if len(cycle) % 2 == 1 else OTHER
+
+
 @cache
 def _root_polytope_counts(type_, n):
     poly = root_polytope(type_, n)
@@ -425,11 +439,15 @@ def check_ribbon_graphs(graphs):
     2^(2n-1) chambers whose rays `root_map` sends one-to-one onto
     `target_roots`, and a g-polytope with the vertex and facet counts of
     the A_n or C_n root polytope.  Every other graph raises
-    UnsupportedGraph.
+    UnsupportedGraph.  `classify` agrees with the leaf-stripping reference,
+    and every self-admissible walk uses an edge of the reference's cycle at
+    most once and any other edge at most twice.
     """
     counts = Counter()
     for graph, count in graphs:
         kind = graph.classify()
+        cycle = _reference_cycle_edges(graph)
+        assert kind == _reference_classify(graph, cycle), graph_to_json(graph)
         counts[kind] += count
         n = graph.n_edges
         if kind == OTHER:
@@ -438,6 +456,10 @@ def check_ribbon_graphs(graphs):
             with pytest.raises(UnsupportedGraph):
                 root_map(graph)
             continue
+        for w in self_admissible_walks(graph):
+            uses = Counter(graph.edge_of[h] for h in w.halves)
+            assert all(c <= (1 if e in cycle else 2) for e, c in uses.items()), \
+                graph_to_json(graph)
         fan = chambers_by_cliques(graph)
         assert fan.complete == CERTIFIED, graph_to_json(graph)
         chambers = comb(2 * n, n) if kind == TREE else 2 ** (2 * n - 1)
