@@ -329,11 +329,13 @@ def pair_admissible(w1, w2):
 def _candidate_walks(graph):
     """All signed walks: non-backtracking, with an alternating signature.
 
-    The enumeration is finite only on trees and odd cycles, the graphs that
-    `self_admissible_walks` passes.  On a tree a non-backtracking walk is a
-    simple path.  On an odd cycle a second pass over a cycle edge comes an
-    odd number of steps after the first, so it needs the other sign, which
-    the parity check refuses.
+    The parity check alone bounds the walks.  An edge used again an odd
+    number of steps later needs the other sign, which it refuses; an
+    immediate backtrack is such a reuse, one step later.  So the enumeration
+    is finite on trees and odd cycles, the graphs that
+    `self_admissible_walks` passes, and only there: on a tree a walk is a
+    simple path, and on an odd cycle a second pass over a cycle edge comes
+    an odd number of steps after the first.
     """
     out = set()
 
@@ -343,8 +345,6 @@ def _candidate_walks(graph):
         tail = graph.bar[path[-1]]
         parity = len(path) % 2
         for nxt in graph.vertex_cycles[graph.vertex_of[tail]]:
-            if nxt == tail:
-                continue
             e = graph.edge_of[nxt]
             if edge_parity.get(e, parity) != parity:
                 continue  # no alternating signature exists

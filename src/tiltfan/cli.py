@@ -6,7 +6,6 @@ embedded schema_version; exit status 2 flags an exhausted search budget.
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import brauer, cluster, combinatorics, polytope, weyl
@@ -147,28 +146,13 @@ def _write_plot(fan_obj, path):
         fh.write(svg)
 
 
-def _budget(args):
-    env = os.environ.get("TILTFAN_BUDGET")
-    if args.budget is not None:
-        return args.budget
-    if env is None:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(env)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise TiltfanError(f"TILTFAN_BUDGET must be an integer >= 1, got {env!r}")
-    return budget
-
-
 def cmd_cluster(args):
     data = _load_json(args.matrix)
     if not isinstance(data, dict) or "B" not in data:
         raise ParseError(f'{args.matrix} has no "B" key')
     with reading(f"{args.matrix} is not an exchange matrix"):
         b = tuple(tuple(map(parse_int, row)) for row in data["B"])
-    result = cluster.enumerate_gfan(b, budget=_budget(args))
+    result = cluster.enumerate_gfan(b, budget=args.budget)
     if isinstance(result, BudgetExhausted):
         return _budget_exhausted(result, "chambers", args.fan)
     return _emit_fan_outputs(result, args)
@@ -177,14 +161,14 @@ def cmd_cluster(args):
 def cmd_brauer(args):
     graph = brauer.graph_from_json(_load_json(args.graph))
     fan_obj = brauer.chambers_by_cliques(graph)
-    status = _emit_fan_outputs(fan_obj, args)
+    _emit_fan_outputs(fan_obj, args)
     if args.roots:
         rm = brauer.root_map(graph)
         # the rays are the classes of the self-admissible walks
         table = {",".join(map(str, r)): list(rm.apply(r)) for r in fan_obj.rays}
         json.dump({"schema_version": 1, "roots": table}, sys.stdout, indent=1, sort_keys=True)
         print()
-    return status
+    return 0
 
 
 def cmd_weyl(args):
@@ -198,11 +182,11 @@ def cmd_weyl(args):
     else:
         print("error: weyl needs either --type/--n or --cartan", file=sys.stderr)
         return 1
-    enum = weyl.weyl_enumerate(cartan, budget=_budget(args))
+    enum = weyl.weyl_enumerate(cartan, budget=args.budget)
     if isinstance(enum, BudgetExhausted):
         return _budget_exhausted(enum, "elements", args.fan)
     fan_obj = weyl.coxeter_fan(cartan, elements=enum)
-    status = _emit_fan_outputs(fan_obj, args)
+    _emit_fan_outputs(fan_obj, args)
     if args.eulerian:
         print(json.dumps(list(weyl.descent_histogram(cartan, elements=enum))))
     if args.roots:
@@ -218,7 +202,7 @@ def cmd_weyl(args):
             sort_keys=True,
         )
         print()
-    return status
+    return 0
 
 
 def cmd_fan(args):
@@ -281,7 +265,8 @@ def build_parser():
 
     p = sub.add_parser("cluster", help="g-fan of a skew-symmetric exchange matrix")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--budget", type=int, help="search budget (chambers)")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="search budget (chambers)")
     _add_common(p)
     p.set_defaults(func=cmd_cluster)
 
@@ -297,7 +282,8 @@ def build_parser():
     p.add_argument("--cartan", help="JSON file with C and D")
     p.add_argument("--eulerian", action="store_true")
     p.add_argument("--roots", action="store_true")
-    p.add_argument("--budget", type=int, help="search budget (group elements)")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="search budget (group elements)")
     _add_common(p)
     p.set_defaults(func=cmd_weyl)
 
@@ -336,7 +322,7 @@ def main(argv=None):
     if not 1 <= getattr(args, "ell_max", 1) <= MAX_ELL:
         print(f"error: --ell-max must be in 1..{MAX_ELL}", file=sys.stderr)
         return 1
-    if getattr(args, "budget", None) is not None and args.budget < 1:
+    if getattr(args, "budget", 1) < 1:
         print("error: --budget must be >= 1", file=sys.stderr)
         return 1
     try:

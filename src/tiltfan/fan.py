@@ -49,9 +49,9 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True, slots=True)
 class Wall:
-    """Shared codimension-1 face of two chambers."""
+    """Codimension-1 face of two chambers: one mutation.  The face itself is
+    either chamber less its free ray, fan.chambers[chambers[0]] - {free[0]}."""
 
-    shared: frozenset
     chambers: tuple  # pair of chamber indices, ascending
     free: tuple  # each chamber's ray off the wall, in the order of chambers
     normal: tuple  # chambers[0]'s inverse row at free[0]: 1 on it, -1 on free[1]
@@ -85,18 +85,21 @@ class Fan:
 class BudgetExhausted:
     """Normal outcome of a search that ran out of budget.
 
-    `explored` chambers were found, and `frontier` of them have walls that
-    were not all crossed.  `cones` are the chambers found, each the tuple of
-    its rays, the start first.  `partial_fan` is their fan, built on first
-    use, so a caller that does not ask for it does not pay for it.  Unlike
-    a Fan it has no `chambers`, so `hasattr(result, "chambers")` tells the
-    two outcomes apart.
+    `cones` are the chambers found, each the tuple of its rays, the start
+    first: `explored` counts them, and `frontier` of them have walls that
+    were not all crossed.  `partial_fan` is their fan, built on first use,
+    so a caller that does not ask for it does not pay for it.  Unlike a Fan
+    it has no `chambers`, so `hasattr(result, "chambers")` tells the two
+    outcomes apart.
     """
 
-    explored: int
     frontier: int
     budget: int
-    cones: tuple = field(repr=False, compare=False)
+    cones: tuple = field(repr=False)
+
+    @property
+    def explored(self):
+        return len(self.cones)
 
     @cached_property
     def partial_fan(self):
@@ -265,13 +268,13 @@ def build_fan(rays, chambers, base, across=None):
                     reached[j], count = count, count + 1
                 if reached[j] > reached[ci]:
                     # the first side reached: row k vanishes on the face and is 1 on free_a
-                    row, face = inv[k], c & other
+                    row = inv[k]
                     if la.dot(row, rays[free_b]) >= 0:
-                        overlaps.append((tuple(sorted(face)), (min(ci, j), max(ci, j))))
+                        overlaps.append((tuple(sorted(c & other)), (min(ci, j), max(ci, j))))
                     elif ci < j:
-                        walls.append(Wall(face, (ci, j), (free_a, free_b), row))
+                        walls.append(Wall((ci, j), (free_a, free_b), row))
                     else:
-                        walls.append(Wall(face, (j, ci), (free_b, free_a), la.vneg(row)))
+                        walls.append(Wall((j, ci), (free_b, free_a), la.vneg(row)))
 
     incoherent = _sign_incoherence(rays, chambers, [rays[i] for i in chambers[base]])
     if incoherent:
@@ -284,7 +287,7 @@ def build_fan(rays, chambers, base, across=None):
         raise TiltfanError(min(problems)[1])
     if not dangling and covering != 1:
         raise TiltfanError(f"a generic point lies in {covering} chambers")
-    walls.sort(key=lambda w: sorted(w.shared))
+    walls.sort(key=lambda w: sorted(chambers[w.chambers[0]] - {w.free[0]}))
     return Fan(rank, rays, chambers, base, tuple(walls), UNKNOWN if dangling else CERTIFIED)
 
 
@@ -415,7 +418,7 @@ def wall_crossing_search(rays, exchange, budget, state=None, cross=None):
             if j is None:
                 if len(chambers) >= budget:
                     # the chamber under expansion has walls not yet crossed too
-                    return BudgetExhausted(len(chambers), len(queue) + 1, budget, tuple(chambers))
+                    return BudgetExhausted(len(queue) + 1, budget, tuple(chambers))
                 j = found[key] = len(chambers)
                 chambers.append(new)
                 across.append([None] * n)
@@ -490,7 +493,7 @@ def hasse_orient(fan):
         elif all(v <= 0 for v in vals):
             arrows.append((cb, ca, w))
         else:
-            raise OrderViolation(tuple(sorted(w.shared)))
+            raise OrderViolation(tuple(sorted(fan.chambers[ca] - {w.free[0]})))
     return HasseOrientation(tuple(arrows))
 
 
@@ -553,7 +556,7 @@ def verify_pairwise_intersections(fan):
     Any other fan (a partial one, or a Fan assembled by hand) gets the
     exhaustive check, limited to rank <= 3: the intersection of two
     simplicial full-dimensional cones is cut out by the two inverse ray
-    matrices; its extreme rays arise as kernels of pairs of active
+    matrices; its extreme rays arise as kernels of rank - 1 active
     constraints, and each must be a nonnegative combination of the shared
     rays (checked in chamber coordinates).
     """
@@ -571,11 +574,7 @@ def verify_pairwise_intersections(fan):
             k for k, i in enumerate(sorted(fan.chambers[ca])) if i in shared
         ]
         candidates = set()
-        if fan.rank == 2:
-            groups = [(r,) for r in rows]
-        else:
-            groups = list(combinations(rows, 2))
-        for group in groups:
+        for group in combinations(rows, fan.rank - 1):
             try:
                 v = la.kernel_functional(list(group), fan.rank)
             except ValueError:

@@ -163,8 +163,8 @@ def _wall_class(fan, w, row_of):
     row_of maps each ray of its first chamber to the matching row of that
     chamber's inverse ray matrix.  The last of coeffs, at free_a, is 0:
     the normal is 1 on free_a and -1 on free_b."""
-    shared = sorted(w.shared)
     free_a, free_b = w.free
+    shared = sorted(fan.chambers[w.chambers[0]] - {free_a})
     total = la.vadd(fan.rays[free_a], fan.rays[free_b])
     coeffs = tuple(la.dot(row_of[i], total) for i in shared + [free_a])
     shared_part = coeffs[:-1]

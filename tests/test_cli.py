@@ -124,12 +124,6 @@ def test_plot_outlines_only_a_convex_polytope(tmp_path, capsys):
     assert capsys.readouterr().err == "error: convexity requires a certified-complete fan\n"
 
 
-def test_env_budget(tmp_path, monkeypatch, capsys):
-    matrix = write(tmp_path, "kron.json", {"n": 2, "B": [[0, 2], [-2, 0]]})
-    monkeypatch.setenv("TILTFAN_BUDGET", "50")
-    assert main(["cluster", "--matrix", matrix]) == 2
-
-
 def test_kase_invalid_parameters():
     with pytest.raises(ValueError):
         kase_family_fan(0, 1)
@@ -193,15 +187,6 @@ def test_fan_command_paranoid(tmp_path, capsys):
     path = write(tmp_path, "fan.json", fan_to_json(fan))
     assert main(["fan", "--input", path, "--paranoid"]) == 0
     assert "complete=certified" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("budget", ["abc", "0"])
-def test_bad_env_budget_is_a_one_line_error(tmp_path, monkeypatch, capsys, budget):
-    matrix = write(tmp_path, "a2.json", {"n": 2, "B": [[0, 1], [-1, 0]]})
-    monkeypatch.setenv("TILTFAN_BUDGET", budget)
-    assert main(["cluster", "--matrix", matrix]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: TILTFAN_BUDGET") and err.count("\n") == 1
 
 
 def test_kase_zero_parameter_is_a_one_line_error(capsys):

@@ -12,6 +12,7 @@ from tiltfan.errors import (
     IncompleteFan,
     NonUnimodularChamber,
     NotAFace,
+    OrderViolation,
     SignCoherenceViolation,
     TiltfanError,
 )
@@ -108,6 +109,22 @@ def test_hasse_rank1():
     src, dst, _ = orient.arrows[0]
     assert fan.rays[next(iter(fan.chambers[src]))] == (1,)
     assert fan.rays[next(iter(fan.chambers[dst]))] == (-1,)
+
+
+def test_hasse_orient_refuses_a_wall_split_by_the_base_chamber():
+    """The ray (-1, -1) spans a wall whose normal is positive on one base
+    ray and negative on the other, so no orientation away from the base
+    exists; counting the walls each chamber leaves through needs none."""
+    from tiltfan.combinatorics import f_vector
+    from tiltfan.polytope import rank2_fan_from_rays
+
+    fan = rank2_fan_from_rays([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)])
+    assert fan.complete == CERTIFIED and fan.rays[0] == (-1, -1)
+    with pytest.raises(OrderViolation) as exc:
+        hasse_orient(fan)
+    assert exc.value.wall == (0,)
+    assert str(exc.value) == "wall (0,) admits no normal that is nonnegative on the base chamber"
+    assert f_vector(fan) == (1, 5, 5)
 
 
 def test_hasse_acyclic_unique_source_sink(pentagon_fan, a3_cluster_fan):
@@ -344,11 +361,12 @@ def test_wall_normals_match_kernel_functional():
         names.append(name)
         assert fan.walls, name
         for w in fan.walls:
-            shared = [fan.rays[i] for i in sorted(w.shared)]
-            kf = la.kernel_functional(shared, fan.rank)
             ca, cb = w.chambers
-            (free_a,) = fan.chambers[ca] - w.shared
-            (free_b,) = fan.chambers[cb] - w.shared
+            face = fan.chambers[ca] & fan.chambers[cb]
+            shared = [fan.rays[i] for i in sorted(face)]
+            kf = la.kernel_functional(shared, fan.rank)
+            (free_a,) = fan.chambers[ca] - face
+            (free_b,) = fan.chambers[cb] - face
             assert w.free == (free_a, free_b), (name, w)
             signed = kf if la.dot(kf, fan.rays[free_a]) > 0 else la.vneg(kf)
             assert w.normal == signed, (name, w)
@@ -520,8 +538,7 @@ def _crossing_every_wall(rays, exchange, budget, state=None, cross=None):
             if key in found:
                 continue
             if len(found) >= budget:
-                return fan_module.BudgetExhausted(len(found), len(queue) + 1, budget,
-                                                  tuple(found.values()))
+                return fan_module.BudgetExhausted(len(queue) + 1, budget, tuple(found.values()))
             found[key] = new
             queue.append((new, cross(state, new, k) if cross else state))
     index = {key: i for i, key in enumerate(found)}
@@ -688,7 +705,7 @@ def _eliminating_build_fan(rays, chambers, base):
         if normals[sub] is None:
             raise TiltfanError(
                 f"chambers {ca} and {cb} share face {tuple(sorted(sub))} but overlap")
-        walls.append(Wall(sub, (ca, cb), *normals[sub]))
+        walls.append(Wall((ca, cb), *normals[sub]))
     if not dangling and covering != 1:
         raise TiltfanError(f"a generic point lies in {covering} chambers")
     return Fan(rank, rays, chambers, base, tuple(walls), UNKNOWN if dangling else CERTIFIED)

@@ -425,9 +425,10 @@ def _reference_convexity_report(fan):
 
     out = []
     for w in fan.walls:
-        shared = sorted(w.shared)
         ca, cb = w.chambers
-        (free_a,), (free_b,) = fan.chambers[ca] - w.shared, fan.chambers[cb] - w.shared
+        face = fan.chambers[ca] & fan.chambers[cb]
+        shared = sorted(face)
+        (free_a,), (free_b,) = fan.chambers[ca] - face, fan.chambers[cb] - face
         basis = la.from_columns([fan.rays[i] for i in shared] + [fan.rays[free_a]])
         total = la.vadd(fan.rays[free_a], fan.rays[free_b])
         coeffs = tuple(int(x) for x in la.solve_exact(basis, total))
