@@ -205,8 +205,6 @@ class SignedWalk:
         rev_first = first * (-1) ** (len(halves) - 1)
         if (rev, rev_first) < (halves, first):
             halves, first, rev, rev_first = rev, rev_first, halves, first
-        if rev == halves:
-            rev_first = first  # a walk equal to its reverse reads with one first sign
         readings = (_reading(g, halves, first), _reading(g, rev, rev_first))
         _, ext, signs = readings[0]
         vec = [0] * g.n_edges

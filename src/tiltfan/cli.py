@@ -1,6 +1,7 @@
 """Command-line interface: front-ends to fan construction plus analysis,
 classification and rank-2 SVG plots.  All file formats are JSON with an
-embedded schema_version; exit status 2 flags an exhausted search budget.
+embedded schema_version.  `main` decides the exit status: 0 on success,
+1 with one `error: ...` line on bad input, 2 on an exhausted search budget.
 """
 
 import argparse
@@ -35,10 +36,15 @@ def kase_family_fan(ell, m):
     return polytope.rank2_fan_from_rays(rays)
 
 
+def _print_json(doc, file=None):
+    """One indented JSON document with sorted keys, to stdout by default."""
+    json.dump(doc, file or sys.stdout, indent=1, sort_keys=True)
+    print(file=file)
+
+
 def _write_json(path, data):
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        _print_json(data, fh)
 
 
 def _load_json(path):
@@ -107,7 +113,6 @@ def _emit_fan_outputs(fan_obj, args):
         _emit_report(fan_obj, args)
     if args.plot:
         _write_plot(fan_obj, args.plot)
-    return 0
 
 
 def _emit_report(fan_obj, args):
@@ -116,13 +121,12 @@ def _emit_report(fan_obj, args):
     if args.out:
         _write_json(args.out, report)
     else:
-        json.dump(report, sys.stdout, indent=1, sort_keys=True)
-        print()
+        _print_json(report)
 
 
 def _budget_exhausted(result, unit, fan_path):
-    """The exit-2 line; given fan_path, the partial fan is built and written
-    there."""
+    """The exit-2 line and status, the only source of status 2; given
+    fan_path, the partial fan is built and written there."""
     print(
         f"budget exhausted: explored {result.explored} {unit}, "
         f"frontier {result.frontier}, budget {result.budget}"
@@ -155,7 +159,7 @@ def cmd_cluster(args):
     result = cluster.enumerate_gfan(b, budget=args.budget)
     if isinstance(result, BudgetExhausted):
         return _budget_exhausted(result, "chambers", args.fan)
-    return _emit_fan_outputs(result, args)
+    _emit_fan_outputs(result, args)
 
 
 def cmd_brauer(args):
@@ -166,22 +170,18 @@ def cmd_brauer(args):
         rm = brauer.root_map(graph)
         # the rays are the classes of the self-admissible walks
         table = {",".join(map(str, r)): list(rm.apply(r)) for r in fan_obj.rays}
-        json.dump({"schema_version": 1, "roots": table}, sys.stdout, indent=1, sort_keys=True)
-        print()
-    return 0
+        _print_json({"schema_version": 1, "roots": table})
 
 
 def cmd_weyl(args):
     if args.type:
         if args.n is None:
-            print("error: --type requires --n", file=sys.stderr)
-            return 1
+            raise TiltfanError("--type requires --n")
         cartan = weyl.cartan_preset(args.type, args.n)
     elif args.cartan:
         cartan = weyl.cartan_from_json(_load_json(args.cartan))
     else:
-        print("error: weyl needs either --type/--n or --cartan", file=sys.stderr)
-        return 1
+        raise TiltfanError("weyl needs either --type/--n or --cartan")
     enum = weyl.weyl_enumerate(cartan, budget=args.budget)
     if isinstance(enum, BudgetExhausted):
         return _budget_exhausted(enum, "elements", args.fan)
@@ -191,18 +191,8 @@ def cmd_weyl(args):
         print(json.dumps(list(weyl.descent_histogram(cartan, elements=enum))))
     if args.roots:
         roots, short = weyl.root_system(cartan)
-        json.dump(
-            {
-                "schema_version": 1,
-                "roots": sorted(map(list, roots)),
-                "short": sorted(map(list, short)),
-            },
-            sys.stdout,
-            indent=1,
-            sort_keys=True,
-        )
-        print()
-    return 0
+        _print_json({"schema_version": 1, "roots": sorted(map(list, roots)),
+                     "short": sorted(map(list, short))})
 
 
 def cmd_fan(args):
@@ -213,29 +203,24 @@ def cmd_fan(args):
         _write_json(args.fan, fan_to_json(fan_obj))
     print(f"rank {fan_obj.rank}, {len(fan_obj.rays)} rays, "
           f"{len(fan_obj.chambers)} chambers, complete={fan_obj.complete}")
-    return 0
 
 
 def cmd_analyze(args):
     _emit_report(fan_from_json(_load_json(args.input)), args)
-    return 0
 
 
 def cmd_classify(args):
     fan_obj = fan_from_json(_load_json(args.input))
     klass = polytope.rank2_classify(fan_obj)
     print(json.dumps({"schema_version": 1, "class": klass}))
-    return 0
 
 
 def cmd_plot(args):
     _write_plot(fan_from_json(_load_json(args.input)), args.out)
-    return 0
 
 
 def cmd_kase(args):
-    fan_obj = kase_family_fan(args.ell, args.m)
-    return _emit_fan_outputs(fan_obj, args)
+    _emit_fan_outputs(kase_family_fan(args.ell, args.m), args)
 
 
 def _add_common(p):
@@ -318,19 +303,16 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit status: a command returns
+    nothing on success, `_budget_exhausted`'s 2, or raises for status 1."""
     args = build_parser().parse_args(argv)
-    if not 1 <= getattr(args, "ell_max", 1) <= MAX_ELL:
-        print(f"error: --ell-max must be in 1..{MAX_ELL}", file=sys.stderr)
-        return 1
-    if getattr(args, "budget", 1) < 1:
-        print("error: --budget must be >= 1", file=sys.stderr)
-        return 1
     try:
-        return args.func(args)
-    except TiltfanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        if not 1 <= getattr(args, "ell_max", 1) <= MAX_ELL:
+            raise TiltfanError(f"--ell-max must be in 1..{MAX_ELL}")
+        if getattr(args, "budget", 1) < 1:
+            raise TiltfanError("--budget must be >= 1")
+        return args.func(args) or 0
+    except (TiltfanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

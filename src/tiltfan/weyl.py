@@ -115,24 +115,24 @@ def weyl_enumerate(cartan, budget=2_000_000):
     return wall_crossing_search(la.identity(cartan.n), _crossed_ray, budget, cartan.c)
 
 
-def _finite_elements(cartan, budget, elements):
+def _finite_elements(cartan, elements):
     """The given enumeration, else a fresh one of a group that
-    `require_finite_type` admits; it must close within the budget."""
+    `require_finite_type` admits; it must have closed."""
     if elements is None:
         require_finite_type(cartan)
-        elements = weyl_enumerate(cartan, budget)
+        elements = weyl_enumerate(cartan)
     if isinstance(elements, BudgetExhausted):
         raise NotFiniteType(f"Weyl group did not close within {elements.budget} elements")
     return elements
 
 
-def coxeter_fan(cartan, budget=2_000_000, elements=None):
+def coxeter_fan(cartan, elements=None):
     """Fan of Weyl chambers in dominant-weight coordinates; |W| chambers.
 
     `elements` is the output of `weyl_enumerate`, whose neighbour table goes
-    to `build_fan`; without it the group is enumerated here under `budget`.
+    to `build_fan`; without it the group is enumerated here.
     """
-    elements, across = _finite_elements(cartan, budget, elements)
+    elements, across = _finite_elements(cartan, elements)
     return fan_from_cones(elements, la.identity(cartan.n), across=across)
 
 
@@ -174,13 +174,13 @@ def root_system(cartan):
     return roots, short
 
 
-def descent_histogram(cartan, budget=2_000_000, elements=None):
+def descent_histogram(cartan, elements=None):
     """W-Eulerian numbers: counts of elements by number of left descents.
 
     s_i is a descent of w iff w^{-1}(alpha_i) is a negative root.
     `elements` is the output of `weyl_enumerate`, as for `coxeter_fan`.
     """
-    elements, _across = _finite_elements(cartan, budget, elements)
+    elements, _across = _finite_elements(cartan, elements)
     n = cartan.n
     hist = [0] * (n + 1)
     for w in elements:

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from functools import cache
 from itertools import combinations, permutations, product
@@ -20,6 +21,7 @@ from tiltfan.brauer import (
     self_admissible_walks,
     target_roots,
 )
+from tiltfan.cli import main
 from tiltfan.combinatorics import f_vector, h_vector
 from tiltfan.errors import Disconnected, UnsupportedGraph
 from tiltfan.fan import CERTIFIED, fan_from_cones, hasse_orient
@@ -92,6 +94,31 @@ def test_odd_cycle3_walk_classes():
 def test_unsupported_graph():
     with pytest.raises(UnsupportedGraph):
         self_admissible_walks(double_edge())
+
+
+# Betti number 2: two loops at one vertex, and the theta graph (three
+# parallel edges); the ribbon-graph sweeps only reach Betti numbers 0 and 1
+BETTI_TWO = {
+    "two loops": {"half_edges": ["a", "b", "c", "d"], "sigma": [["a", "b", "c", "d"]],
+                  "bar": [["a", "b"], ["c", "d"]]},
+    "theta": {"half_edges": half_edges(3), "sigma": [["1a", "2a", "3a"], ["1b", "3b", "2b"]],
+              "bar": [["1a", "1b"], ["2a", "2b"], ["3a", "3b"]]},
+}
+
+
+@pytest.mark.parametrize("name", BETTI_TWO)
+def test_betti_number_two_is_unsupported(name, tmp_path, capsys):
+    graph = graph_from_json(BETTI_TWO[name])
+    assert graph.n_edges - graph.n_vertices + 1 == 2
+    assert graph.classify() == OTHER
+    for routine in (self_admissible_walks, root_map, target_roots):
+        with pytest.raises(UnsupportedGraph):
+            routine(graph)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(BETTI_TWO[name]))
+    assert main(["brauer", "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: graph of type Other is g-infinite\n")
 
 
 def test_pair_admissible_disjoint_edges():

@@ -87,6 +87,23 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert main(["analyze", "--input", bad]) == 1
 
 
+@pytest.mark.parametrize("argv", [["cluster", "--matrix", "{a3}", "--analyze"],
+                                  ["analyze", "--input", "{fan}"]], ids=["cluster", "analyze"])
+def test_out_writes_what_stdout_would_get(argv, tmp_path, capsys):
+    a3 = write(tmp_path, "a3.json", {"B": b_type_a(3)})
+    fan = str(tmp_path / "fan.json")
+    assert main(["cluster", "--matrix", a3, "--fan", fan]) == 0
+    argv = [a.format(a3=a3, fan=fan) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(argv + ["--out", str(report)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert report.read_text() == printed.out
+    assert json.loads(printed.out)["h"] == [1, 6, 6, 1]
+
+
 def test_brauer_roots_output(tmp_path, capsys):
     graph = write(tmp_path, "g3.json", graph_to_json(gamma3()))
     assert main(["brauer", "--graph", graph, "--roots"]) == 0
@@ -304,6 +321,12 @@ def _bad_inputs(tmp_path):
     letter = write(tmp_path, "letter.json", {"B": [["a"]]})
     base_x = write(tmp_path, "base_x.json", {"rays": [[1, 0], [0, 1]], "chambers": [[0, 1]],
                                              "base": "x"})
+    twice = write(tmp_path, "twice.json", {"rays": [[1, 0], [0, 1], [1, 0]],
+                                           "chambers": [[0, 1]], "base": 0})
+    short = write(tmp_path, "short.json", {"rays": [[1, 0], [0, 1]], "chambers": [[0]],
+                                           "base": 0})
+    v2 = write(tmp_path, "v2.json", {"schema_version": 2, "rays": [[1, 0], [0, 1]],
+                                     "chambers": [[0, 1]], "base": 0})
     rank3 = str(tmp_path / "rank3.json")
     assert main(["weyl", "--type", "A", "--n", "3", "--fan", rank3]) == 0
     svg = str(tmp_path / "out.svg")
@@ -323,6 +346,9 @@ def _bad_inputs(tmp_path):
         (["cluster", "--matrix", letter],
          f"error: {letter} is not an exchange matrix: expected an integer, got 'a'\n"),
         (["fan", "--input", base_x], "error: not a fan: expected an integer, got 'x'\n"),
+        (["fan", "--input", twice], "error: duplicate rays\n"),
+        (["fan", "--input", short], "error: chamber 0 has 1 rays, expected 2\n"),
+        (["fan", "--input", v2], "error: unsupported schema version 2\n"),
         (["weyl", "--type", "A", "--n", "0"], "error: rank must be >= 1\n"),
         (["fan", "--input", str(tmp_path)], "error: [Errno 21] Is a directory: "),
     ]

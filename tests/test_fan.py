@@ -915,7 +915,9 @@ def _search_tables():
 
 def _corrupted_tables():
     """(kind, rays, chambers, base, across) with one fault in a search table,
-    put in the row of chamber 0, where the pass over the table starts."""
+    put in the row of chamber 0, where the pass over the table starts, or
+    in chamber 0 itself: a ray named twice, which only the table's row
+    order can show (a chamber's set of rays drops the repeat)."""
     for rays, chambers, base, across in _search_tables():
         n = len(rays[0])
         sets = [frozenset(c) for c in chambers]
@@ -945,6 +947,8 @@ def _corrupted_tables():
         table[0][0] = len(chambers)
         yield "out of range", rays, chambers, base, table
         yield "row count", rays, chambers, base, across[:-1]
+        repeated = [tuple(chambers[0]) + (chambers[0][0],)] + list(chambers[1:])
+        yield "repeated ray", rays, repeated, base, across
 
 
 CORRUPTION_MESSAGES = {
@@ -956,6 +960,7 @@ CORRUPTION_MESSAGES = {
     "no neighbour": r"^the neighbour table names no chamber across wall 0 of chamber 0$",
     "out of range": r"^the neighbour table names chamber \d+ outside 0\.\.\d+$",
     "row count": r"^the neighbour table has \d+ rows for \d+ chambers$",
+    "repeated ray": r"^chamber 0 repeats a ray$",
 }
 
 
@@ -969,7 +974,7 @@ def test_corrupted_search_tables_are_refused():
         with pytest.raises(TiltfanError, match=CORRUPTION_MESSAGES[kind]):
             build_fan(rays, chambers, base, table)
         kinds.append(kind)
-    assert len(kinds) == 3 * (3 * 3 + 2 + 3)
+    assert len(kinds) == 3 * (3 * 3 + 2 + 4)
 
 
 def test_a_face_in_three_chambers_is_refused_with_or_without_a_table():

@@ -129,7 +129,7 @@ def test_infinite_type_exhausts_budget():
     result = weyl_enumerate(A_TILDE_1, budget=100)
     assert isinstance(result, BudgetExhausted)
     with pytest.raises(NotFiniteType):
-        coxeter_fan(A_TILDE_1, budget=100)
+        coxeter_fan(A_TILDE_1)
 
 
 HYPERBOLIC = CartanData(((2, -3), (-3, 2)), (1, 1))
