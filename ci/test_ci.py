@@ -1,0 +1,223 @@
+"""The checks too slow for tier-1: fans past what the unit tests build, the
+stored benchmark fans, and one short benchmark run per workload.
+
+Run from the repository root:
+
+    PYTHONPATH=src:tests python -m pytest ci
+
+The CLI runs in-process through `cli.main`; Coxeter A7, which must fit in
+200 MB of peak RSS, and `benchmarks/run.py` run in their own processes.
+No bytecode is written under benchmarks/, so the checkout stays as it is.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from tiltfan.brauer import chambers_by_cliques
+from tiltfan.cli import main
+from tiltfan.cluster import enumerate_gfan
+from tiltfan.combinatorics import f_vector
+from tiltfan.errors import NotConvex
+from tiltfan.fan import CERTIFIED
+from tiltfan.polytope import convexity_report, g_polytope, root_polytope
+from tiltfan.weyl import CartanData, cartan_preset, coxeter_fan, short_root_polytope
+
+from conftest import b_type_a, odd_cycle, simply_laced
+from test_brauer import RIBBON_GRAPH_COUNTS, check_ribbon_graphs, ribbon_graph_classes, ribbon_graphs
+from test_cli import write
+from test_combinatorics import _face_count
+from test_fan import A_EDGES, D_EDGES, _principal, _tree_orientations, check_idempotent_reductions
+from test_polytope import check_dual_is_the_short_root_polytope
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(ROOT / "benchmarks"))
+from inputs import brauer_graph  # noqa: E402
+
+
+def e_type(n):
+    """Cartan data of E_n in Bourbaki's labelling: 1-3-4-5-..., 2 on 4."""
+    return simply_laced(n, [(0, 2), (1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n - 1)])
+
+
+@cache
+def coxeter_a6():
+    return coxeter_fan(cartan_preset("A", 6))
+
+
+def run(argv, capsys, status=0):
+    """(stdout, stderr) of `tiltfan argv`, which must exit with status."""
+    assert main(argv) == status, capsys.readouterr().err
+    return capsys.readouterr()
+
+
+# -- fan files through the CLI -------------------------------------------------
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "benchmarks" / "fans").glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_stored_fan_passes_paranoid(path, capsys):
+    run(["fan", "--input", str(path), "--paranoid"], capsys)
+
+
+def test_partial_kronecker_fan_reads_back_with_its_status_word(tmp_path, capsys):
+    """The Kronecker matrix never closes, so --budget 50 ends in exit 2."""
+    matrix = write(tmp_path, "kron.json", {"B": [[0, 2], [-2, 0]]})
+    partial = tmp_path / "p.json"
+    run(["cluster", "--matrix", matrix, "--budget", "50", "--fan", str(partial)], capsys, 2)
+    stored = json.loads(partial.read_text())["complete"]
+    assert run(["fan", "--input", str(partial)], capsys).out.endswith(f" complete={stored}\n")
+
+
+def test_affine_a2_search_reports_its_exhausted_budget(tmp_path, capsys):
+    """The affine Weyl group is infinite: --fan writes the partial fan of the
+    2000 elements found."""
+    cartan = write(tmp_path, "at2.json", {"C": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+                                          "D": [1, 1, 1]})
+    partial = tmp_path / "p.json"
+    err = run(["weyl", "--cartan", cartan, "--budget", "2000", "--fan", str(partial)],
+              capsys, 2).err
+    assert err == ("budget exhausted: explored 2000 elements, frontier 109, budget 2000; "
+                   "writing partial fan\n")
+    out = run(["fan", "--input", str(partial)], capsys).out
+    assert out.endswith(", 2000 chambers, complete=unknown\n")
+
+
+def check_read_back(path, chambers, capsys):
+    """`fan --input --paranoid` certifies the front-end's file with the table
+    derived from it, and `fan --fan` writes back the same bytes."""
+    again = path.with_name("again.json")
+    out = run(["fan", "--input", str(path), "--paranoid", "--fan", str(again)], capsys).out
+    assert out.endswith(f", {chambers} chambers, complete=certified\n")
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("type_, n, chambers", [("A", 6, 5040), ("B", 5, 3840)],
+                         ids=["A6", "B5"])
+def test_coxeter_fan_reads_back_certified(type_, n, chambers, tmp_path, capsys):
+    """|W(A6)| = 7! and |W(B5)| = 2^5 5!."""
+    path = tmp_path / "fan.json"
+    run(["weyl", "--type", type_, "--n", str(n), "--fan", str(path)], capsys)
+    check_read_back(path, chambers, capsys)
+
+
+@pytest.mark.parametrize("kind, n, chambers, roots", [
+    ("path", 7, 3432, 56), ("odd", 6, 2048, 72), ("star", 5, 252, 30), ("path", 8, 12870, 72),
+], ids=["path 7", "odd 6", "star 5", "path 8"])
+def test_brauer_fan_reads_back_certified(kind, n, chambers, roots, tmp_path, capsys):
+    """C(2n, n) chambers for a tree and 2^(2n-1) for an odd cycle, and as many
+    distinct --roots images as A_n (n(n+1)) or C_n (2n^2) has roots."""
+    graph = write(tmp_path, "graph.json", brauer_graph(kind, n))
+    path = tmp_path / "fan.json"
+    table = json.loads(run(["brauer", "--graph", graph, "--fan", str(path), "--roots"],
+                           capsys).out)["roots"]
+    assert len({tuple(v) for v in table.values()}) == roots
+    check_read_back(path, chambers, capsys)
+
+
+# -- fans and polytopes past tier-1 --------------------------------------------
+
+
+@pytest.mark.parametrize("poly, counts", [
+    (lambda: short_root_polytope(e_type(7)), (126, 632)),
+    (lambda: root_polytope("C", 7), (14, 128)),
+], ids=["E7", "C7"])
+def test_root_polytope_matches_its_closed_form(poly, counts):
+    """Every root of E7 is short; C7 has 2n vertices and 2^n facets.  Both
+    are past rank 4, where the double-description hull has no cap."""
+    p = poly()
+    assert (len(p.vertices), len(p.facets)) == counts
+
+
+@pytest.mark.parametrize("edges", [A_EDGES[5], D_EDGES[5]], ids=["A5", "D5"])
+def test_idempotent_reductions_of_every_orientation(edges):
+    """At the cone of the shifted projectives P_j[1], j outside each vertex
+    subset S, the star is the front-end fan of the sub-diagram on S."""
+    for b in _tree_orientations(5, edges):
+        check_idempotent_reductions(enumerate_gfan(b),
+                                    lambda keep, b=b: enumerate_gfan(_principal(b, keep)))
+
+
+def test_idempotent_reductions_of_coxeter_a6():
+    cd = cartan_preset("A", 6)
+    check_idempotent_reductions(coxeter_a6(), lambda keep: coxeter_fan(
+        CartanData(_principal(cd.c, keep), tuple(cd.d[i] for i in keep))))
+
+
+@pytest.mark.parametrize("fan, chambers", [
+    (coxeter_a6, 5040),
+    (lambda: chambers_by_cliques(odd_cycle(6)), 2048),
+    (lambda: enumerate_gfan(b_type_a(7)), 1430),
+], ids=["coxeter A6", "brauer odd 6", "cluster A7"])
+def test_f_vector_from_the_walls_equals_the_face_count(fan, chambers):
+    fan = fan()
+    assert len(fan.chambers) == chambers
+    assert f_vector(fan) == _face_count(fan)
+
+
+def test_coxeter_a6_dual_is_the_short_root_polytope():
+    check_dual_is_the_short_root_polytope(coxeter_a6(), cartan_preset("A", 6))
+
+
+A7 = """
+import json, resource
+from tiltfan.polytope import g_polytope
+from tiltfan.weyl import cartan_preset, coxeter_fan
+fan = coxeter_fan(cartan_preset("A", 7))
+g = g_polytope(fan)
+print(json.dumps([len(fan.chambers), fan.complete, len(g.vertices), len(g.facets),
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024]))
+"""
+
+
+def test_coxeter_a7_within_200_mb():
+    """8! chambers, and the permutohedron's polar pair: 2^8 - 2 vertices and
+    8 * 7 facets.  Its own process, so that ru_maxrss (kilobytes on Linux)
+    measures A7 alone."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", A7], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    *counts, peak_mb = json.loads(done.stdout)
+    assert counts == [40320, CERTIFIED, 254, 56]
+    assert peak_mb <= 200
+
+
+def test_coxeter_e6_is_certified_and_not_g_convex():
+    """|W(E6)| = 51,840; g_polytope raises NotConvex at the first wall with
+    v_C . r_b > 1, and convexity_report gives the same verdict."""
+    fan = coxeter_fan(e_type(6))
+    assert (len(fan.chambers), fan.complete) == (51840, CERTIFIED)
+    with pytest.raises(NotConvex):
+        g_polytope(fan)
+    assert not convexity_report(fan).convex
+
+
+@pytest.mark.parametrize("graphs", [ribbon_graph_classes, ribbon_graphs],
+                         ids=["one per isomorphism class", "every labelling"])
+def test_every_ribbon_graph_with_4_edges(graphs):
+    """672 trees, 3,072 odd cycles and 1,392 unsupported graphs.  All 5,136
+    labellings, as well as one per class weighted by its orbit: the spanning
+    tree that classify and root_map read depends on the labelling."""
+    assert check_ribbon_graphs(graphs(4)) == RIBBON_GRAPH_COUNTS[4] == (672, 3072, 1392)
+
+
+# -- the benchmark's oracle ----------------------------------------------------
+
+
+@pytest.mark.parametrize("workload", ["cluster", "coxeter", "brauer", "stored"])
+def test_benchmark_outputs_match_the_closed_forms(workload):
+    """run.py exits 0 even when an output is wrong; the verdict is the
+    "correct" field of the JSON object on its last line."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True, done.stdout

@@ -262,9 +262,10 @@ def build_parser():
     p.set_defaults(func=cmd_brauer)
 
     p = sub.add_parser("weyl", help="Coxeter fan of a Dynkin Cartan matrix")
-    p.add_argument("--type", choices=["A", "B", "a", "b"])
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--type", choices=["A", "B", "a", "b"])
+    which.add_argument("--cartan", help="JSON file with C and D")
     p.add_argument("--n", type=int)
-    p.add_argument("--cartan", help="JSON file with C and D")
     p.add_argument("--eulerian", action="store_true")
     p.add_argument("--roots", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
@@ -311,6 +312,8 @@ def main(argv=None):
             raise TiltfanError(f"--ell-max must be in 1..{MAX_ELL}")
         if getattr(args, "budget", 1) < 1:
             raise TiltfanError("--budget must be >= 1")
+        if getattr(args, "out", None) and not getattr(args, "analyze", True):
+            raise TiltfanError("--out requires --analyze")
         return args.func(args) or 0
     except (TiltfanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

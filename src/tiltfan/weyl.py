@@ -19,7 +19,7 @@ roots need no group: finiteness is read off the Cartan data.
 """
 
 from dataclasses import dataclass
-from math import lcm
+from math import inf, lcm
 
 from . import lattice as la
 from .errors import NotFiniteType, TiltfanError, parse_int, reading
@@ -116,11 +116,12 @@ def weyl_enumerate(cartan, budget=2_000_000):
 
 
 def _finite_elements(cartan, elements):
-    """The given enumeration, else a fresh one of a group that
-    `require_finite_type` admits; it must have closed."""
+    """The given enumeration, which must have closed, else a fresh one of a
+    group that `require_finite_type` admits, with no budget: a finite group
+    closes, however large (|W(E8)| = 696,729,600)."""
     if elements is None:
         require_finite_type(cartan)
-        elements = weyl_enumerate(cartan)
+        return weyl_enumerate(cartan, budget=inf)
     if isinstance(elements, BudgetExhausted):
         raise NotFiniteType(f"Weyl group did not close within {elements.budget} elements")
     return elements

@@ -170,7 +170,8 @@ def test_ell_max_below_one_is_a_one_line_error(capsys, ell_max):
 @pytest.mark.parametrize("argv", [["weyl", "--type", "Q", "--n", "2"],
                                   ["kase", "--ell", "x", "--m", "1"],
                                   ["nosuch"],
-                                  []])
+                                  [],
+                                  ["weyl", "--type", "A", "--n", "2", "--cartan", "c.json"]])
 def test_a_bad_command_line_is_a_one_line_error(argv, capsys):
     """argparse's rejections exit 1 with one line, not 2 with the usage text:
     exit 2 means an exhausted budget."""
@@ -186,10 +187,15 @@ def test_a_bad_command_line_is_a_one_line_error(argv, capsys):
     (["weyl", "--type", "A", "--n", "2", "--budget", "0"], "--budget must be >= 1"),
     (["weyl", "--type", "A"], "--type requires --n"),
     (["weyl"], "weyl needs either --type/--n or --cartan"),
+    # checked before the front-end runs, so the input files need not exist
+    (["cluster", "--matrix", "b.json", "--out", "r.json"], "--out requires --analyze"),
+    (["brauer", "--graph", "g.json", "--out", "r.json"], "--out requires --analyze"),
+    (["weyl", "--type", "A", "--n", "2", "--out", "r.json"], "--out requires --analyze"),
+    (["kase", "--ell", "2", "--m", "2", "--out", "r.json"], "--out requires --analyze"),
 ])
 def test_checked_options_are_one_line_errors(argv, message, capsys):
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_help_still_exits_0(capsys):

@@ -734,13 +734,11 @@ def _shuffled(fan, rnd):
 
 
 def _front_end_fans():
-    from tiltfan.weyl import CartanData
-
-    from conftest import gamma2
+    from conftest import FINITE_TYPES, gamma2
 
     yield from _wall_fans()
     yield "weyl B4", coxeter_fan(cartan_preset("B", 4))
-    yield "weyl G2", coxeter_fan(CartanData(((2, -1), (-3, 2)), (1, 3)))
+    yield "weyl G2", coxeter_fan(FINITE_TYPES["G2"])
     yield "brauer star 4", chambers_by_cliques(star_tree(4))
     yield "brauer gamma2", chambers_by_cliques(gamma2())
     yield "kase 4 5", kase_family_fan(4, 5)

@@ -449,15 +449,13 @@ def _reference_convexity_report(fan):
 
 
 def test_convexity_report_matches_the_exact_solve():
-    from tiltfan.weyl import CartanData
-
     fans = [
         enumerate_gfan(((0, 1), (-1, 0))),
         enumerate_gfan(B_D4),
         kase_family_fan(4, 5),
         kase_family_fan(3, 3),
         coxeter_fan(cartan_preset("B", 3)),
-        coxeter_fan(CartanData(((2, -1), (-3, 2)), (1, 3))),
+        coxeter_fan(FINITE_TYPES["G2"]),
         chambers_by_cliques(gamma3()),
         chambers_by_cliques(path_tree(4)),
         square_fan(),

@@ -18,11 +18,13 @@ from tiltfan.weyl import (
     weyl_enumerate,
 )
 
+from conftest import FINITE_TYPES
+
 A_TILDE_1 = CartanData(((2, -2), (-2, 2)), (1, 1))
 A_TILDE_2 = CartanData(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (1, 1, 1))
 # c_01 != c_10: reading the Cartan matrix by columns would give the dual type
-G2 = CartanData(((2, -1), (-3, 2)), (1, 3))
-D4 = CartanData(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)), (1, 1, 1, 1))
+G2 = FINITE_TYPES["G2"]
+D4 = FINITE_TYPES["D4"]
 
 
 def reference_enumerate(cartan, budget=2_000_000):
@@ -151,7 +153,7 @@ def test_roots_of_an_infinite_type_are_refused(cd, k, minor):
 @pytest.mark.parametrize("cd", [
     cartan_preset("A", 1), cartan_preset("A", 4), cartan_preset("B", 2), cartan_preset("B", 4),
     G2, D4, A_TILDE_1, A_TILDE_2, HYPERBOLIC,
-    CartanData(((2, -1, 0), (-1, 2, -2), (0, -1, 2)), (2, 2, 1)),
+    FINITE_TYPES["C3"],
     CartanData(((2, -2, 0), (-1, 2, -1), (0, -2, 2)), (2, 1, 2)),
 ])
 def test_finite_type_iff_the_group_closes(cd):
@@ -321,3 +323,20 @@ def test_a_non_finite_type_is_refused_before_any_enumeration(monkeypatch):
                            match=r"^not of finite type: leading principal minor 3 of C D is 0$"):
             function(A_TILDE_2)
     assert calls == []
+
+
+@pytest.mark.parametrize("function", [coxeter_fan, descent_histogram])
+def test_a_finite_type_is_enumerated_without_a_budget(function, monkeypatch):
+    """Once the Cartan data is of finite type the group closes, so the search
+    has no cap: a budget below |W| (696,729,600 for E8) would refuse a
+    finite group as not finite."""
+    budgets = []
+    search = weyl.wall_crossing_search
+
+    def recording(rays, exchange, budget, *args):
+        budgets.append(budget)
+        return search(rays, exchange, budget, *args)
+
+    monkeypatch.setattr(weyl, "wall_crossing_search", recording)
+    function(FINITE_TYPES["D4"])
+    assert budgets == [float("inf")]
