@@ -5,8 +5,9 @@ Run from the repository root:
 
     PYTHONPATH=src:tests python -m pytest ci
 
-The CLI runs in-process through `cli.main`; Coxeter A7, which must fit in
-200 MB of peak RSS, and `benchmarks/run.py` run in their own processes.
+The CLI runs in-process through `cli.main`; Coxeter A7 and B6, which must
+each fit in 200 MB of peak RSS, and `benchmarks/run.py` run in their own
+processes.
 No bytecode is written under benchmarks/, so the checkout stays as it is.
 """
 
@@ -165,26 +166,47 @@ def test_coxeter_a6_dual_is_the_short_root_polytope():
     check_dual_is_the_short_root_polytope(coxeter_a6(), cartan_preset("A", 6))
 
 
-A7 = """
-import json, resource
+COXETER = """
+import json, resource, sys
+from tiltfan.combinatorics import f_vector, h_vector
 from tiltfan.polytope import g_polytope
 from tiltfan.weyl import cartan_preset, coxeter_fan
-fan = coxeter_fan(cartan_preset("A", 7))
+fan = coxeter_fan(cartan_preset(sys.argv[1], int(sys.argv[2])))
 g = g_polytope(fan)
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
 print(json.dumps([len(fan.chambers), fan.complete, len(g.vertices), len(g.facets),
-                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024]))
+                  h_vector(f_vector(fan)), peak_mb]))
 """
+
+
+def coxeter_in_its_own_process(type_, n):
+    """[chambers, status, g-polytope vertices and facets, h-vector, peak RSS
+    in MB] of the Coxeter fan of type_ n.  Its own process, so that
+    ru_maxrss (kilobytes on Linux) measures this fan alone; the peak is
+    read once the g-polytope is built, before the h-vector."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", COXETER, type_, str(n)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def test_coxeter_a7_within_200_mb():
     """8! chambers, and the permutohedron's polar pair: 2^8 - 2 vertices and
-    8 * 7 facets.  Its own process, so that ru_maxrss (kilobytes on Linux)
-    measures A7 alone."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", A7], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    *counts, peak_mb = json.loads(done.stdout)
+    8 * 7 facets; h is the row of Eulerian numbers."""
+    *counts, h, peak_mb = coxeter_in_its_own_process("A", 7)
     assert counts == [40320, CERTIFIED, 254, 56]
+    assert h == [1, 247, 4293, 15619, 15619, 4293, 247, 1]
+    assert peak_mb <= 200
+
+
+def test_coxeter_b6_within_200_mb():
+    """2^6 6! chambers, and a cube for the g-polytope, dual to the short
+    root polytope (the cross-polytope): 2^6 vertices and 2 * 6 facets; h is
+    the row of type-B Eulerian numbers."""
+    *counts, h, peak_mb = coxeter_in_its_own_process("B", 6)
+    assert counts == [46080, CERTIFIED, 64, 12]
+    assert h == [1, 722, 10543, 23548, 10543, 722, 1]
     assert peak_mb <= 200
 
 

@@ -125,17 +125,29 @@ def build_fan(rays, chambers, base, across=None):
     across every wall.  Every entry is checked: the neighbour has this
     chamber's rays with exactly the k-th one swapped, and the table is
     reciprocal; so every face of the table lies in two chambers, glued
-    across it in pairs.
+    across it in pairs.  Each entry is checked once, from the chamber
+    reached first: the reciprocity test there proves the reverse entry
+    too, which a per-chamber bitmask then skips, so the set difference,
+    the test and the wall's pivot value are computed once per wall.
+
+    Inside, every chamber lists its rays in sorted order, and a given table
+    whose chambers list theirs otherwise has its rows permuted to match.
+    Its walls are still visited in the caller's order, which fixes the
+    breadth-first order, and error messages name the caller's positions.
 
     One breadth-first pass over the table, component by component, does
     the rest.  The first chamber of a component is inverted by full
     elimination; every other chamber's inverse is one exchange pivot
     (`la.exchange_inverse`) from its parent's, which travels in the queue,
-    so only the frontier's inverses are alive.  A non-unit pivot or
-    determinant means a non-unimodular chamber; NonUnimodularChamber names
-    the lowest-index one.  Each wall's normal comes from the side reached
-    first, where the other side's free ray must pair negatively with it,
-    and is negated when that side is the higher-index chamber.
+    so only the frontier's inverses are alive.  The pivot leaves the new
+    ray's row in the old one's place, and moving that one row to the new
+    ray's sorted place gives the new chamber's inverse.  A non-unit pivot
+    or determinant means a non-unimodular chamber; NonUnimodularChamber
+    names the lowest-index one.  Each wall's normal comes from the side
+    reached first, where the other side's free ray must pair negatively
+    with it (the same value c_k is the pivot), and is negated when that
+    side is the higher-index chamber.  The walls are sorted once, at the
+    end, by their faces: the first chamber's sorted rays less its free ray.
 
     Completeness is certified iff no face dangles and the test point
     y0 + eps e_1 + eps^2 e_2 + ... (y0 the sum of the base rays, eps > 0
@@ -184,13 +196,14 @@ def build_fan(rays, chambers, base, across=None):
     if len(set(rays)) != len(rays):
         raise TiltfanError("duplicate rays")
 
-    positions = [tuple(int(i) for i in c) for c in chambers]
+    positions = [tuple(map(int, c)) for c in chambers]
     chambers = tuple(map(frozenset, positions))
     if len(set(chambers)) != len(chambers):
         raise TiltfanError("duplicate chambers")
-    for ci, c in enumerate(chambers):
-        if any(not 0 <= i < len(rays) for i in c):
-            raise TiltfanError(f"chamber {ci} names a ray index outside 0..{len(rays) - 1}")
+    indices = set(range(len(rays)))
+    if not indices.issuperset(chain.from_iterable(chambers)):
+        ci = next(ci for ci, c in enumerate(chambers) if not c <= indices)
+        raise TiltfanError(f"chamber {ci} names a ray index outside 0..{len(rays) - 1}")
     if not 0 <= base < len(chambers):
         raise TiltfanError("base chamber index out of range")
 
@@ -202,6 +215,9 @@ def build_fan(rays, chambers, base, across=None):
             raise TiltfanError(f"chamber {ci} has {len(c)} rays, expected {rank}")
 
     derived = across is None
+    # the order in which each chamber's walls are visited, as positions in
+    # its sorted rays; a caller's table keeps its own order
+    visits = [range(rank)] * len(chambers)
     if derived:
         positions = [tuple(sorted(c)) for c in chambers]
         across, crowded = _facet_table(positions)
@@ -210,69 +226,82 @@ def build_fan(rays, chambers, base, across=None):
         if len(across) != len(chambers):
             raise TiltfanError(
                 f"the neighbour table has {len(across)} rows for {len(chambers)} chambers")
+        across = list(across)
         for ci, (p, row) in enumerate(zip(positions, across)):
             if len(p) != rank:
                 raise TiltfanError(f"chamber {ci} repeats a ray")
             if len(row) != rank:
                 raise TiltfanError(
                     f"row {ci} of the neighbour table has {len(row)} entries, expected {rank}")
+            key = tuple(sorted(p))
+            if key != p:
+                visits[ci] = tuple(map(key.index, p))
+                positions[ci] = key
+                across[ci] = [row[p.index(i)] for i in key]
 
     y0 = tuple(map(sum, zip(*(rays[i] for i in chambers[base]))))
     covering = 0
     walls, dangling, overlaps = [], [], []
-    reached = [-1] * len(chambers)  # place in the breadth-first order
-    count = 0
-    for start in range(len(chambers)):
-        if reached[start] >= 0:
+    n_chambers = len(chambers)
+    reached = [False] * n_chambers
+    proven = [0] * n_chambers  # bit m: across[ci][m] was checked from the other side
+    for start in range(n_chambers):
+        if reached[start]:
             continue
         found = la.scaled_inverse(la.from_columns([rays[i] for i in positions[start]]))
         if found is None or found[0] not in (1, -1):
             raise _non_unimodular(rays, chambers)
         det, inv = found
-        reached[start], count = count, count + 1
+        reached[start] = True
         queue = deque([(start, inv if det == 1 else tuple(map(la.vneg, inv)))])
         while queue:
             ci, inv = queue.popleft()
             covering += holds_test_point(1, inv, y0)
-            p, c = positions[ci], chambers[ci]
-            for k, j in enumerate(across[ci]):
+            p, c, row, visit = positions[ci], chambers[ci], across[ci], visits[ci]
+            done = proven[ci]
+            for k in visit:
+                if done >> k & 1:
+                    continue
+                j = row[k]
                 if j is None:
                     if not derived:
-                        raise TiltfanError(
-                            f"the neighbour table names no chamber across wall {k} of chamber {ci}")
+                        raise TiltfanError(f"the neighbour table names no chamber across "
+                                           f"wall {visit.index(k)} of chamber {ci}")
                     dangling.append(p[:k] + p[k + 1:])
                     continue
-                if not 0 <= j < len(chambers):
+                if not 0 <= j < n_chambers:
                     raise TiltfanError(
-                        f"the neighbour table names chamber {j} outside 0..{len(chambers) - 1}")
+                        f"the neighbour table names chamber {j} outside 0..{n_chambers - 1}")
                 free_a, other = p[k], chambers[j]
                 free = other - c
                 if len(free) != 1 or free_a in other:
-                    raise TiltfanError(f"chamber {j}, across wall {k} of chamber {ci}, "
-                                       f"does not share its other {rank - 1} rays")
+                    raise TiltfanError(f"chamber {j}, across wall {visit.index(k)} of chamber "
+                                       f"{ci}, does not share its other {rank - 1} rays")
                 (free_b,) = free
-                back = across[j][positions[j].index(free_b)]
+                m = positions[j].index(free_b)
+                back = across[j][m]
                 if back != ci:
                     raise TiltfanError(f"the neighbour table is not reciprocal: chamber {ci} "
                                        f"has {j} across a wall, {j} has {back} across it")
-                if reached[j] < 0:
-                    # the pivot's rows follow p, with free_b in place k
-                    nxt = la.exchange_inverse(inv, k, rays[free_b])
-                    if nxt is None:
+                proven[j] |= 1 << m
+                # row k vanishes on the face and is 1 on free_a; c_k is its pivot
+                r_b = rays[free_b]
+                c_k = la.dot(inv[k], r_b)
+                if not reached[j]:
+                    if c_k not in (1, -1):
                         raise _non_unimodular(rays, chambers)
-                    row_of = dict(zip(p, nxt))
-                    row_of[free_b] = row_of.pop(free_a)
-                    queue.append((j, tuple(row_of[i] for i in positions[j])))
-                    reached[j], count = count, count + 1
-                if reached[j] > reached[ci]:
-                    # the first side reached: row k vanishes on the face and is 1 on free_a
-                    row = inv[k]
-                    if la.dot(row, rays[free_b]) >= 0:
-                        overlaps.append((tuple(sorted(c & other)), (min(ci, j), max(ci, j))))
-                    elif ci < j:
-                        walls.append(Wall((ci, j), (free_a, free_b), row))
-                    else:
-                        walls.append(Wall((j, ci), (free_b, free_a), la.vneg(row)))
+                    # the pivot's rows follow p with free_b in place k: move
+                    # that row to free_b's place in j's sorted rays
+                    nxt = list(la.exchange_inverse(inv, k, r_b))
+                    nxt.insert(m, nxt.pop(k))
+                    queue.append((j, nxt))
+                    reached[j] = True
+                if c_k >= 0:
+                    overlaps.append((tuple(sorted(c & other)), (min(ci, j), max(ci, j))))
+                elif ci < j:
+                    walls.append(Wall((ci, j), (free_a, free_b), inv[k]))
+                else:
+                    walls.append(Wall((j, ci), (free_b, free_a), la.vneg(inv[k])))
 
     incoherent = _sign_incoherence(rays, chambers, [rays[i] for i in chambers[base]])
     if incoherent:
@@ -285,7 +314,13 @@ def build_fan(rays, chambers, base, across=None):
         raise TiltfanError(min(problems)[1])
     if not dangling and covering != 1:
         raise TiltfanError(f"a generic point lies in {covering} chambers")
-    walls.sort(key=lambda w: sorted(chambers[w.chambers[0]] - {w.free[0]}))
+
+    def face(wall):
+        p = positions[wall.chambers[0]]
+        k = p.index(wall.free[0])
+        return p[:k] + p[k + 1:]
+
+    walls.sort(key=face)
     return Fan(rank, rays, chambers, base, tuple(walls), UNKNOWN if dangling else CERTIFIED)
 
 
@@ -325,39 +360,44 @@ def fan_from_cones(cones, base_cone, across=None):
     indices, as in `fan_to_json`, so the result does not depend on the
     order of the cones or of the rays inside them.  `across`, a search's
     neighbour table over the cones as given (see `build_fan`), is
-    re-indexed to that chamber order; each chamber keeps its rays in the
-    cone's order, which the table's positions refer to.  Equal cones are
-    passed on to `build_fan`, which rejects them; cones that leave a face
-    dangling give a fan with status "unknown".
+    re-indexed to that chamber order, and each row is permuted to match
+    its chamber's ray indices in sorted order, the order in which
+    `build_fan` receives every chamber.  Equal cones are passed on to
+    `build_fan`, which rejects them; cones that leave a face dangling give
+    a fan with status "unknown".
     """
     cones = [tuple(c) for c in cones]
     rays = sorted(set().union(*cones))
     ray_index = {r: i for i, r in enumerate(rays)}
     chambers = [tuple(ray_index[r] for r in c) for c in cones]
-    keys = [sorted(c) for c in chambers]
+    keys = [tuple(sorted(c)) for c in chambers]
     order = sorted(range(len(chambers)), key=keys.__getitem__)
-    base = [keys[ci] for ci in order].index(sorted({ray_index[r] for r in base_cone}))
+    base = [keys[ci] for ci in order].index(tuple(sorted({ray_index[r] for r in base_cone})))
     if across is not None:
         new_of_old = [0] * len(order)
         for new, old in enumerate(order):
             new_of_old[old] = new
-        across = [[new_of_old[j] for j in across[old]] for old in order]
-    return build_fan(rays, [chambers[ci] for ci in order], base, across)
+        across = [[new_of_old[across[old][chambers[old].index(i)]] for i in keys[old]]
+                  for old in order]
+    return build_fan(rays, [keys[ci] for ci in order], base, across)
 
 
-def _base_sides(rays, base_rays):
-    """For each coordinate in the basis base_rays, taken in descending
-    order: the indices of the rays strictly positive on it, and of those
-    strictly negative."""
+def _base_signs(rays, base_rays):
+    """For each ray, the bitmasks of the coordinates in the basis base_rays,
+    taken in descending order, on which it is strictly positive and strictly
+    negative."""
     s_inv = la.invert_unimodular(la.from_columns(sorted(base_rays, reverse=True)))
-    sides = [(set(), set()) for _ in s_inv]
-    for i, r in enumerate(rays):
-        for (positive, negative), x in zip(sides, la.matvec(s_inv, r)):
+    positive, negative = [], []
+    for r in rays:
+        plus = minus = 0
+        for coord, x in enumerate(la.matvec(s_inv, r)):
             if x > 0:
-                positive.add(i)
+                plus |= 1 << coord
             elif x < 0:
-                negative.add(i)
-    return sides
+                minus |= 1 << coord
+        positive.append(plus)
+        negative.append(minus)
+    return positive, negative
 
 
 def _sign_incoherence(rays, chambers, base_rays):
@@ -365,11 +405,15 @@ def _sign_incoherence(rays, chambers, base_rays):
     coordinates in the basis base_rays.  Returns (chamber index, coordinate)
     of the first chamber with rays strictly on both sides, else None.
     Chambers are collections of ray indices."""
-    sides = _base_sides(rays, base_rays)
+    positive, negative = _base_signs(rays, base_rays)
     for ci, c in enumerate(chambers):
-        for coord, (positive, negative) in enumerate(sides):
-            if not (positive.isdisjoint(c) or negative.isdisjoint(c)):
-                return ci, coord
+        plus = minus = 0
+        for i in c:
+            plus |= positive[i]
+            minus |= negative[i]
+        both = plus & minus
+        if both:
+            return ci, (both & -both).bit_length() - 1
     return None
 
 
@@ -499,10 +543,12 @@ def sign_filter(fan, eps):
     """Chamber indices contained in the closed orthant eps of the base coordinates."""
     if len(eps) != fan.rank or any(e not in (1, -1) for e in eps):
         raise TiltfanError("eps must be a vector over {+1,-1} of length rank")
-    sides = _base_sides(fan.rays, [fan.rays[i] for i in fan.chambers[fan.base]])
+    positive, negative = _base_signs(fan.rays, [fan.rays[i] for i in fan.chambers[fan.base]])
     # a chamber in the orthant has no ray strictly on the side -eps[j] of coordinate j
-    against = [negative if e == 1 else positive for (positive, negative), e in zip(sides, eps)]
-    return [ci for ci, c in enumerate(fan.chambers) if all(s.isdisjoint(c) for s in against)]
+    plus = sum(1 << j for j, e in enumerate(eps) if e == 1)
+    minus = sum(1 << j for j, e in enumerate(eps) if e == -1)
+    against = [bool(n & plus or p & minus) for p, n in zip(positive, negative)]
+    return [ci for ci, c in enumerate(fan.chambers) if not any(against[i] for i in c)]
 
 
 def reduce_at_cone(fan, cone_ray_indices):

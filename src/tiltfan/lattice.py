@@ -180,10 +180,10 @@ def exchange_inverse(inv, j, v):
     if cj not in (1, -1):
         return None
     pivot = inv[j] if cj == 1 else vneg(inv[j])
-    return tuple(
-        pivot if i == j else tuple(x - ci * y for x, y in zip(row, pivot)) if ci else row
+    return tuple([
+        pivot if i == j else tuple([x - ci * y for x, y in zip(row, pivot)]) if ci else row
         for i, (row, ci) in enumerate(zip(inv, c))
-    )
+    ])
 
 
 def kernel_functional(rows, n):

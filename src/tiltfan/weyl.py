@@ -10,12 +10,15 @@ The group is enumerated as its chambers, with no group matrices or words:
 `fan.wall_crossing_search` crosses wall k from the chamber of w to that of
 w s_k, and (M_w s_k)^{-1} = s_k M_w^{-1} changes only row k, to
 r_k' = -r_k - sum_{j != k} c_kj r_j, with c_kj read from row k of C (the
-transpose would give the dual type).  Each element is its tuple of rays in
-generator order; the descents are read off its columns.  The functions that
-need the whole group accept an already enumerated element list with the
-search's neighbour table, so one enumeration can serve a fan and its
-descents; without one they check finiteness before they enumerate.  The
-roots need no group: finiteness is read off the Cartan data.
+transpose would give the dual type).  A Cartan row has few nonzero entries
+off the diagonal (at most three in finite type), so the search is handed
+them once per enumeration, and each crossing sums over those alone.  Each
+element is its tuple of rays in generator order; the descents are read off
+its columns in one pass.  The functions that need the whole group accept
+an already enumerated element list with the search's neighbour table, so
+one enumeration can serve a fan and its descents; without one they check
+finiteness before they enumerate.  The roots need no group: finiteness is
+read off the Cartan data.
 """
 
 from dataclasses import dataclass
@@ -97,10 +100,13 @@ def cartan_from_json(data):
         return CartanData(c, tuple(map(parse_int, data["D"])))
 
 
-def _crossed_ray(c, rays, k):
-    """Row k of s_k M_w^-1, r_k - sum_j c_kj r_j, where rays are the rows of
-    M_w^-1 (c_kk = 2 makes it -r_k - sum_{j != k} c_kj r_j)."""
-    return tuple(x - la.dot(c[k], col) for x, col in zip(rays[k], zip(*rays)))
+def _crossed_ray(terms, rays, k):
+    """Row k of s_k M_w^-1, -r_k - sum_{j != k} c_kj r_j, where rays are the
+    rows of M_w^-1 and terms[k] lists the (j, c_kj) with c_kj != 0, j != k."""
+    out = [-x for x in rays[k]]
+    for j, c in terms[k]:
+        out = [x - c * y for x, y in zip(out, rays[j])]
+    return tuple(out)
 
 
 def weyl_enumerate(cartan, budget=2_000_000):
@@ -112,7 +118,9 @@ def weyl_enumerate(cartan, budget=2_000_000):
     Returns BudgetExhausted, with the partial fan of the chambers found,
     when the group fails to close within the budget (non-finite type).
     """
-    return wall_crossing_search(la.identity(cartan.n), _crossed_ray, budget, cartan.c)
+    terms = tuple(tuple((j, x) for j, x in enumerate(row) if x and j != k)
+                  for k, row in enumerate(cartan.c))
+    return wall_crossing_search(la.identity(cartan.n), _crossed_ray, budget, terms)
 
 
 def _finite_elements(cartan, elements):
@@ -185,9 +193,7 @@ def descent_histogram(cartan, elements=None):
     n = cartan.n
     hist = [0] * (n + 1)
     for w in elements:
-        cols = la.columns(w)
-        des = sum(1 for c in cols if all(x <= 0 for x in c))
-        hist[des] += 1
+        hist[sum(max(col) <= 0 for col in zip(*w))] += 1
     return tuple(hist)
 
 

@@ -975,6 +975,134 @@ def test_corrupted_search_tables_are_refused():
     assert len(kinds) == 3 * (3 * 3 + 2 + 4)
 
 
+def test_every_entry_of_a_search_table_is_checked():
+    """Each entry across[ci][k] of the cluster, Weyl and Brauer search
+    tables, replaced in turn by None, by ci itself or by the chamber across
+    the next wall, is refused: the pass checks every entry, from one side
+    or the other."""
+    fault = (r"^(the neighbour table names no chamber across wall \d|"
+             r"chamber \d+, across wall \d of chamber \d+, does not share|"
+             r"the neighbour table is not reciprocal: )")
+    cases = 0
+    for rays, chambers, base, across in _search_tables():
+        n = len(rays[0])
+        for ci, row in enumerate(across):
+            for k in range(n):
+                for bad in (None, ci, row[(k + 1) % n]):
+                    table = [list(r) for r in across]
+                    table[ci][k] = bad
+                    with pytest.raises(TiltfanError, match=fault):
+                        build_fan(rays, chambers, base, table)
+                    cases += 1
+    assert cases == 3 * 3 * (14 + 48 + 20)
+
+
+# Coxeter A2 and cluster A2 by hand, the rays clockwise and each chamber
+# listed counterclockwise, so all but the last list their rays in descending
+# order.  The pentagon's odd cycle puts two neighbours at one depth of the
+# breadth-first pass, and the order in which chamber 0's walls are visited
+# decides which of them is checked first.
+UNSORTED_TABLES = {
+    "hexagon": ([(1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1)],
+                [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (0, 5)], 5,
+                [[5, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 0]]),
+    "pentagon": ([(1, 0), (0, -1), (-1, 0), (-1, 1), (0, 1)],
+                 [(1, 0), (2, 1), (3, 2), (4, 3), (0, 4)], 4,
+                 [[4, 1], [0, 2], [1, 3], [2, 4], [3, 0]]),
+}
+
+# the message for each entry in turn, replaced by None, by its own chamber
+# and by the chamber across the other wall; a wall's position counts the
+# rays in the order the caller lists them
+UNSORTED_TABLE_MESSAGES = {
+    "hexagon": """\
+the neighbour table names no chamber across wall 0 of chamber 0
+chamber 0, across wall 0 of chamber 0, does not share its other 1 rays
+chamber 1, across wall 0 of chamber 0, does not share its other 1 rays
+the neighbour table names no chamber across wall 1 of chamber 0
+chamber 0, across wall 1 of chamber 0, does not share its other 1 rays
+chamber 5, across wall 1 of chamber 0, does not share its other 1 rays
+the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has None across it
+the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has 1 across it
+the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has 2 across it
+the neighbour table names no chamber across wall 1 of chamber 1
+chamber 1, across wall 1 of chamber 1, does not share its other 1 rays
+chamber 0, across wall 1 of chamber 1, does not share its other 1 rays
+the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has None across it
+the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has 2 across it
+the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has 3 across it
+the neighbour table names no chamber across wall 1 of chamber 2
+chamber 2, across wall 1 of chamber 2, does not share its other 1 rays
+chamber 1, across wall 1 of chamber 2, does not share its other 1 rays
+the neighbour table is not reciprocal: chamber 2 has 3 across a wall, 3 has None across it
+the neighbour table is not reciprocal: chamber 2 has 3 across a wall, 3 has 3 across it
+the neighbour table is not reciprocal: chamber 2 has 3 across a wall, 3 has 4 across it
+the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has None across it
+the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has 3 across it
+the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has 2 across it
+the neighbour table names no chamber across wall 0 of chamber 4
+chamber 4, across wall 0 of chamber 4, does not share its other 1 rays
+chamber 5, across wall 0 of chamber 4, does not share its other 1 rays
+the neighbour table is not reciprocal: chamber 5 has 4 across a wall, 4 has None across it
+the neighbour table is not reciprocal: chamber 5 has 4 across a wall, 4 has 4 across it
+the neighbour table is not reciprocal: chamber 5 has 4 across a wall, 4 has 3 across it
+the neighbour table names no chamber across wall 0 of chamber 5
+chamber 5, across wall 0 of chamber 5, does not share its other 1 rays
+chamber 0, across wall 0 of chamber 5, does not share its other 1 rays
+the neighbour table is not reciprocal: chamber 0 has 5 across a wall, 5 has None across it
+the neighbour table is not reciprocal: chamber 0 has 5 across a wall, 5 has 5 across it
+the neighbour table is not reciprocal: chamber 0 has 5 across a wall, 5 has 4 across it""",
+    "pentagon": """\
+the neighbour table names no chamber across wall 0 of chamber 0
+chamber 0, across wall 0 of chamber 0, does not share its other 1 rays
+chamber 1, across wall 0 of chamber 0, does not share its other 1 rays
+the neighbour table names no chamber across wall 1 of chamber 0
+chamber 0, across wall 1 of chamber 0, does not share its other 1 rays
+chamber 4, across wall 1 of chamber 0, does not share its other 1 rays
+the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has None across it
+the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has 1 across it
+the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has 2 across it
+the neighbour table names no chamber across wall 1 of chamber 1
+chamber 1, across wall 1 of chamber 1, does not share its other 1 rays
+chamber 0, across wall 1 of chamber 1, does not share its other 1 rays
+the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has None across it
+the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has 2 across it
+the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has 3 across it
+the neighbour table is not reciprocal: chamber 3 has 2 across a wall, 2 has None across it
+the neighbour table is not reciprocal: chamber 3 has 2 across a wall, 2 has 2 across it
+the neighbour table is not reciprocal: chamber 3 has 2 across a wall, 2 has 1 across it
+the neighbour table names no chamber across wall 0 of chamber 3
+chamber 3, across wall 0 of chamber 3, does not share its other 1 rays
+chamber 4, across wall 0 of chamber 3, does not share its other 1 rays
+the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has None across it
+the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has 3 across it
+the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has 2 across it
+the neighbour table names no chamber across wall 0 of chamber 4
+chamber 4, across wall 0 of chamber 4, does not share its other 1 rays
+chamber 0, across wall 0 of chamber 4, does not share its other 1 rays
+the neighbour table is not reciprocal: chamber 0 has 4 across a wall, 4 has None across it
+the neighbour table is not reciprocal: chamber 0 has 4 across a wall, 4 has 4 across it
+the neighbour table is not reciprocal: chamber 0 has 4 across a wall, 4 has 3 across it""",
+}
+
+
+@pytest.mark.parametrize("name", UNSORTED_TABLES)
+def test_a_table_over_unsorted_chambers_keeps_the_callers_wall_positions(name):
+    rays, chambers, base, across = UNSORTED_TABLES[name]
+    fan = build_fan(rays, chambers, base, across)
+    assert (fan, fan.walls, fan.complete) == _outcome(rays, chambers, base)
+    messages = []
+    for ci, row in enumerate(across):
+        for k in range(2):
+            for bad in (None, ci, row[1 - k]):
+                table = [list(r) for r in across]
+                table[ci][k] = bad
+                with pytest.raises(TiltfanError) as refused:
+                    build_fan(rays, chambers, base, table)
+                messages.append(str(refused.value))
+    assert messages == UNSORTED_TABLE_MESSAGES[name].splitlines()
+
+
 def test_a_face_in_three_chambers_is_refused_with_or_without_a_table():
     """Chambers {e1, e2}, {e2, -e1} and {e2, e1 + e2} share the ray e2.  A
     table that passes each of them on to the next is not reciprocal; the

@@ -18,10 +18,11 @@ from tiltfan.weyl import (
     weyl_enumerate,
 )
 
-from conftest import FINITE_TYPES
+from conftest import FINITE_TYPES, front_end_fan
 
 A_TILDE_1 = CartanData(((2, -2), (-2, 2)), (1, 1))
 A_TILDE_2 = CartanData(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (1, 1, 1))
+HYPERBOLIC = CartanData(((2, -3), (-3, 2)), (1, 1))
 # c_01 != c_10: reading the Cartan matrix by columns would give the dual type
 G2 = FINITE_TYPES["G2"]
 D4 = FINITE_TYPES["D4"]
@@ -71,11 +72,14 @@ def reference_descents(cartan, reference):
     return tuple(hist)
 
 
+# C3 beside B3 and G2 dual beside G2 put the -2 and the -3 on either side of
+# the diagonal, so a crossing that read c_jk for c_kj fails one of each pair
 @pytest.mark.parametrize(
     "cd",
     [cartan_preset("A", n) for n in range(1, 6)] + [cartan_preset("B", n) for n in (2, 3, 4)]
-    + [G2, D4],
-    ids=[f"A{n}" for n in range(1, 6)] + ["B2", "B3", "B4", "G2", "D4"],
+    + [G2, D4] + [FINITE_TYPES[name] for name in ("C3", "D5", "F4", "G2 dual")],
+    ids=[f"A{n}" for n in range(1, 6)] + ["B2", "B3", "B4", "G2", "D4",
+                                           "C3", "D5", "F4", "G2 dual"],
 )
 def test_wall_crossing_matches_the_matrix_search(cd):
     reference = reference_enumerate(cd)
@@ -92,8 +96,10 @@ def test_budget_counts_match_the_matrix_search():
         result = weyl_enumerate(a3, budget=budget)
         assert (result.explored, result.frontier) == reference_enumerate(a3, budget)
         assert result.budget == budget
-    result = weyl_enumerate(A_TILDE_2, budget=1000)
-    assert (result.explored, result.frontier) == reference_enumerate(A_TILDE_2, 1000)
+    for cd, budget in ((A_TILDE_2, 1000), (A_TILDE_1, 1), (A_TILDE_1, 2), (A_TILDE_1, 101),
+                       (HYPERBOLIC, 3), (HYPERBOLIC, 500)):
+        result = weyl_enumerate(cd, budget=budget)
+        assert (result.explored, result.frontier) == reference_enumerate(cd, budget)
 
 
 def test_cartan_validation():
@@ -132,9 +138,6 @@ def test_infinite_type_exhausts_budget():
     assert isinstance(result, BudgetExhausted)
     with pytest.raises(NotFiniteType):
         coxeter_fan(A_TILDE_1)
-
-
-HYPERBOLIC = CartanData(((2, -3), (-3, 2)), (1, 1))
 
 
 @pytest.mark.parametrize("cd, k, minor",
@@ -193,10 +196,10 @@ def test_eulerian_tables():
 
 
 def test_fan_h_equals_eulerian():
-    for t, n in (("A", 2), ("A", 3), ("B", 2), ("B", 3)):
-        cd = cartan_preset(t, n)
-        fan = coxeter_fan(cd)
-        assert h_vector(f_vector(fan)) == descent_histogram(cd)
+    """The h-vector read off the walls is the descent count, on every type."""
+    for name, cd in FINITE_TYPES.items():
+        fan = front_end_fan(f"coxeter {name}")
+        assert h_vector(f_vector(fan)) == descent_histogram(cd), name
 
 
 def test_root_system_a2():
