@@ -40,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(ROOT / "benchmarks"))
 from inputs import brauer_graph  # noqa: E402
+from oracle import narayana_h  # noqa: E402
 
 
 def e_type(n):
@@ -120,6 +121,17 @@ def test_brauer_fan_reads_back_certified(kind, n, chambers, roots, tmp_path, cap
                            capsys).out)["roots"]
     assert len({tuple(v) for v in table.values()}) == roots
     check_read_back(path, chambers, capsys)
+
+
+def test_cluster_a8_reads_back_certified(tmp_path, capsys):
+    """Catalan(9) = 4,862 clusters of type A8, and the h-vector of the
+    associahedron is the row of Narayana numbers N(9, k)."""
+    matrix = write(tmp_path, "a8.json", {"B": b_type_a(8)})
+    path = tmp_path / "fan.json"
+    report = json.loads(run(["cluster", "--matrix", matrix, "--analyze", "--fan", str(path)],
+                            capsys).out)
+    assert report["h"] == list(narayana_h(8))
+    check_read_back(path, 4862, capsys)
 
 
 # -- fans and polytopes past tier-1 --------------------------------------------

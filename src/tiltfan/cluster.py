@@ -1,11 +1,13 @@
 """Extended exchange-matrix mutation and breadth-first g-fan enumeration.
 
-The seed carries the exchange matrix B together with the c- and g-matrices.
+A seed carries the exchange matrix B together with the c- and g-matrices.
 Mutation at k rewrites only the rows of B and C with a nonzero entry in
-column k (Fomin-Zelevinsky matrix mutation).  The g-update branches on the
-sign of the current c-vector, which is well defined by sign-coherence.  The
-g-fan is enumerated by `fan.wall_crossing_search`, with the g-vectors of a
-seed as its chamber and the seed as the state of the chamber.
+column k (Fomin-Zelevinsky matrix mutation).  The g-update reads row k of
+B (b_ik = -b_ki, checked by `initial_seed` and kept by mutation) and the
+sign of the k-th c-vector, which is well defined by sign-coherence.  The
+g-fan is enumerated by `fan.wall_crossing_search` with the g-vectors of a
+seed as its chamber and, as the state of the chamber, only the rows of B
+and C and the sign of each c-vector: the search never builds a g-matrix.
 """
 
 from dataclasses import dataclass
@@ -47,27 +49,35 @@ def initial_seed(b):
     return ExtendedSeed(b, la.identity(n), la.identity(n))
 
 
-def _exchanged_g(seed, g_cols, k):
-    """The g-vector that replaces column k (0-based) of the seed's g-matrix,
-    whose columns are g_cols, under mutation at k:
-    g'_k = -g_k + sum_i [-sign b_ik]+ g_i.
+def _column_signs(c):
+    """The sign of each column of C: 1 if no entry is negative, else -1 if
+    none is positive, and 0 if it has both signs."""
+    return tuple(1 if min(col) >= 0 else -1 if max(col) <= 0 else 0 for col in zip(*c))
 
-    The update branches on the sign of the k-th c-vector, which is well
-    defined by sign-coherence.
+
+def _search_state(seed):
+    """A seed's state in the g-fan search: (B rows, C rows, c-vector signs)."""
+    return seed.b, seed.c, _column_signs(seed.c)
+
+
+def _exchanged_g(state, g_cols, k):
+    """The g-vector that replaces g_cols[k] (k 0-based) under mutation at k,
+    in the seed whose search state is (B rows, C rows, c-vector signs):
+    g'_k = -g_k + sum_i [s b_ki]+ g_i, s the sign of the k-th c-vector.
+
+    s is well defined by sign-coherence; b_ki = -b_ik by skew-symmetry,
+    so row k of B holds every coefficient.
     """
-    ck = [row[k] for row in seed.c]
-    if min(ck) >= 0:
-        sign = 1
-    elif max(ck) <= 0:
-        sign = -1
-    else:
+    b, _c, signs = state
+    sign = signs[k]
+    if not sign:
         raise SignIncoherence(k + 1)
-    new_gk = la.vneg(g_cols[k])
-    for row, g in zip(seed.b, g_cols):
-        coeff = -sign * row[k]
+    new_gk = [-x for x in g_cols[k]]
+    for coeff, g in zip(b[k], g_cols):
+        coeff *= sign
         if coeff > 0:
-            new_gk = tuple(x + coeff * y for x, y in zip(new_gk, g))
-    return new_gk
+            new_gk = [x + coeff * y for x, y in zip(new_gk, g)]
+    return tuple(new_gk)
 
 
 def _mutated_rows(rows, bk, k):
@@ -90,43 +100,47 @@ def _mutated_rows(rows, bk, k):
     return out
 
 
-def mutate(seed, k, g_cols=None):
-    """Mutate in direction k (1-based), returning a new seed.
+def _mutated_state(state, k):
+    """The search state (B rows, C rows, c-vector signs) after mutation at k
+    (0-based): the one rule on the rows of [B; C], and C's signs anew."""
+    b, c, _ = state
+    bk = b[k]
+    new_b = _mutated_rows(b, bk, k)
+    new_b[k] = la.vneg(bk)
+    new_c = tuple(_mutated_rows(c, bk, k))
+    return tuple(new_b), new_c, _column_signs(new_c)
 
-    g_cols, if given, are the columns of the new g-matrix, as the caller
-    already exchanged them; else column k is exchanged here.
-    """
+
+def mutate(seed, k):
+    """Mutate in direction k (1-based), returning a new seed; SignIncoherence
+    if the k-th c-vector has both signs."""
     n = seed.n
     if not 1 <= k <= n:
         raise IndexError(f"mutation direction {k} out of range 1..{n}")
     k -= 1
-    bk = seed.b[k]
-    new_b = _mutated_rows(seed.b, bk, k)
-    new_b[k] = la.vneg(bk)
-    # the same rule on the lower block of [B; C]
-    new_c = _mutated_rows(seed.c, bk, k)
-
-    if g_cols is None:
-        g_cols = la.columns(seed.g)
-        g_cols[k] = _exchanged_g(seed, g_cols, k)
-    return ExtendedSeed(tuple(new_b), tuple(new_c), la.from_columns(g_cols))
+    state = _search_state(seed)
+    g_cols = la.columns(seed.g)
+    g_cols[k] = _exchanged_g(state, g_cols, k)
+    new_b, new_c, _ = _mutated_state(state, k)
+    return ExtendedSeed(new_b, new_c, la.from_columns(g_cols))
 
 
 def enumerate_gfan(b, budget=100_000):
     """Breadth-first closure of mutation; a Fan on closure, else BudgetExhausted
     with the partial fan of the chambers found.
 
-    Chambers are the unordered g-column sets, so distinct mutation-tree
-    vertices giving the same cluster collapse.  Crossing wall k computes
-    only the exchanged g-vector; the full seed is mutated only for a new
-    chamber, taking its g-matrix from that chamber.  Directions are
-    explored in increasing order with a FIFO frontier, which makes the
-    enumeration deterministic.  The search's neighbour table goes to
-    `build_fan` with the chambers.
+    Chambers are the unordered g-vector sets, so distinct mutation-tree
+    vertices giving the same cluster collapse.  A chamber's g-vectors are
+    the search's rays, and its state is only (B rows, C rows, c-vector
+    signs): crossing wall k computes the exchanged g-vector from row k of B
+    and the k-th sign, and a new chamber's state is mutated from its
+    parent's, with no g-matrix.  Directions are explored in increasing
+    order with a FIFO frontier, which makes the enumeration deterministic.
+    The search's neighbour table goes to `build_fan` with the chambers.
     """
     seed0 = initial_seed(b)
-    result = wall_crossing_search(la.columns(seed0.g), _exchanged_g, budget, seed0,
-                                  lambda seed, g_cols, k: mutate(seed, k + 1, g_cols))
+    result = wall_crossing_search(la.columns(seed0.g), _exchanged_g, budget, _search_state(seed0),
+                                  lambda state, _rays, k: _mutated_state(state, k))
     if isinstance(result, BudgetExhausted):
         return result
     chambers, across = result

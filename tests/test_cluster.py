@@ -1,6 +1,9 @@
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tiltfan.cluster as cluster
 from tiltfan import lattice as la
 from tiltfan.cluster import (
     BudgetExhausted,
@@ -8,10 +11,12 @@ from tiltfan.cluster import (
     enumerate_gfan,
     initial_seed,
     mutate,
+    wall_crossing_search,
 )
-from tiltfan.errors import NotSkewSymmetric
+from tiltfan.errors import NotSkewSymmetric, SignIncoherence
 
 from conftest import B_A2, B_A3, B_D4, B_KRONECKER, b_type_a
+from test_fan import A_EDGES, D_EDGES, _tree_orientations
 
 
 def test_initial_seed():
@@ -143,11 +148,11 @@ def test_sparse_mutation_matches_the_dense_rule(data):
     as the dense [x]+ formula says, for every k and any integer C."""
     n, entries, c = data
     b, c = _skew(n, entries), tuple(map(tuple, c))
-    seed = ExtendedSeed(b, c, la.identity(n))
+    # the B/C step alone: an arbitrary C need not be sign-coherent
+    state = cluster._search_state(ExtendedSeed(b, c, la.identity(n)))
     for k in range(n):
-        # the g-matrix is passed in: an arbitrary C need not be sign-coherent
-        new = mutate(seed, k + 1, la.columns(seed.g))
-        assert (new.b, new.c) == _dense_mutate_bc(b, c, k)
+        new_b, new_c, _ = cluster._mutated_state(state, k)
+        assert (new_b, new_c) == _dense_mutate_bc(b, c, k)
 
 
 def test_general_g_rule_agrees_with_simplified():
@@ -221,40 +226,114 @@ CLUSTER_CASES = [
 
 @pytest.mark.parametrize("b", CLUSTER_CASES)
 def test_g_first_search_matches_full_mutation_bfs(b, monkeypatch):
-    import tiltfan.cluster as cluster
-
-    calls = []
+    crossings = []
     exchanges = []
+    mutated_state = cluster._mutated_state
     exchanged_g = cluster._exchanged_g
 
-    def counting_mutate(seed, k, *g_cols):
-        calls.append(k)
-        return mutate(seed, k, *g_cols)
+    def counting_crossing(state, k):
+        crossings.append(k)
+        return mutated_state(state, k)
 
-    def counting_exchange(seed, g_cols, k):
+    def counting_exchange(state, g_cols, k):
         exchanges.append(k)
-        return exchanged_g(seed, g_cols, k)
+        return exchanged_g(state, g_cols, k)
 
-    monkeypatch.setattr(cluster, "mutate", counting_mutate)
+    monkeypatch.setattr(cluster, "_mutated_state", counting_crossing)
     monkeypatch.setattr(cluster, "_exchanged_g", counting_exchange)
     fan = enumerate_gfan(b)
-    # each g-vector is exchanged once per wall crossing, never again in mutate;
-    # every chamber but the start skips the wall it was reached through
+    # each g-vector is exchanged once per wall crossing; every chamber but
+    # the start skips the wall it was reached through, and only a new
+    # chamber's state is mutated
     assert len(exchanges) == fan.rank * len(fan.chambers) - (len(fan.chambers) - 1)
+    assert len(crossings) == len(fan.chambers) - 1
     reference = _full_mutation_bfs(b)
     assert _chamber_keys(fan) == set(reference)
-    assert len(calls) == len(fan.chambers) - 1
 
 
-@pytest.mark.parametrize("b", CLUSTER_CASES[:3])
-def test_mutate_takes_the_exchanged_g_matrix(b):
-    from tiltfan.cluster import _exchanged_g
+def _seed_exchange(seed, g_cols, k):
+    """The exchange read off a whole seed: the sign of column k of C and
+    column k of B, g'_k = -g_k + sum_i [-s b_ik]+ g_i."""
+    ck = [row[k] for row in seed.c]
+    if min(ck) >= 0:
+        sign = 1
+    elif max(ck) <= 0:
+        sign = -1
+    else:
+        raise SignIncoherence(k + 1)
+    new = la.vneg(g_cols[k])
+    for row, g in zip(seed.b, g_cols):
+        if -sign * row[k] > 0:
+            new = la.vadd(new, la.vscale(-sign * row[k], g))
+    return new
 
-    for seed in _full_mutation_bfs(b).values():
-        for k in range(seed.n):
-            g_cols = la.columns(seed.g)
-            g_cols[k] = _exchanged_g(seed, g_cols, k)
-            assert mutate(seed, k + 1, tuple(g_cols)) == mutate(seed, k + 1)
+
+def _seed_search(b, budget):
+    """Reference route: the wall-crossing search with the mutate-built
+    ExtendedSeed of each chamber as its state."""
+
+    def cross(seed, rays, k):
+        new = mutate(seed, k + 1)
+        assert la.columns(new.g) == list(rays)
+        return new
+
+    seed0 = initial_seed(b)
+    return wall_crossing_search(la.columns(seed0.g), _seed_exchange, budget, seed0, cross)
+
+
+def check_against_the_seed_route(b, budget=100_000):
+    """enumerate_gfan's search finds the reference's chambers in the same
+    order with the same neighbour table, or, out of budget, the same cones
+    and frontier."""
+    results = []
+
+    def spy(*args):
+        results.append(wall_crossing_search(*args))
+        return results[-1]
+
+    with patch.object(cluster, "wall_crossing_search", spy):
+        enumerate_gfan(b, budget)
+    got, want = results[0], _seed_search(b, budget)
+    if isinstance(want, BudgetExhausted):
+        assert isinstance(got, BudgetExhausted)
+        assert (got.frontier, got.cones) == (want.frontier, want.cones)
+    else:
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(-2, 2), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+            st.integers(1, 60),
+        )
+    )
+)
+def test_search_state_matches_the_seed_route(data):
+    n, entries, budget = data
+    check_against_the_seed_route(_skew(n, entries), budget)
+
+
+@pytest.mark.parametrize("b", [*_tree_orientations(4, A_EDGES[4]),
+                               *_tree_orientations(4, D_EDGES[4])],
+                         ids=[f"A4-{i}" for i in range(8)] + [f"D4-{i}" for i in range(8)])
+def test_every_a4_and_d4_orientation_matches_the_seed_route(b):
+    check_against_the_seed_route(b)
+
+
+def test_mixed_c_vector_raises_sign_incoherence():
+    """C's second column, (1, -1), has both signs: mutate and the search's
+    exchange both refuse direction 2, and direction 1 still mutates."""
+    seed = ExtendedSeed(B_A2, ((1, 1), (0, -1)), la.identity(2))
+    with pytest.raises(SignIncoherence) as by_mutate:
+        mutate(seed, 2)
+    with pytest.raises(SignIncoherence) as by_search:
+        cluster._exchanged_g(cluster._search_state(seed), la.columns(seed.g), 1)
+    assert by_mutate.value.k == by_search.value.k == 2
+    assert str(by_mutate.value) == str(by_search.value)
+    assert mutate(seed, 1).b == mutate(initial_seed(B_A2), 1).b
 
 
 @pytest.mark.parametrize("b", CLUSTER_CASES)
