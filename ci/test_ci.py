@@ -64,8 +64,12 @@ def run(argv, capsys, status=0):
 
 @pytest.mark.parametrize("path", sorted((ROOT / "benchmarks" / "fans").glob("*.json")),
                          ids=lambda path: path.stem)
-def test_stored_fan_passes_paranoid(path, capsys):
-    run(["fan", "--input", str(path), "--paranoid"], capsys)
+def test_stored_fan_passes_paranoid(path, tmp_path, capsys):
+    """Each stored fan is certified and written back as the same document:
+    the canonical ray, chamber and base order are those it was stored in."""
+    out = tmp_path / "fan.json"
+    run(["fan", "--input", str(path), "--paranoid", "--fan", str(out)], capsys)
+    assert json.loads(out.read_text()) == json.loads(path.read_text())
 
 
 def test_partial_kronecker_fan_reads_back_with_its_status_word(tmp_path, capsys):

@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import lattice as la
-from .errors import Disconnected, TiltfanError, UnsupportedGraph, reading
+from .errors import Disconnected, TiltfanError, UnsupportedGraph, check_schema_version, reading
 from .fan import fan_from_cones, wall_crossing_search
 
 TREE = "Tree"
@@ -165,6 +165,7 @@ def graph_from_json(data):
     with reading("not a Brauer graph"):
         if not isinstance(data, dict):
             raise TypeError("expected a JSON object")
+        check_schema_version(data)
         half_edges = [_half_edge(h) for h in data["half_edges"]]
         sigma = {}
         for cyc in data["sigma"]:

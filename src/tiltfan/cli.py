@@ -10,7 +10,8 @@ import json
 import sys
 
 from . import brauer, cluster, combinatorics, polytope, weyl
-from .errors import NotConvex, NotRank2, ParseError, TiltfanError, parse_int, reading
+from .errors import (NotConvex, NotRank2, ParseError, TiltfanError, check_schema_version,
+                     parse_int, reading)
 from .fan import (
     BudgetExhausted,
     fan_from_json,
@@ -19,6 +20,7 @@ from .fan import (
 )
 
 DEFAULT_BUDGET = 100_000
+DEFAULT_ELL = 4
 MAX_ELL = 8
 
 
@@ -85,8 +87,8 @@ def fan_svg(fan, g_poly=None):
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
     origin = xy((0, 0))
-    for c in sorted(fan.chambers, key=lambda c: tuple(sorted(c))):
-        a, b = (xy(fan.rays[i]) for i in sorted(c))
+    for c in sorted(fan.chambers):
+        a, b = (xy(fan.rays[i]) for i in c)
         lines.append(
             f'<polygon points="{origin[0]:.2f},{origin[1]:.2f} {a[0]:.2f},{a[1]:.2f} '
             f'{b[0]:.2f},{b[1]:.2f}" fill="#dce9f5" stroke="none"/>'
@@ -116,7 +118,7 @@ def _emit_fan_outputs(fan_obj, args):
 
 
 def _emit_report(fan_obj, args):
-    report = combinatorics.analyze(fan_obj, ell_max=args.ell_max)
+    report = combinatorics.analyze(fan_obj, ell_max=args.ell_max or DEFAULT_ELL)
     report["schema_version"] = 1
     if args.out:
         _write_json(args.out, report)
@@ -154,8 +156,11 @@ def cmd_cluster(args):
     data = _load_json(args.matrix)
     if not isinstance(data, dict) or "B" not in data:
         raise ParseError(f'{args.matrix} has no "B" key')
+    check_schema_version(data)
     with reading(f"{args.matrix} is not an exchange matrix"):
         b = tuple(tuple(map(parse_int, row)) for row in data["B"])
+        if parse_int(data.get("n", len(b))) != len(b):
+            raise ValueError(f'"n" is {data["n"]}, but B has {len(b)} rows')
     result = cluster.enumerate_gfan(b, budget=args.budget)
     if isinstance(result, BudgetExhausted):
         return _budget_exhausted(result, "chambers", args.fan)
@@ -179,6 +184,8 @@ def cmd_weyl(args):
             raise TiltfanError("--type requires --n")
         cartan = weyl.cartan_preset(args.type, args.n)
     elif args.cartan:
+        if args.n is not None:
+            raise TiltfanError("--n requires --type")
         cartan = weyl.cartan_from_json(_load_json(args.cartan))
     else:
         raise TiltfanError("weyl needs either --type/--n or --cartan")
@@ -224,7 +231,7 @@ def cmd_kase(args):
 
 
 def _add_common(p):
-    p.add_argument("--ell-max", type=int, default=4, dest="ell_max",
+    p.add_argument("--ell-max", type=int, dest="ell_max",
                    help="max Ehrhart dilation (1..8)")
     p.add_argument("--fan", help="write the fan as JSON to this path")
     p.add_argument("--analyze", action="store_true", help="print the analysis report")
@@ -282,7 +289,7 @@ def build_parser():
     p = sub.add_parser("analyze", help="f/h/gamma/Ehrhart report of a fan JSON file")
     p.add_argument("--input", required=True)
     p.add_argument("--out")
-    p.add_argument("--ell-max", type=int, default=4, dest="ell_max")
+    p.add_argument("--ell-max", type=int, dest="ell_max")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify", help="rank-2 polygon class of a fan JSON file")
@@ -308,12 +315,14 @@ def main(argv=None):
     nothing on success, `_budget_exhausted`'s 2, or raises for status 1."""
     args = build_parser().parse_args(argv)
     try:
-        if not 1 <= getattr(args, "ell_max", 1) <= MAX_ELL:
+        ell_max = getattr(args, "ell_max", None)
+        if ell_max is not None and not 1 <= ell_max <= MAX_ELL:
             raise TiltfanError(f"--ell-max must be in 1..{MAX_ELL}")
         if getattr(args, "budget", 1) < 1:
             raise TiltfanError("--budget must be >= 1")
-        if getattr(args, "out", None) and not getattr(args, "analyze", True):
-            raise TiltfanError("--out requires --analyze")
+        for flag, value in (("--out", getattr(args, "out", None)), ("--ell-max", ell_max)):
+            if value is not None and not getattr(args, "analyze", True):
+                raise TiltfanError(f"{flag} requires --analyze")
         return args.func(args) or 0
     except (TiltfanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -106,7 +106,7 @@ def ehrhart_bruteforce(fan, ell):
         raise ValueError("dilation factor must be >= 1")
     points = {(0,) * fan.rank}
     for c in fan.chambers:
-        rays = [fan.rays[i] for i in sorted(c)]
+        rays = [fan.rays[i] for i in c]
         for t in range(1, ell + 1):
             points.update(tuple(map(sum, zip(*combo)))
                           for combo in combinations_with_replacement(rays, t))

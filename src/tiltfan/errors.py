@@ -107,6 +107,14 @@ def reading(what):
         raise ParseError(f"{what}: {exc}") from None
 
 
+def check_schema_version(data):
+    """Refuse a decoded document whose "schema_version", 1 if absent, is not
+    the integer 1 (`true` and `1.0` compare equal to 1 in Python)."""
+    version = data.get("schema_version", 1)
+    if type(version) is not int or version != 1:
+        raise TiltfanError(f"unsupported schema version {version!r}")
+
+
 def parse_int(x):
     """x if it is an integer; TypeError for anything else, booleans,
     floats and numeric strings included (for use inside `reading`)."""

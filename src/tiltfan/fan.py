@@ -2,16 +2,18 @@
 walls, Hasse orientation, sign filtering and Jasso reduction.
 
 A fan is stored combinatorially: a table of primitive rays plus the maximal
-chambers as frozensets of ray indices.  Completeness is a certificate
-("certified"), never a volume computation: every codimension-1 face lies in
-two chambers on opposite sides of it, and a generic point lies in exactly
-one chamber (covering degree 1), which also makes the wall graph
-connected.  `build_fan` establishes it in every rank from one integer
-inverse per chamber, in one breadth-first pass over a neighbour table; it
-proves that any two chambers meet in their common face, so the exhaustive
-pairwise check is needed only for fans that are not certified.  Every
-other fan, such as the partial fan of a search that ran out of budget, is
-"unknown"; there is no third status.
+chambers, each the tuple of its ray indices in increasing order, the one
+order in which a chamber is read as matrix columns, faces and wall
+positions.  Completeness is a certificate ("certified"), never a volume
+computation: every codimension-1 face lies in two chambers on opposite
+sides of it, and a generic point lies in exactly one chamber (covering
+degree 1), which also makes the wall graph connected.  `build_fan`
+establishes it in every rank from one integer inverse per chamber, in one
+breadth-first pass over a neighbour table; it proves that any two chambers
+meet in their common face, so the exhaustive pairwise check is needed only
+for fans that are not certified.  Every other fan, such as the partial fan
+of a search that ran out of budget, is "unknown"; there is no third
+status.
 
 Every Fan is made by `build_fan`; `fan_from_cones` builds the canonical ray
 and chamber tables from chambers given as sequences of ray vectors.  The
@@ -39,6 +41,7 @@ from .errors import (
     OrderViolation,
     ParseError,
     SignCoherenceViolation,
+    check_schema_version,
     parse_int,
     reading,
 )
@@ -50,26 +53,31 @@ UNKNOWN = "unknown"
 @dataclass(frozen=True, slots=True)
 class Wall:
     """Codimension-1 face of two chambers: one mutation.  The face itself is
-    either chamber less its free ray, fan.chambers[chambers[0]] - {free[0]}."""
+    either chamber less its free ray, `wall.face(fan.chambers)`."""
 
     chambers: tuple  # pair of chamber indices, ascending
     free: tuple  # each chamber's ray off the wall, in the order of chambers
     normal: tuple  # chambers[0]'s inverse row at free[0]: 1 on it, -1 on free[1]
+
+    def face(self, chambers):
+        """The shared ray indices, in increasing order."""
+        c = chambers[self.chambers[0]]
+        k = c.index(self.free[0])
+        return c[:k] + c[k + 1:]
 
 
 @dataclass(frozen=True)
 class Fan:
     rank: int
     rays: tuple  # tuple of primitive integer vectors
-    chambers: tuple  # tuple of frozensets of ray indices
+    chambers: tuple  # tuple of chambers, each its ray indices in increasing order
     base: int  # index into chambers
     walls: tuple = field(default=(), compare=False)
     complete: str = field(default=UNKNOWN, compare=False)
 
     def ray_matrix(self, chamber_index):
-        """Columns are the rays of the chamber, in sorted index order."""
-        idx = sorted(self.chambers[chamber_index])
-        return la.from_columns([self.rays[i] for i in idx])
+        """Columns are the rays of the chamber, in increasing index order."""
+        return la.from_columns([self.rays[i] for i in self.chambers[chamber_index]])
 
     def base_matrix(self):
         """Columns are the base-chamber rays in descending lex order, so that
@@ -116,24 +124,24 @@ def build_fan(rays, chambers, base, across=None):
     `Wall`'s normal is its first chamber's inverse row at free[0], which
     the unimodular chambers make 1 on free[0] and -1 on free[1].
 
-    Adjacency is a neighbour table: across[ci][k] is the chamber on the
-    other side of the facet of chamber ci opposite its k-th ray, k counting
-    the rays of chambers[ci] in the order given.  A front-end's search
-    knows it (`wall_crossing_search`); without one it is derived from which
-    chambers own which facet, None marking a dangling face, and a face in
-    more than two chambers is an error.  A given table names a chamber
-    across every wall.  Every entry is checked: the neighbour has this
-    chamber's rays with exactly the k-th one swapped, and the table is
-    reciprocal; so every face of the table lies in two chambers, glued
-    across it in pairs.  Each entry is checked once, from the chamber
-    reached first: the reciprocity test there proves the reverse entry
-    too, which a per-chamber bitmask then skips, so the set difference,
-    the test and the wall's pivot value are computed once per wall.
-
-    Inside, every chamber lists its rays in sorted order, and a given table
-    whose chambers list theirs otherwise has its rows permuted to match.
-    Its walls are still visited in the caller's order, which fixes the
-    breadth-first order, and error messages name the caller's positions.
+    Each chamber is taken as the set of its ray indices and kept as their
+    tuple in increasing order; a repeated index collapses, and the chamber
+    is then refused for having too few rays.  Adjacency is a neighbour
+    table: across[ci][k] is the chamber on the other side of the facet of
+    chamber ci opposite its k-th smallest ray index, whatever order the
+    caller listed the rays in (`fan_from_cones` permutes a search's rows to
+    match).  A front-end's search knows it (`wall_crossing_search`);
+    without one it is derived from which chambers own which facet, None
+    marking a dangling face, and a face in more than two chambers is an
+    error.  A given table names a chamber across every wall.  Every entry
+    is checked: the neighbour has this chamber's rays with exactly the k-th
+    one swapped, and the table is reciprocal; so every face of the table
+    lies in two chambers, glued across it in pairs.  Each entry is checked
+    once, from the chamber reached first: the reciprocity test there
+    proves the reverse entry too, which a per-chamber bitmask then skips,
+    so the set difference, the test and the wall's pivot value are
+    computed once per wall.  Error messages name a wall by that same
+    position k.
 
     One breadth-first pass over the table, component by component, does
     the rest.  The first chamber of a component is inverted by full
@@ -141,13 +149,13 @@ def build_fan(rays, chambers, base, across=None):
     (`la.exchange_inverse`) from its parent's, which travels in the queue,
     so only the frontier's inverses are alive.  The pivot leaves the new
     ray's row in the old one's place, and moving that one row to the new
-    ray's sorted place gives the new chamber's inverse.  A non-unit pivot
-    or determinant means a non-unimodular chamber; NonUnimodularChamber
-    names the lowest-index one.  Each wall's normal comes from the side
-    reached first, where the other side's free ray must pair negatively
-    with it (the same value c_k is the pivot), and is negated when that
-    side is the higher-index chamber.  The walls are sorted once, at the
-    end, by their faces: the first chamber's sorted rays less its free ray.
+    ray's place in increasing order gives the new chamber's inverse.  A
+    non-unit pivot or determinant means a non-unimodular chamber;
+    NonUnimodularChamber names the lowest-index one.  Each wall's normal
+    comes from the side reached first, where the other side's free ray
+    must pair negatively with it (the same value c_k is the pivot), and is
+    negated when that side is the higher-index chamber.  The walls are
+    sorted once, at the end, by their faces (`Wall.face`).
 
     Completeness is certified iff no face dangles and the test point
     y0 + eps e_1 + eps^2 e_2 + ... (y0 the sum of the base rays, eps > 0
@@ -184,10 +192,7 @@ def build_fan(rays, chambers, base, across=None):
     certificate costs at most rank dot products per chamber.
     """
     rays = tuple(tuple(int(x) for x in r) for r in rays)
-    if rays:
-        rank = len(rays[0])
-    else:
-        rank = 0
+    rank = len(rays[0]) if rays else 0
     for r in rays:
         if la.is_zero(r) or la.primitive(r) != r:
             raise TiltfanError(f"ray {r} is not primitive")
@@ -196,13 +201,12 @@ def build_fan(rays, chambers, base, across=None):
     if len(set(rays)) != len(rays):
         raise TiltfanError("duplicate rays")
 
-    positions = [tuple(map(int, c)) for c in chambers]
-    chambers = tuple(map(frozenset, positions))
+    chambers = tuple(tuple(sorted(set(map(int, c)))) for c in chambers)
     if len(set(chambers)) != len(chambers):
         raise TiltfanError("duplicate chambers")
     indices = set(range(len(rays)))
     if not indices.issuperset(chain.from_iterable(chambers)):
-        ci = next(ci for ci, c in enumerate(chambers) if not c <= indices)
+        ci = next(ci for ci, c in enumerate(chambers) if not indices.issuperset(c))
         raise TiltfanError(f"chamber {ci} names a ray index outside 0..{len(rays) - 1}")
     if not 0 <= base < len(chambers):
         raise TiltfanError("base chamber index out of range")
@@ -215,29 +219,17 @@ def build_fan(rays, chambers, base, across=None):
             raise TiltfanError(f"chamber {ci} has {len(c)} rays, expected {rank}")
 
     derived = across is None
-    # the order in which each chamber's walls are visited, as positions in
-    # its sorted rays; a caller's table keeps its own order
-    visits = [range(rank)] * len(chambers)
     if derived:
-        positions = [tuple(sorted(c)) for c in chambers]
-        across, crowded = _facet_table(positions)
+        across, crowded = _facet_table(chambers)
     else:
         crowded = []
         if len(across) != len(chambers):
             raise TiltfanError(
                 f"the neighbour table has {len(across)} rows for {len(chambers)} chambers")
-        across = list(across)
-        for ci, (p, row) in enumerate(zip(positions, across)):
-            if len(p) != rank:
-                raise TiltfanError(f"chamber {ci} repeats a ray")
+        for ci, row in enumerate(across):
             if len(row) != rank:
                 raise TiltfanError(
                     f"row {ci} of the neighbour table has {len(row)} entries, expected {rank}")
-            key = tuple(sorted(p))
-            if key != p:
-                visits[ci] = tuple(map(key.index, p))
-                positions[ci] = key
-                across[ci] = [row[p.index(i)] for i in key]
 
     y0 = tuple(map(sum, zip(*(rays[i] for i in chambers[base]))))
     covering = 0
@@ -248,7 +240,7 @@ def build_fan(rays, chambers, base, across=None):
     for start in range(n_chambers):
         if reached[start]:
             continue
-        found = la.scaled_inverse(la.from_columns([rays[i] for i in positions[start]]))
+        found = la.scaled_inverse(la.from_columns([rays[i] for i in chambers[start]]))
         if found is None or found[0] not in (1, -1):
             raise _non_unimodular(rays, chambers)
         det, inv = found
@@ -257,28 +249,27 @@ def build_fan(rays, chambers, base, across=None):
         while queue:
             ci, inv = queue.popleft()
             covering += holds_test_point(1, inv, y0)
-            p, c, row, visit = positions[ci], chambers[ci], across[ci], visits[ci]
-            done = proven[ci]
-            for k in visit:
+            p, row, done = chambers[ci], across[ci], proven[ci]
+            for k in range(rank):
                 if done >> k & 1:
                     continue
                 j = row[k]
                 if j is None:
                     if not derived:
-                        raise TiltfanError(f"the neighbour table names no chamber across "
-                                           f"wall {visit.index(k)} of chamber {ci}")
+                        raise TiltfanError(f"the neighbour table names no chamber "
+                                           f"across wall {k} of chamber {ci}")
                     dangling.append(p[:k] + p[k + 1:])
                     continue
                 if not 0 <= j < n_chambers:
                     raise TiltfanError(
                         f"the neighbour table names chamber {j} outside 0..{n_chambers - 1}")
                 free_a, other = p[k], chambers[j]
-                free = other - c
+                free = set(other).difference(p)
                 if len(free) != 1 or free_a in other:
-                    raise TiltfanError(f"chamber {j}, across wall {visit.index(k)} of chamber "
-                                       f"{ci}, does not share its other {rank - 1} rays")
+                    raise TiltfanError(f"chamber {j}, across wall {k} of chamber {ci}, "
+                                       f"does not share its other {rank - 1} rays")
                 (free_b,) = free
-                m = positions[j].index(free_b)
+                m = other.index(free_b)
                 back = across[j][m]
                 if back != ci:
                     raise TiltfanError(f"the neighbour table is not reciprocal: chamber {ci} "
@@ -291,13 +282,13 @@ def build_fan(rays, chambers, base, across=None):
                     if c_k not in (1, -1):
                         raise _non_unimodular(rays, chambers)
                     # the pivot's rows follow p with free_b in place k: move
-                    # that row to free_b's place in j's sorted rays
+                    # that row to free_b's place in j's rays
                     nxt = list(la.exchange_inverse(inv, k, r_b))
                     nxt.insert(m, nxt.pop(k))
                     queue.append((j, nxt))
                     reached[j] = True
                 if c_k >= 0:
-                    overlaps.append((tuple(sorted(c & other)), (min(ci, j), max(ci, j))))
+                    overlaps.append((p[:k] + p[k + 1:], (min(ci, j), max(ci, j))))
                 elif ci < j:
                     walls.append(Wall((ci, j), (free_a, free_b), inv[k]))
                 else:
@@ -315,24 +306,19 @@ def build_fan(rays, chambers, base, across=None):
     if not dangling and covering != 1:
         raise TiltfanError(f"a generic point lies in {covering} chambers")
 
-    def face(wall):
-        p = positions[wall.chambers[0]]
-        k = p.index(wall.free[0])
-        return p[:k] + p[k + 1:]
-
-    walls.sort(key=face)
+    walls.sort(key=lambda w: w.face(chambers))
     return Fan(rank, rays, chambers, base, tuple(walls), UNKNOWN if dangling else CERTIFIED)
 
 
-def _facet_table(positions):
-    """The neighbour table read off facet ownership, for chambers given as
-    sorted tuples of ray indices: None across a facet of one chamber, and
-    (facet, number of chambers) for every facet in more than two."""
+def _facet_table(chambers):
+    """The neighbour table read off facet ownership: None across a facet of
+    one chamber, and (facet, number of chambers) for every facet in more
+    than two."""
     owners = {}
-    for ci, p in enumerate(positions):
+    for ci, p in enumerate(chambers):
         for k in range(len(p)):
             owners.setdefault(p[:k] + p[k + 1:], []).append((ci, k))
-    across = [[None] * len(p) for p in positions]
+    across = [[None] * len(p) for p in chambers]
     crowded = []
     for face, owned in owners.items():
         if len(owned) == 2:
@@ -345,9 +331,9 @@ def _facet_table(positions):
 
 def _non_unimodular(rays, chambers):
     """NonUnimodularChamber for the lowest-index chamber whose ray matrix,
-    columns in sorted order, has a determinant other than +-1."""
+    columns in increasing index order, has a determinant other than +-1."""
     for ci, c in enumerate(chambers):
-        det = la.determinant(la.from_columns([rays[i] for i in sorted(c)]))
+        det = la.determinant(la.from_columns([rays[i] for i in c]))
         if det not in (1, -1):
             return NonUnimodularChamber(ci, det)
 
@@ -361,8 +347,8 @@ def fan_from_cones(cones, base_cone, across=None):
     order of the cones or of the rays inside them.  `across`, a search's
     neighbour table over the cones as given (see `build_fan`), is
     re-indexed to that chamber order, and each row is permuted to match
-    its chamber's ray indices in sorted order, the order in which
-    `build_fan` receives every chamber.  Equal cones are passed on to
+    its chamber's ray indices in increasing order, the order in which
+    `build_fan` reads every row.  Equal cones are passed on to
     `build_fan`, which rejects them; cones that leave a face dangling give
     a fan with status "unknown".
     """
@@ -374,9 +360,7 @@ def fan_from_cones(cones, base_cone, across=None):
     order = sorted(range(len(chambers)), key=keys.__getitem__)
     base = [keys[ci] for ci in order].index(tuple(sorted({ray_index[r] for r in base_cone})))
     if across is not None:
-        new_of_old = [0] * len(order)
-        for new, old in enumerate(order):
-            new_of_old[old] = new
+        new_of_old = {old: new for new, old in enumerate(order)}
         across = [[new_of_old[across[old][chambers[old].index(i)]] for i in keys[old]]
                   for old in order]
     return build_fan(rays, [keys[ci] for ci in order], base, across)
@@ -493,7 +477,7 @@ def faces(fan, i):
         raise IncompleteFan("face enumeration requires a certified-complete fan")
     if not 0 <= i <= fan.rank:
         raise TiltfanError(f"face dimension {i} out of range")
-    return set(chain.from_iterable(combinations(sorted(c), i) for c in fan.chambers))
+    return set(chain.from_iterable(combinations(c, i) for c in fan.chambers))
 
 
 @dataclass(frozen=True)
@@ -525,7 +509,7 @@ def hasse_orient(fan):
     """
     if fan.complete != CERTIFIED:
         raise IncompleteFan("orientation requires a certified-complete fan")
-    base_rays = [fan.rays[i] for i in sorted(fan.chambers[fan.base])]
+    base_rays = [fan.rays[i] for i in fan.chambers[fan.base]]
     arrows = []
     for w in fan.walls:
         vals = [la.dot(w.normal, r) for r in base_rays]
@@ -535,7 +519,7 @@ def hasse_orient(fan):
         elif all(v <= 0 for v in vals):
             arrows.append((cb, ca, w))
         else:
-            raise OrderViolation(tuple(sorted(fan.chambers[ca] - {w.free[0]})))
+            raise OrderViolation(w.face(fan.chambers))
     return HasseOrientation(tuple(arrows))
 
 
@@ -573,18 +557,18 @@ def reduce_at_cone(fan, cone_ray_indices):
         raise IncompleteFan("reduction requires a certified-complete fan")
     if not sigma:
         return fan
-    star = sorted((ci for ci, c in enumerate(fan.chambers) if sigma <= c), key=fan.chamber_key)
+    star = sorted((ci for ci, c in enumerate(fan.chambers) if sigma.issubset(c)),
+                  key=fan.chamber_key)
     star = [fan.chambers[ci] for ci in star]
     if not star:
         raise NotAFace(f"{tuple(sorted(sigma))} is not a face of any chamber")
     if len(sigma) == fan.rank:
         return fan_from_cones([()], ())
 
-    first = sorted(star[0])
-    inv = la.invert_unimodular(la.from_columns([fan.rays[i] for i in first]))
-    q = [row for i, row in zip(first, inv) if i not in sigma]
+    inv = la.invert_unimodular(la.from_columns([fan.rays[i] for i in star[0]]))
+    q = [row for i, row in zip(star[0], inv) if i not in sigma]
     image = {i: la.matvec(q, fan.rays[i]) for i in set().union(*star) - sigma}
-    cones = [[image[i] for i in c - sigma] for c in star]
+    cones = [[image[i] for i in c if i not in sigma] for c in star]
     y0 = la.matvec(q, tuple(map(sum, zip(*(fan.rays[i] for i in fan.chambers[fan.base])))))
     base = next(c for c in cones
                 if holds_test_point(*la.scaled_inverse(la.from_columns(c)), y0))
@@ -613,10 +597,8 @@ def verify_pairwise_intersections(fan):
     inv = [la.invert_unimodular(fan.ray_matrix(ci)) for ci in range(len(fan.chambers))]
     for ca, cb in combinations(range(len(fan.chambers)), 2):
         rows = list(inv[ca]) + list(inv[cb])
-        shared = fan.chambers[ca] & fan.chambers[cb]
-        shared_positions = [
-            k for k, i in enumerate(sorted(fan.chambers[ca])) if i in shared
-        ]
+        shared = set(fan.chambers[cb])
+        off = [k for k, i in enumerate(fan.chambers[ca]) if i not in shared]
         candidates = set()
         for group in combinations(rows, fan.rank - 1):
             try:
@@ -628,9 +610,7 @@ def verify_pairwise_intersections(fan):
                     candidates.add(w)
         for w in candidates:
             coords = la.matvec(inv[ca], w)
-            ok = all(c >= 0 for c in coords) and all(
-                c == 0 for k, c in enumerate(coords) if k not in shared_positions
-            )
+            ok = all(c >= 0 for c in coords) and all(coords[k] == 0 for k in off)
             if not ok:
                 raise TiltfanError(
                     f"chambers {ca} and {cb} intersect outside their shared face"
@@ -656,11 +636,9 @@ def fan_to_json(fan):
 def fan_from_json(data):
     if not isinstance(data, dict) or not {"rays", "chambers", "base"} <= data.keys():
         raise ParseError("not a fan: expected an object with rays, chambers and base")
-    version = data.get("schema_version", 1)
-    if version != 1:
-        raise TiltfanError(f"unsupported schema version {version!r}")
+    check_schema_version(data)
     with reading("not a fan"):
         rays = [tuple(map(parse_int, r)) for r in data["rays"]]
-        chambers = [frozenset(map(parse_int, c)) for c in data["chambers"]]
+        chambers = [tuple(map(parse_int, c)) for c in data["chambers"]]
         base = parse_int(data["base"])
     return build_fan(rays, chambers, base)

@@ -164,9 +164,9 @@ def _wall_class(fan, w, row_of):
     chamber's inverse ray matrix.  The last of coeffs, at free_a, is 0:
     the normal is 1 on free_a and -1 on free_b."""
     free_a, free_b = w.free
-    shared = sorted(fan.chambers[w.chambers[0]] - {free_a})
+    shared = w.face(fan.chambers)
     total = la.vadd(fan.rays[free_a], fan.rays[free_b])
-    coeffs = tuple(la.dot(row_of[i], total) for i in shared + [free_a])
+    coeffs = tuple(la.dot(row_of[i], total) for i in shared + (free_a,))
     shared_part = coeffs[:-1]
     if any(c < 0 for c in shared_part):
         kind, data = NOT_POSITIVE, coeffs
@@ -178,7 +178,7 @@ def _wall_class(fan, w, row_of):
         kind, data = RAY_SUM, tuple(shared[i] for i, c in enumerate(shared_part) for _ in range(c))
     else:
         kind, data = NONCONVEX_POSITIVE, coeffs
-    return WallClass(tuple(shared), kind, data), sum(shared_part)
+    return WallClass(shared, kind, data), sum(shared_part)
 
 
 def _polar_pair(fan):

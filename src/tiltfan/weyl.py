@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import inf, lcm
 
 from . import lattice as la
-from .errors import NotFiniteType, TiltfanError, parse_int, reading
+from .errors import NotFiniteType, TiltfanError, check_schema_version, parse_int, reading
 from .fan import BudgetExhausted, fan_from_cones, wall_crossing_search
 
 
@@ -94,6 +94,7 @@ def cartan_from_json(data):
     with reading("not Cartan data"):
         if not isinstance(data, dict):
             raise TypeError("expected a JSON object")
+        check_schema_version(data)
         if "type" in data:
             return cartan_preset(data["type"], parse_int(data["n"]))
         c = tuple(tuple(map(parse_int, row)) for row in data["C"])

@@ -192,10 +192,52 @@ def test_a_bad_command_line_is_a_one_line_error(argv, capsys):
     (["brauer", "--graph", "g.json", "--out", "r.json"], "--out requires --analyze"),
     (["weyl", "--type", "A", "--n", "2", "--out", "r.json"], "--out requires --analyze"),
     (["kase", "--ell", "2", "--m", "2", "--out", "r.json"], "--out requires --analyze"),
+    (["cluster", "--matrix", "b.json", "--ell-max", "3"], "--ell-max requires --analyze"),
+    (["brauer", "--graph", "g.json", "--ell-max", "3"], "--ell-max requires --analyze"),
+    (["weyl", "--type", "A", "--n", "2", "--ell-max", "3"], "--ell-max requires --analyze"),
+    (["kase", "--ell", "2", "--m", "2", "--ell-max", "3"], "--ell-max requires --analyze"),
+    (["weyl", "--cartan", "c.json", "--n", "5"], "--n requires --type"),
 ])
 def test_checked_options_are_one_line_errors(argv, message, capsys):
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_analyze_reads_ell_max_4_by_default(tmp_path, capsys):
+    path = write(tmp_path, "fan.json", fan_to_json(kase_family_fan(2, 2)))
+    assert main(["analyze", "--input", path]) == 0
+    assert list(json.loads(capsys.readouterr().out)["ehrhart"]) == ["1", "2", "3", "4"]
+
+
+PATH3_GRAPH = graph_to_json(path_tree(3))
+A2_CARTAN = {"C": [[2, -1], [-1, 2]], "D": [1, 1]}
+A2_MATRIX = {"B": [[0, 1], [-1, 0]]}
+PENTAGON = {"rays": [[-1, 0], [-1, 1], [0, -1], [0, 1], [1, 0]],
+            "chambers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 4]], "base": 3}
+
+
+@pytest.mark.parametrize("command, flag, document, message", [
+    ("fan", "--input", dict(PENTAGON, schema_version=2), "unsupported schema version 2"),
+    ("brauer", "--graph", dict(PATH3_GRAPH, schema_version=2), "unsupported schema version 2"),
+    ("weyl", "--cartan", dict(A2_CARTAN, schema_version=2), "unsupported schema version 2"),
+    ("weyl", "--cartan", {"type": "A", "n": 2, "schema_version": "1"},
+     "unsupported schema version '1'"),
+    ("fan", "--input", dict(PENTAGON, schema_version=True), "unsupported schema version True"),
+    ("fan", "--input", dict(PENTAGON, schema_version=1.0), "unsupported schema version 1.0"),
+    ("cluster", "--matrix", dict(A2_MATRIX, schema_version=2), "unsupported schema version 2"),
+    ("cluster", "--matrix", dict(A2_MATRIX, n=3),
+     '{path} is not an exchange matrix: "n" is 3, but B has 2 rows'),
+    ("cluster", "--matrix", dict(A2_MATRIX, n="2"),
+     "{path} is not an exchange matrix: expected an integer, got '2'"),
+])
+def test_every_input_file_is_checked_for_its_schema(command, flag, document, message,
+                                                    tmp_path, capsys):
+    """Each file the CLI reads is refused in one line if it names another
+    schema version; an exchange matrix is also refused if its "n" is not
+    the number of rows of B."""
+    path = write(tmp_path, "input.json", document)
+    assert main([command, flag, path]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
 
 
 def test_help_still_exits_0(capsys):

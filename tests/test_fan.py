@@ -34,7 +34,9 @@ from conftest import (
     B_A2,
     B_A3,
     B_KRONECKER,
+    FRONT_END_FANS,
     b_type_a,
+    front_end_fan,
     odd_cycle,
     odd_cycle_5,
     path_tree,
@@ -194,9 +196,9 @@ def test_reduce_at_empty_cone_is_identity():
 
 def test_reduce_full_chamber_gives_rank_zero():
     fan = pentagon()
-    red = reduce_at_cone(fan, sorted(fan.chambers[0]))
+    red = reduce_at_cone(fan, fan.chambers[0])
     assert red.rank == 0
-    assert red.chambers == (frozenset(),)
+    assert red.chambers == ((),)
     assert red.complete == CERTIFIED
 
 
@@ -279,8 +281,8 @@ def check_idempotent_reductions(fan, sub_fan):
             sigma = {fan.rays.index(tuple(-int(i == j) for i in range(n)))
                      for j in range(n) if j not in keep}
             expected = sub_fan(keep)
-            star = [[tuple(fan.rays[i][j] for j in keep) for i in c - sigma]
-                    for c in fan.chambers if sigma <= c]
+            star = [[tuple(fan.rays[i][j] for j in keep) for i in c if i not in sigma]
+                    for c in fan.chambers if sigma.issubset(c)]
             assert fan_from_cones(star, la.identity(size)) == expected, keep
             red = reduce_at_cone(fan, sigma)
             target = _chamber_sets(expected, la.identity(size))
@@ -314,7 +316,7 @@ def test_paranoid_verification(a3_cluster_fan):
     verify_pairwise_intersections(pentagon())
     verify_pairwise_intersections(a3_cluster_fan)
     # cone{(1,0),(1,1)} contains cone{(2,1),(1,1)}: not a face intersection
-    bad = Fan(2, ((1, 0), (1, 1), (2, 1)), (frozenset({0, 1}), frozenset({1, 2})), 0)
+    bad = Fan(2, ((1, 0), (1, 1), (2, 1)), ((0, 1), (1, 2)), 0)
     with pytest.raises(TiltfanError):
         verify_pairwise_intersections(bad)
 
@@ -362,11 +364,11 @@ def test_wall_normals_match_kernel_functional():
         assert fan.walls, name
         for w in fan.walls:
             ca, cb = w.chambers
-            face = fan.chambers[ca] & fan.chambers[cb]
+            face = set(fan.chambers[ca]) & set(fan.chambers[cb])
             shared = [fan.rays[i] for i in sorted(face)]
             kf = la.kernel_functional(shared, fan.rank)
-            (free_a,) = fan.chambers[ca] - face
-            (free_b,) = fan.chambers[cb] - face
+            (free_a,) = set(fan.chambers[ca]) - face
+            (free_b,) = set(fan.chambers[cb]) - face
             assert w.free == (free_a, free_b), (name, w)
             signed = kf if la.dot(kf, fan.rays[free_a]) > 0 else la.vneg(kf)
             assert w.normal == signed, (name, w)
@@ -420,7 +422,7 @@ def test_certificate_agrees_with_the_pairwise_oracle():
         assert _oracle_accepts(fan), name
     assert len(fans) == 16
     # cone{(1,0),(1,1)} contains cone{(2,1),(1,1)}: both routes reject it
-    rays, chambers = ((1, 0), (1, 1), (2, 1)), (frozenset({0, 1}), frozenset({1, 2}))
+    rays, chambers = ((1, 0), (1, 1), (2, 1)), ((0, 1), (1, 2))
     with pytest.raises(TiltfanError):
         build_fan(rays, chambers, 0)
     assert not _oracle_accepts(Fan(2, rays, chambers, 0))
@@ -428,7 +430,7 @@ def test_certificate_agrees_with_the_pairwise_oracle():
     rays, chambers = _octahedral_double_cover()
     with pytest.raises(TiltfanError):
         build_fan(rays, chambers, 0)
-    assert not _oracle_accepts(Fan(3, tuple(rays), tuple(chambers), 0))
+    assert not _oracle_accepts(Fan(3, tuple(rays), tuple(tuple(sorted(c)) for c in chambers), 0))
 
 
 OCTAHEDRAL_RING = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
@@ -621,6 +623,42 @@ def test_fan_from_cones_ignores_the_order_of_cones_and_rays(k, data):
     assert (again.walls, again.complete) == (fan.walls, fan.complete)
 
 
+def _assert_increasing(fan, name):
+    """Every chamber is the tuple of its rank ray indices, strictly increasing."""
+    for c in fan.chambers:
+        assert type(c) is tuple and len(c) == fan.rank, (name, c)
+        assert all(a < b for a, b in zip(c, c[1:])), (name, c)
+
+
+def test_every_route_gives_chambers_as_increasing_tuples():
+    """Front-end fans, a partial fan and reductions at every ray and at every
+    face of the first chamber hold each chamber in one form."""
+    fans = {name: front_end_fan(name) for name in FRONT_END_FANS}
+    fans["partial Kronecker at 50"] = enumerate_gfan(B_KRONECKER, budget=50).partial_fan
+    for name, fan in fans.items():
+        _assert_increasing(fan, name)
+    for name in ("cluster A4", "cluster D4", "coxeter B3", "coxeter G2", "path 4", "odd 3"):
+        fan = fans[name]
+        cones = [(i,) for i in range(len(fan.rays))]
+        cones += [face for size in range(fan.rank + 1)
+                  for face in combinations(fan.chambers[0], size)]
+        for cone in cones:
+            _assert_increasing(reduce_at_cone(fan, cone), (name, cone))
+
+
+@given(st.sampled_from(range(len(ORDER_FANS))), st.data())
+def test_a_shuffled_fan_file_reads_as_increasing_tuples(k, data):
+    """A file listing its chambers, and the rays inside each, in any order
+    gives the same canonical file back."""
+    doc = fan_to_json(ORDER_FANS[k])
+    order = data.draw(st.permutations(range(len(doc["chambers"]))))
+    shuffled = dict(doc, base=order.index(doc["base"]),
+                    chambers=[data.draw(st.permutations(doc["chambers"][ci])) for ci in order])
+    fan = fan_from_json(shuffled)
+    _assert_increasing(fan, k)
+    assert fan_to_json(fan) == doc
+
+
 # -- chamber inverses by exchange pivots against full elimination -------------
 
 
@@ -661,7 +699,7 @@ def _eliminating_build_fan(rays, chambers, base):
     if rank == 0:
         if chambers != (frozenset(),):
             raise TiltfanError("a rank-0 fan has exactly the trivial chamber")
-        return Fan(0, (), chambers, 0, (), CERTIFIED)
+        return Fan(0, (), ((),), 0, (), CERTIFIED)
     for ci, c in enumerate(chambers):
         if len(c) != rank:
             raise TiltfanError(f"chamber {ci} has {len(c)} rays, expected {rank}")
@@ -708,6 +746,7 @@ def _eliminating_build_fan(rays, chambers, base):
         walls.append(Wall((ca, cb), *normals[sub]))
     if not dangling and covering != 1:
         raise TiltfanError(f"a generic point lies in {covering} chambers")
+    chambers = tuple(tuple(sorted(c)) for c in chambers)
     return Fan(rank, rays, chambers, base, tuple(walls), UNKNOWN if dangling else CERTIFIED)
 
 
@@ -847,7 +886,8 @@ def _reference_sign_incoherence(rays, chambers, base_rays):
 )))
 def test_sign_incoherence_matches_the_coordinate_loop(case):
     """The same (chamber, coordinate) as the plain loop, for chambers given
-    as lists or frozensets (as `build_fan` passes them)."""
+    as lists or as sorted tuples of distinct indices (as `build_fan` passes
+    them)."""
     rays, chambers, ops, as_sets = case
     n = len(rays[0])
     base = [list(row) for row in la.identity(n)]
@@ -856,7 +896,7 @@ def test_sign_incoherence_matches_the_coordinate_loop(case):
             base[i] = [x + c * y for x, y in zip(base[i], base[j])]
     chambers = [[i for i in c if i < len(rays)] for c in chambers]
     if as_sets:
-        chambers = [frozenset(c) for c in chambers]
+        chambers = [tuple(sorted(set(c))) for c in chambers]
     base = [tuple(r) for r in base]
     assert (fan_module._sign_incoherence(rays, chambers, base)
             == _reference_sign_incoherence(rays, chambers, base))
@@ -914,8 +954,8 @@ def _search_tables():
 def _corrupted_tables():
     """(kind, rays, chambers, base, across) with one fault in a search table,
     put in the row of chamber 0, where the pass over the table starts, or
-    in chamber 0 itself: a ray named twice, which only the table's row
-    order can show (a chamber's set of rays drops the repeat)."""
+    in chamber 0 itself: a ray named twice in place of another, which
+    leaves the chamber's set of rays one short."""
     for rays, chambers, base, across in _search_tables():
         n = len(rays[0])
         sets = [frozenset(c) for c in chambers]
@@ -945,7 +985,7 @@ def _corrupted_tables():
         table[0][0] = len(chambers)
         yield "out of range", rays, chambers, base, table
         yield "row count", rays, chambers, base, across[:-1]
-        repeated = [tuple(chambers[0]) + (chambers[0][0],)] + list(chambers[1:])
+        repeated = [(chambers[0][0],) + tuple(chambers[0][:-1])] + list(chambers[1:])
         yield "repeated ray", rays, repeated, base, across
 
 
@@ -958,7 +998,7 @@ CORRUPTION_MESSAGES = {
     "no neighbour": r"^the neighbour table names no chamber across wall 0 of chamber 0$",
     "out of range": r"^the neighbour table names chamber \d+ outside 0\.\.\d+$",
     "row count": r"^the neighbour table has \d+ rows for \d+ chambers$",
-    "repeated ray": r"^chamber 0 repeats a ray$",
+    "repeated ray": r"^chamber 0 has 2 rays, expected 3$",
 }
 
 
@@ -998,109 +1038,36 @@ def test_every_entry_of_a_search_table_is_checked():
 
 
 # Coxeter A2 and cluster A2 by hand, the rays clockwise and each chamber
-# listed counterclockwise, so all but the last list their rays in descending
-# order.  The pentagon's odd cycle puts two neighbours at one depth of the
-# breadth-first pass, and the order in which chamber 0's walls are visited
-# decides which of them is checked first.
+# listed counterclockwise, so all but the last list their rays in
+# decreasing order.  Each has two neighbour tables: `ordered`, read against
+# each chamber's ray indices in increasing order, and `listed`, read against
+# the order in which the chamber lists them.
 UNSORTED_TABLES = {
     "hexagon": ([(1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1)],
                 [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (0, 5)], 5,
+                [[1, 5], [2, 0], [3, 1], [4, 2], [5, 3], [4, 0]],
                 [[5, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 0]]),
     "pentagon": ([(1, 0), (0, -1), (-1, 0), (-1, 1), (0, 1)],
                  [(1, 0), (2, 1), (3, 2), (4, 3), (0, 4)], 4,
+                 [[1, 4], [2, 0], [3, 1], [4, 2], [3, 0]],
                  [[4, 1], [0, 2], [1, 3], [2, 4], [3, 0]]),
-}
-
-# the message for each entry in turn, replaced by None, by its own chamber
-# and by the chamber across the other wall; a wall's position counts the
-# rays in the order the caller lists them
-UNSORTED_TABLE_MESSAGES = {
-    "hexagon": """\
-the neighbour table names no chamber across wall 0 of chamber 0
-chamber 0, across wall 0 of chamber 0, does not share its other 1 rays
-chamber 1, across wall 0 of chamber 0, does not share its other 1 rays
-the neighbour table names no chamber across wall 1 of chamber 0
-chamber 0, across wall 1 of chamber 0, does not share its other 1 rays
-chamber 5, across wall 1 of chamber 0, does not share its other 1 rays
-the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has None across it
-the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has 1 across it
-the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has 2 across it
-the neighbour table names no chamber across wall 1 of chamber 1
-chamber 1, across wall 1 of chamber 1, does not share its other 1 rays
-chamber 0, across wall 1 of chamber 1, does not share its other 1 rays
-the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has None across it
-the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has 2 across it
-the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has 3 across it
-the neighbour table names no chamber across wall 1 of chamber 2
-chamber 2, across wall 1 of chamber 2, does not share its other 1 rays
-chamber 1, across wall 1 of chamber 2, does not share its other 1 rays
-the neighbour table is not reciprocal: chamber 2 has 3 across a wall, 3 has None across it
-the neighbour table is not reciprocal: chamber 2 has 3 across a wall, 3 has 3 across it
-the neighbour table is not reciprocal: chamber 2 has 3 across a wall, 3 has 4 across it
-the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has None across it
-the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has 3 across it
-the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has 2 across it
-the neighbour table names no chamber across wall 0 of chamber 4
-chamber 4, across wall 0 of chamber 4, does not share its other 1 rays
-chamber 5, across wall 0 of chamber 4, does not share its other 1 rays
-the neighbour table is not reciprocal: chamber 5 has 4 across a wall, 4 has None across it
-the neighbour table is not reciprocal: chamber 5 has 4 across a wall, 4 has 4 across it
-the neighbour table is not reciprocal: chamber 5 has 4 across a wall, 4 has 3 across it
-the neighbour table names no chamber across wall 0 of chamber 5
-chamber 5, across wall 0 of chamber 5, does not share its other 1 rays
-chamber 0, across wall 0 of chamber 5, does not share its other 1 rays
-the neighbour table is not reciprocal: chamber 0 has 5 across a wall, 5 has None across it
-the neighbour table is not reciprocal: chamber 0 has 5 across a wall, 5 has 5 across it
-the neighbour table is not reciprocal: chamber 0 has 5 across a wall, 5 has 4 across it""",
-    "pentagon": """\
-the neighbour table names no chamber across wall 0 of chamber 0
-chamber 0, across wall 0 of chamber 0, does not share its other 1 rays
-chamber 1, across wall 0 of chamber 0, does not share its other 1 rays
-the neighbour table names no chamber across wall 1 of chamber 0
-chamber 0, across wall 1 of chamber 0, does not share its other 1 rays
-chamber 4, across wall 1 of chamber 0, does not share its other 1 rays
-the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has None across it
-the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has 1 across it
-the neighbour table is not reciprocal: chamber 0 has 1 across a wall, 1 has 2 across it
-the neighbour table names no chamber across wall 1 of chamber 1
-chamber 1, across wall 1 of chamber 1, does not share its other 1 rays
-chamber 0, across wall 1 of chamber 1, does not share its other 1 rays
-the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has None across it
-the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has 2 across it
-the neighbour table is not reciprocal: chamber 1 has 2 across a wall, 2 has 3 across it
-the neighbour table is not reciprocal: chamber 3 has 2 across a wall, 2 has None across it
-the neighbour table is not reciprocal: chamber 3 has 2 across a wall, 2 has 2 across it
-the neighbour table is not reciprocal: chamber 3 has 2 across a wall, 2 has 1 across it
-the neighbour table names no chamber across wall 0 of chamber 3
-chamber 3, across wall 0 of chamber 3, does not share its other 1 rays
-chamber 4, across wall 0 of chamber 3, does not share its other 1 rays
-the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has None across it
-the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has 3 across it
-the neighbour table is not reciprocal: chamber 4 has 3 across a wall, 3 has 2 across it
-the neighbour table names no chamber across wall 0 of chamber 4
-chamber 4, across wall 0 of chamber 4, does not share its other 1 rays
-chamber 0, across wall 0 of chamber 4, does not share its other 1 rays
-the neighbour table is not reciprocal: chamber 0 has 4 across a wall, 4 has None across it
-the neighbour table is not reciprocal: chamber 0 has 4 across a wall, 4 has 4 across it
-the neighbour table is not reciprocal: chamber 0 has 4 across a wall, 4 has 3 across it""",
 }
 
 
 @pytest.mark.parametrize("name", UNSORTED_TABLES)
-def test_a_table_over_unsorted_chambers_keeps_the_callers_wall_positions(name):
-    rays, chambers, base, across = UNSORTED_TABLES[name]
-    fan = build_fan(rays, chambers, base, across)
+def test_a_table_is_read_against_increasing_ray_indices(name):
+    """A table over chambers listed unsorted names, in row ci, the chamber
+    across the facet opposite the k-th smallest ray index of chamber ci:
+    read that way it gives the Fan of the derived table, and read in the
+    order the chambers list their rays it is refused."""
+    rays, chambers, base, ordered, listed = UNSORTED_TABLES[name]
+    fan = build_fan(rays, chambers, base, ordered)
     assert (fan, fan.walls, fan.complete) == _outcome(rays, chambers, base)
-    messages = []
-    for ci, row in enumerate(across):
-        for k in range(2):
-            for bad in (None, ci, row[1 - k]):
-                table = [list(r) for r in across]
-                table[ci][k] = bad
-                with pytest.raises(TiltfanError) as refused:
-                    build_fan(rays, chambers, base, table)
-                messages.append(str(refused.value))
-    assert messages == UNSORTED_TABLE_MESSAGES[name].splitlines()
+    assert fan.complete == CERTIFIED
+    far = len(chambers) - 1
+    with pytest.raises(TiltfanError, match=rf"^chamber {far}, across wall 0 of chamber 0, "
+                                           r"does not share its other 1 rays$"):
+        build_fan(rays, chambers, base, listed)
 
 
 def test_a_face_in_three_chambers_is_refused_with_or_without_a_table():

@@ -426,9 +426,9 @@ def _reference_convexity_report(fan):
     out = []
     for w in fan.walls:
         ca, cb = w.chambers
-        face = fan.chambers[ca] & fan.chambers[cb]
+        face = set(fan.chambers[ca]) & set(fan.chambers[cb])
         shared = sorted(face)
-        (free_a,), (free_b,) = fan.chambers[ca] - face, fan.chambers[cb] - face
+        (free_a,), (free_b,) = set(fan.chambers[ca]) - face, set(fan.chambers[cb]) - face
         basis = la.from_columns([fan.rays[i] for i in shared] + [fan.rays[free_a]])
         total = la.vadd(fan.rays[free_a], fan.rays[free_b])
         coeffs = tuple(int(x) for x in la.solve_exact(basis, total))
