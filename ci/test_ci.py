@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from tiltfan import cluster, weyl
 from tiltfan.brauer import chambers_by_cliques
 from tiltfan.cli import main
 from tiltfan.cluster import enumerate_gfan
@@ -27,7 +28,8 @@ from tiltfan.combinatorics import f_vector
 from tiltfan.errors import NotConvex
 from tiltfan.fan import CERTIFIED
 from tiltfan.polytope import convexity_report, g_polytope, root_polytope
-from tiltfan.weyl import CartanData, cartan_preset, coxeter_fan, short_root_polytope
+from tiltfan.weyl import (CartanData, cartan_preset, coxeter_fan, short_root_polytope,
+                          weyl_enumerate)
 
 from conftest import b_type_a, odd_cycle, simply_laced
 from test_brauer import RIBBON_GRAPH_COUNTS, check_ribbon_graphs, ribbon_graph_classes, ribbon_graphs
@@ -136,6 +138,37 @@ def test_cluster_a8_reads_back_certified(tmp_path, capsys):
                             capsys).out)
     assert report["h"] == list(narayana_h(8))
     check_read_back(path, 4862, capsys)
+
+
+def _cluster_a8_walls():
+    fan = enumerate_gfan(b_type_a(8))
+    assert len(fan.chambers) == 4862
+    return len(fan.walls)
+
+
+def _weyl_a7_walls():
+    """7 |W| / 2 for the elements of W(A7), enumerated without a fan."""
+    elements, _ = weyl_enumerate(cartan_preset("A", 7))
+    assert len(elements) == 40320
+    return 7 * len(elements) // 2
+
+
+@pytest.mark.parametrize("module, exchange, walls_of, walls", [
+    (cluster, "_exchanged_g", _cluster_a8_walls, 19_448),
+    (weyl, "_crossed_ray", _weyl_a7_walls, 141_120),
+], ids=["cluster A8", "coxeter A7"])
+def test_one_exchange_per_wall(module, exchange, walls_of, walls, monkeypatch):
+    """The search crosses each wall once, past the ranks that tier-1 reaches."""
+    original = getattr(module, exchange)
+    calls = []
+
+    def counted(state, rays, k):
+        calls.append(k)
+        return original(state, rays, k)
+
+    monkeypatch.setattr(module, exchange, counted)
+    assert walls_of() == walls
+    assert len(calls) == walls
 
 
 # -- fans and polytopes past tier-1 --------------------------------------------

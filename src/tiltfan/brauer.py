@@ -167,15 +167,23 @@ def graph_from_json(data):
             raise TypeError("expected a JSON object")
         check_schema_version(data)
         half_edges = [_half_edge(h) for h in data["half_edges"]]
+        # each half-edge in exactly one non-empty cycle and one pair
         sigma = {}
         for cyc in data["sigma"]:
             cyc = [_half_edge(h) for h in cyc]
+            if not cyc:
+                raise ValueError("sigma has an empty cycle")
             for i, h in enumerate(cyc):
+                if h in sigma:
+                    raise ValueError(f"half-edge {h!r} appears twice in sigma")
                 sigma[h] = cyc[(i + 1) % len(cyc)]
         bar = {}
         for a, b in data["bar"]:
-            bar[_half_edge(a)] = _half_edge(b)
-            bar[b] = a
+            a, b = _half_edge(a), _half_edge(b)
+            for h in (a, b):
+                if h in bar:
+                    raise ValueError(f"half-edge {h!r} appears twice in bar")
+            bar[a], bar[b] = b, a
     return BrauerGraph(half_edges, sigma, bar)
 
 
@@ -383,6 +391,12 @@ def chambers_by_cliques(graph):
     complete 2-term silting complex has exactly two completions, so the
     walk across the wall opposite c[k] is the one walk other than c[k]
     admissible with the rest of c (AssertionError if not exactly one).
+    The search crosses each wall once and reads the reverse crossing off
+    the forward one, which holds when the chamber's walks are pairwise
+    admissible: then the walk across from the new chamber is c[k] and no
+    other.  That holds for every chamber found if it holds for the start,
+    the unit walks, so their n(n-1)/2 pairs are checked first
+    (AssertionError if one is refused).
     The budget, the number of n-subsets of the walks, cannot be reached.
     The search's neighbour table goes to `build_fan` as it is: each chamber
     keeps its walks' classes in the order of its walk indices.
@@ -410,6 +424,9 @@ def chambers_by_cliques(graph):
 
     rays = [w.class_vector for w in walks]
     start = [rays.index(e) for e in la.identity(n)]
+    for a, b in combinations(start, 2):
+        if not adj[a] >> b & 1:
+            raise AssertionError(f"start walks {a} and {b} are not admissible with each other")
     chambers, across = wall_crossing_search(start, exchange, comb(len(walks), n))
     return fan_from_cones([[rays[i] for i in c] for c in chambers], la.identity(n), across=across)
 

@@ -21,10 +21,12 @@ cluster, Weyl and Brauer front-ends find their chambers with one search,
 `wall_crossing_search`: each chamber of a g-fan has exactly one neighbour
 across each wall (mutation of 2-term silting complexes), so a front-end
 only says which ray replaces the one opposite a wall, and the search hands
-back which chamber lies across every wall.  That neighbour table goes with
-the chambers to `build_fan`, which checks it instead of finding adjacency
-again; a fan read from a file, a partial fan or a reduction has its table
-derived from the chambers' facets.
+back which chamber lies across every wall.  Mutation is an involution, so
+the search crosses each wall once, from the side that reaches it first,
+and that crossing fills the table on both sides.  The neighbour table
+goes with the chambers to `build_fan`, which checks it instead of finding
+adjacency again; a fan read from a file, a partial fan or a reduction has
+its table derived from the chambers' facets.
 """
 
 from collections import deque
@@ -411,19 +413,23 @@ def wall_crossing_search(rays, exchange, budget, state=None, cross=None):
     new chamber; without `cross` every chamber shares the start's state.
     Chambers are deduplicated by their ray sets, and walls are crossed in
     increasing order with a FIFO queue, so the search is deterministic.
-    A chamber is not crossed back through the wall it was reached through:
-    `exchange` must be an involution there (an almost complete 2-term
-    silting complex has exactly two completions), so that chamber is its
-    parent, already found.
 
-    Returns (chambers, across) once every wall has been crossed: the
-    chambers in the order found, the start first, and the neighbour table,
-    across[i][k] the index of the chamber across wall k of chamber i.  A
-    new chamber j reached through wall k of chamber i gets across[j][k] = i;
-    every other crossing records the chamber it finds by its ray set.
+    Each wall is crossed once.  `exchange` must be an involution (an almost
+    complete 2-term silting complex has exactly two completions), so the
+    crossing of wall k of chamber i that finds chamber j also fills the
+    reverse entry: across[j][m] = i, m the place of the exchanged ray in
+    j.  A new chamber thus starts with the wall it was reached through
+    filled, and a chamber crosses only the walls whose entry is still
+    empty.  A filled entry is never overwritten: if an exchange that is not
+    an involution finds a chamber whose reverse entry names another, that
+    entry stays, and `build_fan` refuses the table as not reciprocal.
+
+    Returns (chambers, across) once every wall has an entry: the chambers
+    in the order found, the start first, and the neighbour table,
+    across[i][k] the index of the chamber across wall k of chamber i.
     When a new chamber would exceed `budget` it returns BudgetExhausted
-    instead, which holds the chambers found; `frontier` counts those with
-    walls not all crossed.
+    instead, which holds the chambers found; `frontier` counts the
+    chambers not yet expanded, the one under expansion included.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -431,14 +437,15 @@ def wall_crossing_search(rays, exchange, budget, state=None, cross=None):
     n = len(rays)
     found = {tuple(sorted(rays)): 0}
     chambers, across = [rays], [[None] * n]
-    queue = deque([(rays, state, -1, 0)])
+    queue = deque([(rays, state, 0)])
     while queue:
-        rays, state, arrival, i = queue.popleft()
+        rays, state, i = queue.popleft()
         row = across[i]
         for k in range(n):
-            if k == arrival:
+            if row[k] is not None:
                 continue
-            new = rays[:k] + (exchange(state, rays, k),) + rays[k + 1:]
+            ray = exchange(state, rays, k)
+            new = rays[:k] + (ray,) + rays[k + 1:]
             key = tuple(sorted(new))
             j = found.get(key)
             if j is None:
@@ -449,7 +456,12 @@ def wall_crossing_search(rays, exchange, budget, state=None, cross=None):
                 chambers.append(new)
                 across.append([None] * n)
                 across[j][k] = i
-                queue.append((new, cross(state, new, k) if cross else state, k, j))
+                queue.append((new, cross(state, new, k) if cross else state, j))
+            else:
+                back = across[j]
+                m = chambers[j].index(ray)
+                if back[m] is None:
+                    back[m] = i
             row[k] = j
     return chambers, across
 

@@ -96,6 +96,8 @@ def cartan_from_json(data):
             raise TypeError("expected a JSON object")
         check_schema_version(data)
         if "type" in data:
+            if "C" in data or "D" in data:
+                raise ValueError('give either "type" and "n" or "C" and "D", not both')
             return cartan_preset(data["type"], parse_int(data["n"]))
         c = tuple(tuple(map(parse_int, row)) for row in data["C"])
         return CartanData(c, tuple(map(parse_int, data["D"])))

@@ -212,6 +212,7 @@ def test_analyze_reads_ell_max_4_by_default(tmp_path, capsys):
 PATH3_GRAPH = graph_to_json(path_tree(3))
 A2_CARTAN = {"C": [[2, -1], [-1, 2]], "D": [1, 1]}
 A2_MATRIX = {"B": [[0, 1], [-1, 0]]}
+TWO_HALVES = {"half_edges": ["a", "b"], "sigma": [["a"], ["b"]], "bar": [["a", "b"]]}
 PENTAGON = {"rays": [[-1, 0], [-1, 1], [0, -1], [0, 1], [1, 0]],
             "chambers": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 4]], "base": 3}
 
@@ -229,12 +230,28 @@ PENTAGON = {"rays": [[-1, 0], [-1, 1], [0, -1], [0, 1], [1, 0]],
      '{path} is not an exchange matrix: "n" is 3, but B has 2 rows'),
     ("cluster", "--matrix", dict(A2_MATRIX, n="2"),
      "{path} is not an exchange matrix: expected an integer, got '2'"),
+    ("brauer", "--graph", dict(TWO_HALVES, sigma=[["a", "b"], ["b", "a"]]),
+     "not a Brauer graph: half-edge 'b' appears twice in sigma"),
+    ("brauer", "--graph", dict(TWO_HALVES, sigma=[["a", "a"], ["b"]]),
+     "not a Brauer graph: half-edge 'a' appears twice in sigma"),
+    ("brauer", "--graph", dict(TWO_HALVES, sigma=[["a"], ["b"], []]),
+     "not a Brauer graph: sigma has an empty cycle"),
+    ("brauer", "--graph", dict(TWO_HALVES, bar=[["a", "b"], ["a", "b"]]),
+     "not a Brauer graph: half-edge 'a' appears twice in bar"),
+    ("brauer", "--graph", dict(TWO_HALVES, bar=[["a", "b"], ["b", "a"]]),
+     "not a Brauer graph: half-edge 'b' appears twice in bar"),
+    ("weyl", "--cartan", dict(A2_CARTAN, type="A", n=2),
+     'not Cartan data: give either "type" and "n" or "C" and "D", not both'),
+    ("weyl", "--cartan", {"type": "A", "n": 2, "D": [1, 1]},
+     'not Cartan data: give either "type" and "n" or "C" and "D", not both'),
 ])
 def test_every_input_file_is_checked_for_its_schema(command, flag, document, message,
                                                     tmp_path, capsys):
     """Each file the CLI reads is refused in one line if it names another
     schema version; an exchange matrix is also refused if its "n" is not
-    the number of rows of B."""
+    the number of rows of B, a graph unless every half-edge lies in exactly
+    one non-empty sigma cycle and one bar pair, and Cartan data that is
+    both a preset and a matrix."""
     path = write(tmp_path, "input.json", document)
     assert main([command, flag, path]) == 1
     assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")

@@ -242,10 +242,9 @@ def test_g_first_search_matches_full_mutation_bfs(b, monkeypatch):
     monkeypatch.setattr(cluster, "_mutated_state", counting_crossing)
     monkeypatch.setattr(cluster, "_exchanged_g", counting_exchange)
     fan = enumerate_gfan(b)
-    # each g-vector is exchanged once per wall crossing; every chamber but
-    # the start skips the wall it was reached through, and only a new
-    # chamber's state is mutated
-    assert len(exchanges) == fan.rank * len(fan.chambers) - (len(fan.chambers) - 1)
+    # each wall is crossed once, from the side that reaches it first, and
+    # only a new chamber's state is mutated
+    assert len(exchanges) == len(fan.walls)
     assert len(crossings) == len(fan.chambers) - 1
     reference = _full_mutation_bfs(b)
     assert _chamber_keys(fan) == set(reference)

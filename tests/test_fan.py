@@ -553,44 +553,52 @@ def _crossing_every_wall(rays, exchange, budget, state=None, cross=None):
 @pytest.fixture
 def paired_searches(monkeypatch):
     """Every front-end search also runs the reference search on the same
-    arguments; the list collects (search result, reference result)."""
+    arguments; the list collects (search result, reference result, the
+    search's exchange calls)."""
     from tiltfan import brauer, cluster, weyl
 
-    pairs = []
+    triples = []
 
-    def paired(*args, **kwargs):
-        got = fan_module.wall_crossing_search(*args, **kwargs)
-        pairs.append((got, _crossing_every_wall(*args, **kwargs)))
+    def paired(rays, exchange, *args, **kwargs):
+        calls = []
+
+        def counted(state, chamber, k):
+            calls.append(k)
+            return exchange(state, chamber, k)
+
+        got = fan_module.wall_crossing_search(rays, counted, *args, **kwargs)
+        triples.append((got, _crossing_every_wall(rays, exchange, *args, **kwargs), len(calls)))
         return got
 
     for module in (cluster, weyl, brauer):
         monkeypatch.setattr(module, "wall_crossing_search", paired)
-    return pairs
+    return triples
 
 
-@pytest.mark.parametrize("build", [
-    lambda: enumerate_gfan(b_type_a(4)),
-    lambda: coxeter_fan(cartan_preset("B", 3)),
-    lambda: chambers_by_cliques(star_tree(4)),
-], ids=["cluster A4", "weyl B3", "brauer star 4"])
-def test_search_skipping_the_arrival_wall_finds_the_same_chambers(build, paired_searches):
-    """Crossing back through the arrival wall always finds the parent, so
-    skipping it leaves the chambers and their order as they were, and the
-    neighbour table is the one read off every crossing."""
-    build()
-    [(got, ref)] = paired_searches
+@pytest.mark.parametrize("name", FRONT_END_FANS)
+def test_search_skipping_the_arrival_wall_finds_the_same_chambers(name, paired_searches):
+    """Every exchange the library ships is an involution, so a wall whose
+    entry the other side already filled, the arrival wall among them, would
+    only find that chamber again: crossing each wall once leaves the
+    chambers and their order as they were, the neighbour table is the one
+    read off every crossing from both sides, and the exchange runs once per
+    wall."""
+    fan = FRONT_END_FANS[name]()
+    [(got, ref, exchanges)] = paired_searches
     assert len(got[0]) > 1 and got == ref
+    assert exchanges == len(fan.walls)
 
 
 def test_search_skipping_the_arrival_wall_exhausts_budgets_the_same(paired_searches):
     """Explored, frontier and partial fan at every budget up to the chamber
-    count of cluster A3 (14), and at budgets 1..50 on the Kronecker matrix."""
+    count of cluster A3 (14), and at budgets 1..50 on the Kronecker matrix,
+    where the skipped walls are those filled from their other side."""
     for budget in range(1, 15):
         enumerate_gfan(B_A3, budget=budget)
     for budget in range(1, 51):
         enumerate_gfan(B_KRONECKER, budget=budget)
     assert len(paired_searches) == 64
-    for got, ref in paired_searches:
+    for got, ref, _ in paired_searches:
         if isinstance(ref, fan_module.BudgetExhausted):
             assert isinstance(got, fan_module.BudgetExhausted)
             assert (got.explored, got.frontier, got.budget, got.cones) == \
@@ -599,8 +607,39 @@ def test_search_skipping_the_arrival_wall_exhausts_budgets_the_same(paired_searc
         else:
             assert got == ref
     # A3 closes exactly at budget 14, the Kronecker search never does
-    closed = [isinstance(got, tuple) for got, _ in paired_searches]
+    closed = [isinstance(got, tuple) for got, _, _ in paired_searches]
     assert closed == [False] * 13 + [True] + [False] * 50
+
+
+E1, E2, E1_NEG, E2_NEG, E12 = (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)
+# the ray that replaces the other one of a rank-2 chamber, by the ray kept:
+# around e2 and -e2 three chambers each, passed round in opposite senses,
+# and e2 and -e2 swapped around every other ray
+NOT_AN_INVOLUTION = {
+    E2: {E1: E1_NEG, E1_NEG: E12, E12: E1},
+    E2_NEG: {E1: E12, E12: E1_NEG, E1_NEG: E1},
+    **{kept: {E2: E2_NEG, E2_NEG: E2} for kept in (E1, E1_NEG, E12)},
+}
+
+
+def test_an_exchange_that_is_not_an_involution_gives_a_refused_table():
+    """Crossing from chamber 3 finds chamber 2 through the wall that chamber
+    4 was reached through, and crossing from chamber 5 finds chamber 0
+    through the wall it crossed to chamber 1: both entries keep their first
+    chamber, so the table is not reciprocal and `build_fan` refuses it."""
+    calls = []
+
+    def exchange(_, rays, k):
+        calls.append(k)
+        return NOT_AN_INVOLUTION[rays[1 - k]][rays[k]]
+
+    chambers, across = fan_module.wall_crossing_search([E1, E2], exchange, 100)
+    assert chambers == [(E1, E2), (E1_NEG, E2), (E1, E2_NEG), (E1_NEG, E2_NEG),
+                        (E12, E2_NEG), (E12, E2)]
+    assert across == [[1, 2], [0, 3], [4, 0], [2, 1], [2, 5], [0, 4]]
+    assert len(calls) == 12 - 5  # every entry but the 5 walls that new chambers came through
+    with pytest.raises(TiltfanError, match=r"^the neighbour table is not reciprocal: "):
+        fan_from_cones(chambers, chambers[0], across=across)
 
 
 ORDER_FANS = [
