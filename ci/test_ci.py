@@ -36,7 +36,7 @@ from test_brauer import RIBBON_GRAPH_COUNTS, check_ribbon_graphs, ribbon_graph_c
 from test_cli import write
 from test_combinatorics import _face_count
 from test_fan import A_EDGES, D_EDGES, _principal, _tree_orientations, check_idempotent_reductions
-from test_polytope import check_dual_is_the_short_root_polytope
+from test_polytope import check_dual_is_the_short_root_polytope, check_rank2_classification
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
@@ -213,6 +213,12 @@ def test_f_vector_from_the_walls_equals_the_face_count(fan, chambers):
 
 def test_coxeter_a6_dual_is_the_short_root_polytope():
     check_dual_is_the_short_root_polytope(coxeter_a6(), cartan_preset("A", 6))
+
+
+def test_rank2_classify_decides_every_sign_coherent_fan_with_entries_up_to_3():
+    """26 subdivisions of each of quadrants 2-4; bound 4 would give 101 each,
+    1,030,301 fans, too many for one check."""
+    check_rank2_classification(3, 17_576, 16)
 
 
 COXETER = """

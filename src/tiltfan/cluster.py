@@ -7,7 +7,8 @@ B (b_ik = -b_ki, checked by `initial_seed` and kept by mutation) and the
 sign of the k-th c-vector, which is well defined by sign-coherence.  The
 g-fan is enumerated by `fan.wall_crossing_search` with the g-vectors of a
 seed as its chamber and, as the state of the chamber, only the rows of B
-and C and the sign of each c-vector: the search never builds a g-matrix.
+and C: the search never builds a g-matrix, and a crossing reads the sign
+of the one c-vector it needs.
 """
 
 from dataclasses import dataclass
@@ -49,27 +50,23 @@ def initial_seed(b):
     return ExtendedSeed(b, la.identity(n), la.identity(n))
 
 
-def _column_signs(c):
-    """The sign of each column of C: 1 if no entry is negative, else -1 if
-    none is positive, and 0 if it has both signs."""
-    return tuple(1 if min(col) >= 0 else -1 if max(col) <= 0 else 0 for col in zip(*c))
-
-
 def _search_state(seed):
-    """A seed's state in the g-fan search: (B rows, C rows, c-vector signs)."""
-    return seed.b, seed.c, _column_signs(seed.c)
+    """A seed's state in the g-fan search: (B rows, C rows)."""
+    return seed.b, seed.c
 
 
 def _exchanged_g(state, g_cols, k):
     """The g-vector that replaces g_cols[k] (k 0-based) under mutation at k,
-    in the seed whose search state is (B rows, C rows, c-vector signs):
-    g'_k = -g_k + sum_i [s b_ki]+ g_i, s the sign of the k-th c-vector.
+    in the seed whose search state is (B rows, C rows):
+    g'_k = -g_k + sum_i [s b_ki]+ g_i, s the sign of the k-th c-vector,
+    column k of C.
 
     s is well defined by sign-coherence; b_ki = -b_ik by skew-symmetry,
     so row k of B holds every coefficient.
     """
-    b, _c, signs = state
-    sign = signs[k]
+    b, c = state
+    col = [row[k] for row in c]
+    sign = 1 if min(col) >= 0 else -1 if max(col) <= 0 else 0
     if not sign:
         raise SignIncoherence(k + 1)
     new_gk = [-x for x in g_cols[k]]
@@ -101,14 +98,13 @@ def _mutated_rows(rows, bk, k):
 
 
 def _mutated_state(state, k):
-    """The search state (B rows, C rows, c-vector signs) after mutation at k
-    (0-based): the one rule on the rows of [B; C], and C's signs anew."""
-    b, c, _ = state
+    """The search state (B rows, C rows) after mutation at k (0-based): the
+    one rule on the rows of [B; C]."""
+    b, c = state
     bk = b[k]
     new_b = _mutated_rows(b, bk, k)
     new_b[k] = la.vneg(bk)
-    new_c = tuple(_mutated_rows(c, bk, k))
-    return tuple(new_b), new_c, _column_signs(new_c)
+    return tuple(new_b), tuple(_mutated_rows(c, bk, k))
 
 
 def mutate(seed, k):
@@ -121,7 +117,7 @@ def mutate(seed, k):
     state = _search_state(seed)
     g_cols = la.columns(seed.g)
     g_cols[k] = _exchanged_g(state, g_cols, k)
-    new_b, new_c, _ = _mutated_state(state, k)
+    new_b, new_c = _mutated_state(state, k)
     return ExtendedSeed(new_b, new_c, la.from_columns(g_cols))
 
 
@@ -131,11 +127,12 @@ def enumerate_gfan(b, budget=100_000):
 
     Chambers are the unordered g-vector sets, so distinct mutation-tree
     vertices giving the same cluster collapse.  A chamber's g-vectors are
-    the search's rays, and its state is only (B rows, C rows, c-vector
-    signs): crossing wall k computes the exchanged g-vector from row k of B
-    and the k-th sign, and a new chamber's state is mutated from its
-    parent's, with no g-matrix.  Directions are explored in increasing
-    order with a FIFO frontier, which makes the enumeration deterministic.
+    the search's rays, and its state is only (B rows, C rows): crossing
+    wall k computes the exchanged g-vector from row k of B and the sign of
+    column k of C, read at that crossing, and a new chamber's state is
+    mutated from its parent's, with no g-matrix.  Directions are explored
+    in increasing order with a FIFO frontier, which makes the enumeration
+    deterministic.
     The search's neighbour table goes to `build_fan` with the chambers.
     """
     seed0 = initial_seed(b)

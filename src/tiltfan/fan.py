@@ -81,12 +81,6 @@ class Fan:
         """Columns are the rays of the chamber, in increasing index order."""
         return la.from_columns([self.rays[i] for i in self.chambers[chamber_index]])
 
-    def base_matrix(self):
-        """Columns are the base-chamber rays in descending lex order, so that
-        a standard orthant base yields the identity."""
-        base_rays = sorted((self.rays[i] for i in self.chambers[self.base]), reverse=True)
-        return la.from_columns(base_rays)
-
     def chamber_key(self, chamber_index):
         return tuple(sorted(self.rays[i] for i in self.chambers[chamber_index]))
 
@@ -119,12 +113,13 @@ class BudgetExhausted:
 def build_fan(rays, chambers, base, across=None):
     """Validate and assemble a Fan.
 
-    Checks ray primitivity/distinctness, chamber unimodularity, wall
-    adjacency (free rays strictly on opposite sides of the shared
-    hyperplane) and sign-coherence relative to the base chamber.  It is the
-    one place that decides which side of each wall a chamber lies on: a
-    `Wall`'s normal is its first chamber's inverse row at free[0], which
-    the unimodular chambers make 1 on free[0] and -1 on free[1].
+    Checks ray primitivity/distinctness, that every ray lies in a chamber,
+    chamber unimodularity, wall adjacency (free rays strictly on opposite
+    sides of the shared hyperplane) and sign-coherence relative to the base
+    chamber.  It is the one place that decides which side of each wall a
+    chamber lies on: a `Wall`'s normal is its first chamber's inverse row
+    at free[0], which the unimodular chambers make 1 on free[0] and -1 on
+    free[1].
 
     Each chamber is taken as the set of its ray indices and kept as their
     tuple in increasing order; a repeated index collapses, and the chamber
@@ -190,8 +185,9 @@ def build_fan(rays, chambers, base, across=None):
        with its own neighbour across it, and a point near the face would
        be covered twice.
 
-    Rank 1 has only the two half-lines, where the count is 1 as well.  The
-    certificate costs at most rank dot products per chamber.
+    Rank 1 has only the two half-lines, where the count is 1 as well, and
+    rank 0 the one empty chamber, which holds the point 0.  The certificate
+    costs at most rank dot products per chamber.
     """
     rays = tuple(tuple(int(x) for x in r) for r in rays)
     rank = len(rays[0]) if rays else 0
@@ -206,19 +202,19 @@ def build_fan(rays, chambers, base, across=None):
     chambers = tuple(tuple(sorted(set(map(int, c)))) for c in chambers)
     if len(set(chambers)) != len(chambers):
         raise TiltfanError("duplicate chambers")
-    indices = set(range(len(rays)))
-    if not indices.issuperset(chain.from_iterable(chambers)):
+    indices, used = set(range(len(rays))), set(chain.from_iterable(chambers))
+    if not indices.issuperset(used):
         ci = next(ci for ci, c in enumerate(chambers) if not indices.issuperset(c))
         raise TiltfanError(f"chamber {ci} names a ray index outside 0..{len(rays) - 1}")
     if not 0 <= base < len(chambers):
         raise TiltfanError("base chamber index out of range")
 
-    if rank == 0:  # the checks above leave exactly the empty chamber
-        return Fan(0, (), chambers, 0, (), CERTIFIED)
-
     for ci, c in enumerate(chambers):
         if len(c) != rank:
             raise TiltfanError(f"chamber {ci} has {len(c)} rays, expected {rank}")
+    if used != indices:
+        i = min(indices - used)
+        raise TiltfanError(f"ray {i}, {rays[i]}, lies in no chamber")
 
     derived = across is None
     if derived:
@@ -235,7 +231,8 @@ def build_fan(rays, chambers, base, across=None):
 
     y0 = tuple(map(sum, zip(*(rays[i] for i in chambers[base]))))
     covering = 0
-    walls, dangling, overlaps = [], [], []
+    walls, overlaps = [], []
+    dangling = False
     n_chambers = len(chambers)
     reached = [False] * n_chambers
     proven = [0] * n_chambers  # bit m: across[ci][m] was checked from the other side
@@ -260,7 +257,7 @@ def build_fan(rays, chambers, base, across=None):
                     if not derived:
                         raise TiltfanError(f"the neighbour table names no chamber "
                                            f"across wall {k} of chamber {ci}")
-                    dangling.append(p[:k] + p[k + 1:])
+                    dangling = True
                     continue
                 if not 0 <= j < n_chambers:
                     raise TiltfanError(
@@ -352,7 +349,8 @@ def fan_from_cones(cones, base_cone, across=None):
     its chamber's ray indices in increasing order, the order in which
     `build_fan` reads every row.  Equal cones are passed on to
     `build_fan`, which rejects them; cones that leave a face dangling give
-    a fan with status "unknown".
+    a fan with status "unknown".  A base cone that is not one of the cones
+    is a TiltfanError.
     """
     cones = [tuple(c) for c in cones]
     rays = sorted(set().union(*cones))
@@ -360,7 +358,10 @@ def fan_from_cones(cones, base_cone, across=None):
     chambers = [tuple(ray_index[r] for r in c) for c in cones]
     keys = [tuple(sorted(c)) for c in chambers]
     order = sorted(range(len(chambers)), key=keys.__getitem__)
-    base = [keys[ci] for ci in order].index(tuple(sorted({ray_index[r] for r in base_cone})))
+    try:
+        base = [keys[ci] for ci in order].index(tuple(sorted({ray_index[r] for r in base_cone})))
+    except (KeyError, ValueError):
+        raise TiltfanError(f"the base cone {tuple(base_cone)} is not one of the cones") from None
     if across is not None:
         new_of_old = {old: new for new, old in enumerate(order)}
         across = [[new_of_old[across[old][chambers[old].index(i)]] for i in keys[old]]
@@ -574,8 +575,6 @@ def reduce_at_cone(fan, cone_ray_indices):
     star = [fan.chambers[ci] for ci in star]
     if not star:
         raise NotAFace(f"{tuple(sorted(sigma))} is not a face of any chamber")
-    if len(sigma) == fan.rank:
-        return fan_from_cones([()], ())
 
     inv = la.invert_unimodular(la.from_columns([fan.rays[i] for i in star[0]]))
     q = [row for i, row in zip(star[0], inv) if i not in sigma]
@@ -604,8 +603,6 @@ def verify_pairwise_intersections(fan):
         return
     if fan.rank > 3:
         raise TiltfanError("paranoid verification is limited to rank <= 3")
-    if fan.rank <= 1:
-        return
     inv = [la.invert_unimodular(fan.ray_matrix(ci)) for ci in range(len(fan.chambers))]
     for ca, cb in combinations(range(len(fan.chambers)), 2):
         rows = list(inv[ca]) + list(inv[cb])
@@ -653,4 +650,8 @@ def fan_from_json(data):
         rays = [tuple(map(parse_int, r)) for r in data["rays"]]
         chambers = [tuple(map(parse_int, c)) for c in data["chambers"]]
         base = parse_int(data["base"])
-    return build_fan(rays, chambers, base)
+        rank = parse_int(data["rank"]) if "rank" in data else None
+    fan = build_fan(rays, chambers, base)
+    if rank is not None and rank != fan.rank:
+        raise ParseError(f"not a fan: rank {rank}, but the rays have rank {fan.rank}")
+    return fan

@@ -72,9 +72,6 @@ def convex_hull(points):
     simplex = la.pivot_columns(la.from_columns(lifted), len(points))
     if len(simplex) <= n:
         raise ValueError("hull is not full-dimensional")
-    if n == 1:
-        lo, hi = points[0], points[-1]
-        return LatticePolytope((lo, hi), (((1,), hi[0]), ((-1,), -lo[0])))
     det, adj = la.scaled_inverse([lifted[i] for i in simplex])
     # H (-det adj) = -det^2 I for H the simplex rows: column k of -det adj
     # vanishes on every simplex point but the k-th
@@ -272,31 +269,25 @@ def rank2_fan_from_rays(rays):
 def rank2_classify(fan):
     """Match a complete rank-2 fan against the seven convex polygon classes.
 
-    Returns the 1-based class, or None when the polytope is not convex.
-    Normalizes by the unimodular maps carrying the base chamber onto the
-    positive quadrant or its negative.
+    Returns the 1-based class, or None for every fan outside the seven
+    classes, convex or not.  A complete rank-2 fan is determined by its ray
+    set, and each canonical set is convex, so the rays alone decide: their
+    image under the inverse of the base chamber's ray matrix is matched as
+    it is, swapped, negated, and swapped and negated, the unimodular maps
+    carrying the base chamber onto the positive quadrant or its negative.
     """
     if fan.rank != 2:
         raise NotRank2(f"fan has rank {fan.rank}")
     if fan.complete != CERTIFIED:
         raise IncompleteFan("classification requires a certified-complete fan")
-    if not convexity_report(fan).convex:
-        return None
-    s = fan.base_matrix()
-    s_inv = la.invert_unimodular(s)
-    targets = [
-        ((1, 0), (0, 1)),
-        ((0, 1), (1, 0)),
-        ((-1, 0), (0, -1)),
-        ((0, -1), (-1, 0)),
-    ]
-    for t1, t2 in targets:
-        m = la.matmul(la.from_columns([t1, t2]), s_inv)
-        image = frozenset(tuple(la.matvec(m, r)) for r in fan.rays)
-        for k, canon in enumerate(CANONICAL_RANK2, start=1):
-            if image == canon:
-                return k
-    raise ValueError("convex rank-2 fan outside the canonical classification")
+    s_inv = la.invert_unimodular(fan.ray_matrix(fan.base))
+    image = [la.matvec(s_inv, r) for r in fan.rays]
+    for x, y in ((0, 1), (1, 0)):
+        for sign in (1, -1):
+            rays = frozenset((sign * v[x], sign * v[y]) for v in image)
+            if rays in CANONICAL_RANK2:
+                return CANONICAL_RANK2.index(rays) + 1
+    return None
 
 
 # -- root polytopes -----------------------------------------------------------

@@ -244,14 +244,28 @@ PENTAGON = {"rays": [[-1, 0], [-1, 1], [0, -1], [0, 1], [1, 0]],
      'not Cartan data: give either "type" and "n" or "C" and "D", not both'),
     ("weyl", "--cartan", {"type": "A", "n": 2, "D": [1, 1]},
      'not Cartan data: give either "type" and "n" or "C" and "D", not both'),
+    ("brauer", "--graph", dict(TWO_HALVES, half_edges=["a", "a", "b"]), "duplicate half-edge names"),
+    ("brauer", "--graph", dict(TWO_HALVES, half_edges=["a", "b", "c"]),
+     "sigma is not a permutation of the half-edges"),
+    ("brauer", "--graph", dict(TWO_HALVES, half_edges=["a", "b", "c"], sigma=[["a"], ["b"], ["c"]]),
+     "bar must be defined on every half-edge"),
+    ("brauer", "--graph", dict(TWO_HALVES, bar=[["a", "a"], ["b", "b"]]),
+     "bar must be a fixed-point-free involution"),
+    ("brauer", "--graph", dict(TWO_HALVES, half_edges=["a", 1]),
+     "not a Brauer graph: half-edge names are strings, got 1"),
+    ("weyl", "--cartan", dict(A2_CARTAN, D=[1]), "Cartan matrix and symmetrizer sizes disagree"),
+    ("weyl", "--cartan", dict(A2_CARTAN, C=[[2, -1], [-1, 3]]), "diagonal entries must equal 2"),
+    ("weyl", "--cartan", dict(A2_CARTAN, D=[0, 1]), "symmetrizer entries must be positive"),
 ])
 def test_every_input_file_is_checked_for_its_schema(command, flag, document, message,
                                                     tmp_path, capsys):
     """Each file the CLI reads is refused in one line if it names another
     schema version; an exchange matrix is also refused if its "n" is not
     the number of rows of B, a graph unless every half-edge lies in exactly
-    one non-empty sigma cycle and one bar pair, and Cartan data that is
-    both a preset and a matrix."""
+    one non-empty sigma cycle and one bar pair, names are strings and bar
+    is a fixed-point-free involution, and Cartan data that is both a
+    preset and a matrix, or whose C and D disagree in size, whose diagonal
+    is not 2 or whose symmetrizer is not positive."""
     path = write(tmp_path, "input.json", document)
     assert main([command, flag, path]) == 1
     assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
@@ -392,8 +406,17 @@ def _bad_inputs(tmp_path):
                                            "base": 0})
     v2 = write(tmp_path, "v2.json", {"schema_version": 2, "rays": [[1, 0], [0, 1]],
                                      "chambers": [[0, 1]], "base": 0})
+    square = {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]], "chambers": [[0, 1], [1, 2], [2, 3], [3, 0]],
+              "base": 0}
+    rank5 = write(tmp_path, "rank5.json", dict(square, rank=5))
+    spare = write(tmp_path, "spare.json", dict(square, rays=square["rays"] + [[5, 7]]))
+    outside = write(tmp_path, "outside.json", {"rays": [[1, 0], [0, 1]], "chambers": [[0, 2]],
+                                               "base": 0})
     rank3 = str(tmp_path / "rank3.json")
     assert main(["weyl", "--type", "A", "--n", "3", "--fan", rank3]) == 0
+    partial4 = str(tmp_path / "partial4.json")
+    assert main(["cluster", "--matrix", write(tmp_path, "a4.json", {"B": b_type_a(4)}),
+                 "--budget", "3", "--fan", partial4]) == 2
     svg = str(tmp_path / "out.svg")
     return [
         (["cluster", "--matrix", no_b], f'error: {no_b} has no "B" key\n'),
@@ -414,6 +437,11 @@ def _bad_inputs(tmp_path):
         (["fan", "--input", twice], "error: duplicate rays\n"),
         (["fan", "--input", short], "error: chamber 0 has 1 rays, expected 2\n"),
         (["fan", "--input", v2], "error: unsupported schema version 2\n"),
+        (["fan", "--input", rank5], "error: not a fan: rank 5, but the rays have rank 2\n"),
+        (["fan", "--input", spare], "error: ray 4, (5, 7), lies in no chamber\n"),
+        (["fan", "--input", outside], "error: chamber 0 names a ray index outside 0..1\n"),
+        (["fan", "--input", partial4, "--paranoid"],
+         "error: paranoid verification is limited to rank <= 3\n"),
         (["weyl", "--type", "A", "--n", "0"], "error: rank must be >= 1\n"),
         (["fan", "--input", str(tmp_path)], "error: [Errno 21] Is a directory: "),
     ]
@@ -435,7 +463,7 @@ SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_fro
 JSON = st.recursive(SCALARS, lambda inner: st.one_of(
     st.lists(inner, max_size=4),
     st.dictionaries(st.sampled_from(["B", "C", "D", "n", "type", "rays", "chambers", "base",
-                                     "half_edges", "sigma", "bar", "schema_version"]),
+                                     "half_edges", "sigma", "bar", "schema_version", "rank"]),
                     inner, max_size=4)), max_leaves=12)
 SMALL = st.integers(-2, 2)
 NAMES = st.sampled_from(["1a", "1b", "2a", "2b", "3a", "3b"])

@@ -151,7 +151,7 @@ def test_sparse_mutation_matches_the_dense_rule(data):
     # the B/C step alone: an arbitrary C need not be sign-coherent
     state = cluster._search_state(ExtendedSeed(b, c, la.identity(n)))
     for k in range(n):
-        new_b, new_c, _ = cluster._mutated_state(state, k)
+        new_b, new_c = cluster._mutated_state(state, k)
         assert (new_b, new_c) == _dense_mutate_bc(b, c, k)
 
 

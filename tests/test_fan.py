@@ -8,6 +8,7 @@ from tiltfan import lattice as la
 from tiltfan.brauer import chambers_by_cliques
 from tiltfan.cli import kase_family_fan
 from tiltfan.cluster import enumerate_gfan
+from tiltfan.combinatorics import ehrhart_bruteforce, f_vector
 from tiltfan.errors import (
     IncompleteFan,
     NonUnimodularChamber,
@@ -27,7 +28,9 @@ from tiltfan.fan import (
     hasse_orient,
     reduce_at_cone,
     sign_filter,
+    verify_pairwise_intersections,
 )
+from tiltfan.polytope import convex_hull, rank2_classify, rank2_fan_from_rays, smooth_fano
 from tiltfan.weyl import CartanData, cartan_preset, coxeter_fan
 
 from conftest import (
@@ -92,6 +95,40 @@ def test_faces_counts():
     incomplete = build_fan([(1, 0), (0, 1)], [{0, 1}], 0)
     with pytest.raises(IncompleteFan):
         faces(incomplete, 1)
+    for i in (-1, 3):
+        with pytest.raises(TiltfanError, match=f"^face dimension {i} out of range$"):
+            faces(fan, i)
+
+
+@pytest.mark.parametrize("call", [
+    f_vector,
+    lambda fan: ehrhart_bruteforce(fan, 1),
+    hasse_orient,
+    lambda fan: reduce_at_cone(fan, ()),
+    rank2_classify,
+], ids=["f_vector", "ehrhart_bruteforce", "hasse_orient", "reduce_at_cone", "rank2_classify"])
+def test_a_partial_fan_is_refused_where_completeness_is_needed(call):
+    with pytest.raises(IncompleteFan):
+        call(enumerate_gfan(B_KRONECKER, budget=10).partial_fan)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_pairwise_intersections(enumerate_gfan(b_type_a(4), budget=3).partial_fan),
+     "paranoid verification is limited to rank <= 3"),
+    (lambda: smooth_fano(convex_hull([(0, 0), (1, 0), (0, 1)])),
+     "smooth-Fano test needs the origin strictly inside"),
+    (lambda: ehrhart_bruteforce(pentagon(), 0), "dilation factor must be >= 1"),
+    (lambda: convex_hull([]), "no points"),
+    (lambda: fan_module.wall_crossing_search([(1, 0), (0, 1)], None, 0), "budget must be >= 1"),
+    (lambda: rank2_fan_from_rays([(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)]),
+     r"the base cone \(\(1, 0\), \(0, 1\)\) is not one of the cones"),
+    (lambda: fan_from_cones([((1, 0), (0, 1))], ((1, 0), (0, -1))),
+     r"the base cone \(\(1, 0\), \(0, -1\)\) is not one of the cones"),
+], ids=["paranoid rank 4", "smooth Fano off the origin", "dilation 0", "empty hull",
+        "budget 0", "base cone split", "base ray missing"])
+def test_library_guards_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_hasse_pentagon():
@@ -167,6 +204,9 @@ def test_sign_filter_pentagon():
     assert [sorted(fan.rays[i] for i in fan.chambers[c]) for c in minus] == [
         [(-1, 0), (0, -1)]
     ]
+    for eps in ((1,), (1, 0), (1, 1, 1)):
+        with pytest.raises(TiltfanError, match="^eps must be a vector over"):
+            sign_filter(fan, eps)
 
 
 def test_sign_filter_covers_all_chambers(pentagon_fan, a3_cluster_fan):

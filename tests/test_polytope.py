@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from tiltfan.polytope import (
     dual_polytope,
     g_polytope,
     rank2_classify,
+    rank2_fan_from_rays,
     root_polytope,
     smooth_fano,
 )
@@ -85,7 +87,7 @@ def _rank_subset_hull(points, rank=None):
         lo, hi = points[0], points[-1]
         if lo == hi:
             raise ValueError("hull is not full-dimensional")
-        return LatticePolytope((lo, hi), (((1,), hi[0]), ((-1,), -lo[0])))
+        return LatticePolytope((lo, hi), tuple(sorted((((1,), hi[0]), ((-1,), -lo[0])))))
     facets = set()
     for sub in combinations(points, rank):
         try:
@@ -153,9 +155,9 @@ def test_hull_refuses_points_of_another_rank(points):
         convex_hull(points)
 
 
-def test_hull_of_a_segment_keeps_its_facet_order():
+def test_hull_of_a_segment_lists_its_facets_sorted():
     assert convex_hull([(2,), (-1,), (0,), (2,)]) == LatticePolytope(
-        ((-1,), (2,)), (((1,), 2), ((-1,), 1)))
+        ((-1,), (2,)), (((-1,), 1), ((1,), 2)))
 
 
 def test_convexity_pentagon(pentagon_fan):
@@ -241,6 +243,54 @@ def test_rank2_classify_frontends(pentagon_fan):
     assert rank2_classify(coxeter_fan(cartan_preset("B", 2))) == 6
     assert rank2_classify(chambers_by_cliques(path_tree(2))) == 3
     assert rank2_classify(kase_family_fan(4, 5)) is None
+
+
+def _quadrant_subdivisions(u, v, bound):
+    """Every sequence of rays strictly between the axes u and v, v a quarter
+    turn counterclockwise from u, with entries in [-bound, bound] and each
+    consecutive pair from u to v a lattice basis of determinant 1."""
+    inner = [la.vadd(la.vscale(a, u), la.vscale(b, v))
+             for a in range(1, bound + 1) for b in range(1, bound + 1) if gcd(a, b) == 1]
+
+    def det(p, q):
+        return p[0] * q[1] - p[1] * q[0]
+
+    def after(last):
+        if det(last, v) == 1:
+            yield ()
+        for w in inner:
+            if det(last, w) == 1:
+                yield from ((w,) + rest for rest in after(w))
+
+    return list(after(u))
+
+
+def sign_coherent_rank2_fans(bound):
+    """Every complete rank-2 fan with base chamber cone{e1, e2} that is
+    sign-coherent and has ray entries in [-bound, bound]: the four axes and
+    a unimodular subdivision of each of quadrants 2, 3 and 4."""
+    axes = ((0, 1), (-1, 0), (0, -1), (1, 0))
+    quadrants = [_quadrant_subdivisions(u, v, bound) for u, v in zip(axes, axes[1:])]
+    for parts in product(*quadrants):
+        yield rank2_fan_from_rays(list(axes) + [r for part in parts for r in part])
+
+
+def check_rank2_classification(bound, fans, classified):
+    """rank2_classify never raises on the sign-coherent fans of `bound`, and
+    gives a class exactly when the fan polytope is convex and no ray lies
+    strictly inside the negative quadrant."""
+    seen = found = 0
+    for fan in sign_coherent_rank2_fans(bound):
+        klass = rank2_classify(fan)
+        g_convex = convexity_report(fan).convex and not any(x < 0 and y < 0 for x, y in fan.rays)
+        assert (klass is not None) == g_convex, fan.rays
+        seen += 1
+        found += klass is not None
+    assert (seen, found) == (fans, classified)
+
+
+def test_rank2_classify_decides_every_small_sign_coherent_fan():
+    check_rank2_classification(2, 125, 16)
 
 
 def test_rank2_classify_requires_rank2(a3_cluster_fan):

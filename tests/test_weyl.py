@@ -138,6 +138,8 @@ def test_infinite_type_exhausts_budget():
     assert isinstance(result, BudgetExhausted)
     with pytest.raises(NotFiniteType):
         coxeter_fan(A_TILDE_1)
+    with pytest.raises(NotFiniteType, match="^Weyl group did not close within 100 elements$"):
+        coxeter_fan(A_TILDE_1, result)
 
 
 @pytest.mark.parametrize("cd, k, minor",
