@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 from functools import cache
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -27,9 +28,8 @@ from tiltfan.cluster import enumerate_gfan
 from tiltfan.combinatorics import f_vector
 from tiltfan.errors import NotConvex
 from tiltfan.fan import CERTIFIED
-from tiltfan.polytope import convexity_report, g_polytope, root_polytope
-from tiltfan.weyl import (CartanData, cartan_preset, coxeter_fan, short_root_polytope,
-                          weyl_enumerate)
+from tiltfan.polytope import convexity_report, g_polytope, root_polytope, short_root_polytope
+from tiltfan.weyl import CartanData, cartan_preset, coxeter_fan, weyl_enumerate
 
 from conftest import b_type_a, odd_cycle, simply_laced
 from test_brauer import RIBBON_GRAPH_COUNTS, check_ribbon_graphs, ribbon_graph_classes, ribbon_graphs
@@ -282,6 +282,15 @@ def test_every_ribbon_graph_with_4_edges(graphs):
     labellings, as well as one per class weighted by its orbit: the spanning
     tree that classify and root_map read depends on the labelling."""
     assert check_ribbon_graphs(graphs(4)) == RIBBON_GRAPH_COUNTS[4] == (672, 3072, 1392)
+
+
+def test_every_ribbon_graph_class_with_5_edges():
+    """16,128 trees, 98,304 odd cycles and 49,920 unsupported graphs, one
+    per isomorphism class weighted by its orbit.  The odd cycles with n
+    edges number 8^(n-1) (n-1)! for n = 1..5."""
+    assert check_ribbon_graphs(ribbon_graph_classes(5)) == RIBBON_GRAPH_COUNTS[5]
+    assert [RIBBON_GRAPH_COUNTS[n][1] for n in range(1, 6)] == \
+        [8 ** (n - 1) * factorial(n - 1) for n in range(1, 6)]
 
 
 # -- the benchmark's oracle ----------------------------------------------------

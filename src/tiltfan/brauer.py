@@ -15,7 +15,7 @@ tests exactly like real half-edges.
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import inf
 
 from . import lattice as la
 from .errors import Disconnected, TiltfanError, UnsupportedGraph, check_schema_version, reading
@@ -240,13 +240,11 @@ def _reading(graph, halves, first):
     return halves, (start,) + halves + (end,), (-signs[0],) + signs + (-signs[-1],)
 
 
-def _maximal_runs(x, y, skip_identity):
+def _maximal_runs(x, y):
     """Maximal common contiguous runs between half-edge lists x and y."""
     runs = []
     for i in range(len(x)):
         for j in range(len(y)):
-            if skip_identity and i == j:
-                continue
             if x[i] != y[j]:
                 continue
             if i > 0 and j > 0 and x[i - 1] == y[j - 1]:
@@ -264,7 +262,7 @@ def _nc0(w1, w2):
     return all(len(e1[v] | e2[v]) == 1 for v in e1.keys() & e2.keys())
 
 
-def _nc2_and_nc1(graph, w1, w2, self_pair):
+def _nc2_and_nc1(graph, w1, w2):
     """Check NC1 at every maximal common subwalk and NC2 at the pinned ones.
 
     An end of a common subwalk where both walks terminate simultaneously
@@ -274,9 +272,8 @@ def _nc2_and_nc1(graph, w1, w2, self_pair):
     when both of them are pinned by a continuing or single-ending strand.
     """
     x, x_ext, x_signs = w1.readings[0]
-    # against itself, a walk meets w minus the identity alignment, and bar w
-    for (y, y_ext, y_signs), skip_identity in zip(w2.readings, (self_pair, False)):
-        for i, j, r in _maximal_runs(x, y, skip_identity):
+    for y, y_ext, y_signs in w2.readings:
+        for i, j, r in _maximal_runs(x, y):
             # NC1: the signatures agree along the run
             if x_signs[i + 1] != y_signs[j + 1]:
                 return False
@@ -302,12 +299,12 @@ def _nc2_and_nc1(graph, w1, w2, self_pair):
     return True
 
 
-def _nc3(graph, w1, w2, self_pair):
+def _nc3(graph, w1, w2):
     """The cyclic pattern at every vertex where the two walks cross: four
     distinct symbols, at most one of them virtual."""
     for v in w1.turns.keys() & w2.turns.keys():
         t1, t2 = w1.turns[v], w2.turns[v]
-        for nb1, nb2 in combinations(t1, 2) if self_pair else product(t1, t2):
+        for nb1, nb2 in product(t1, t2):
             syms = {s for s, _ in nb1 + nb2}
             if (len(syms) == 4 and sum(map(_is_virtual, syms)) <= 1
                     and not _nc3_pattern(graph, v, nb1, nb2)):
@@ -326,11 +323,15 @@ def _nc3_pattern(graph, vertex, nb1, nb2):
 
 
 def pair_admissible(w1, w2):
-    """Non-crossing compatibility of two (individually admissible) signed walks."""
+    """Non-crossing compatibility of two signed walks; with w1 == w2 it
+    decides self-admissibility.
+
+    The one rule serves the diagonal: the identity alignment of a walk with
+    itself is one run that stops together at both ends, which imposes
+    nothing, and a turn met with itself has two distinct symbols, not four.
+    """
     graph = w1.graph
-    self_pair = w1 == w2
-    return (_nc0(w1, w2) and _nc2_and_nc1(graph, w1, w2, self_pair)
-            and _nc3(graph, w1, w2, self_pair))
+    return _nc0(w1, w2) and _nc2_and_nc1(graph, w1, w2) and _nc3(graph, w1, w2)
 
 
 def _candidate_walks(graph):
@@ -397,7 +398,6 @@ def chambers_by_cliques(graph):
     other.  That holds for every chamber found if it holds for the start,
     the unit walks, so their n(n-1)/2 pairs are checked first
     (AssertionError if one is refused).
-    The budget, the number of n-subsets of the walks, cannot be reached.
     The search's neighbour table goes to `build_fan` as it is: each chamber
     keeps its walks' classes in the order of its walk indices.
     The name, from an earlier clique search, stays for its callers (the
@@ -427,7 +427,7 @@ def chambers_by_cliques(graph):
     for a, b in combinations(start, 2):
         if not adj[a] >> b & 1:
             raise AssertionError(f"start walks {a} and {b} are not admissible with each other")
-    chambers, across = wall_crossing_search(start, exchange, comb(len(walks), n))
+    chambers, across = wall_crossing_search(start, exchange, inf)
     return fan_from_cones([[rays[i] for i in c] for c in chambers], la.identity(n), across=across)
 
 
@@ -439,11 +439,7 @@ class RootMap:
     n_vertices: int
 
     def apply(self, class_vector):
-        out = [0] * self.n_vertices
-        for coeff, img in zip(class_vector, self.edge_images):
-            for i, x in enumerate(img):
-                out[i] += coeff * x
-        return tuple(out)
+        return la.matvec(la.from_columns(self.edge_images), class_vector)
 
 
 def root_map(graph):

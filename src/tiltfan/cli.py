@@ -34,7 +34,6 @@ def kase_family_fan(ell, m):
         raise TiltfanError("both family parameters must be >= 1")
     rays = [(1, -i) for i in range(ell)] + [(0, -1)]
     rays += [(-j, 1) for j in range(m)] + [(-1, 0)]
-    rays = sorted(set(rays))
     return polytope.rank2_fan_from_rays(rays)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import lattice as la
 from .errors import NotSkewSymmetric, SignIncoherence
-from .fan import (  # noqa: F401 (BudgetExhausted and build_fan are re-exported)
+from .fan import (  # noqa: F401 (build_fan is re-exported)
     BudgetExhausted,
     build_fan,
     fan_from_cones,
@@ -48,11 +48,6 @@ def initial_seed(b):
             if b[i][j] != -b[j][i]:
                 raise NotSkewSymmetric(f"B[{i}][{j}] != -B[{j}][{i}]")
     return ExtendedSeed(b, la.identity(n), la.identity(n))
-
-
-def _search_state(seed):
-    """A seed's state in the g-fan search: (B rows, C rows)."""
-    return seed.b, seed.c
 
 
 def _exchanged_g(state, g_cols, k):
@@ -114,7 +109,7 @@ def mutate(seed, k):
     if not 1 <= k <= n:
         raise IndexError(f"mutation direction {k} out of range 1..{n}")
     k -= 1
-    state = _search_state(seed)
+    state = seed.b, seed.c
     g_cols = la.columns(seed.g)
     g_cols[k] = _exchanged_g(state, g_cols, k)
     new_b, new_c = _mutated_state(state, k)
@@ -136,7 +131,7 @@ def enumerate_gfan(b, budget=100_000):
     The search's neighbour table goes to `build_fan` with the chambers.
     """
     seed0 = initial_seed(b)
-    result = wall_crossing_search(la.columns(seed0.g), _exchanged_g, budget, _search_state(seed0),
+    result = wall_crossing_search(la.columns(seed0.g), _exchanged_g, budget, (seed0.b, seed0.c),
                                   lambda state, _rays, k: _mutated_state(state, k))
     if isinstance(result, BudgetExhausted):
         return result

@@ -189,7 +189,7 @@ def build_fan(rays, chambers, base, across=None):
     rank 0 the one empty chamber, which holds the point 0.  The certificate
     costs at most rank dot products per chamber.
     """
-    rays = tuple(tuple(int(x) for x in r) for r in rays)
+    rays = la.mat(rays)
     rank = len(rays[0]) if rays else 0
     for r in rays:
         if la.is_zero(r) or la.primitive(r) != r:

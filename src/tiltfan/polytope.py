@@ -1,8 +1,8 @@
 """Lattice polytopes by exact arithmetic: the convex hull of integer points
 by double description in every rank, convexity of fan polytopes, the
 g-polytope and its dual, reflexivity, the smooth-Fano test, the rank-2
-classification, and root polytopes of types A and C, hulls of the roots of
-`weyl.root_system`.
+classification, and root polytopes: of types A and C and of the short
+roots, hulls of the roots of `weyl.root_system`.
 
 Every chamber inverse is read off the wall normals: the normal of the wall
 of C opposite ray i, signed to be 1 on it, is row i of C's inverse ray
@@ -311,3 +311,9 @@ def root_polytope(type_, n):
         raise ValueError(f"root polytope type must be A or C, got {type_!r}")
     roots, _short = root_system(cartan)
     return convex_hull(roots)
+
+
+def short_root_polytope(cartan):
+    """Convex hull of the short roots in simple-root coordinates."""
+    _roots, short = root_system(cartan)
+    return convex_hull(sorted(short))

@@ -198,11 +198,3 @@ def descent_histogram(cartan, elements=None):
     for w in elements:
         hist[sum(max(col) <= 0 for col in zip(*w))] += 1
     return tuple(hist)
-
-
-def short_root_polytope(cartan):
-    """Convex hull of the short roots in simple-root coordinates."""
-    from .polytope import convex_hull
-
-    _roots, short = root_system(cartan)
-    return convex_hull(sorted(short))

@@ -29,8 +29,9 @@ from tiltfan.polytope import (
     g_polytope,
     rank2_classify,
     root_polytope,
+    short_root_polytope,
 )
-from tiltfan.weyl import cartan_preset, coxeter_fan, descent_histogram, short_root_polytope
+from tiltfan.weyl import cartan_preset, coxeter_fan, descent_histogram
 
 from conftest import (
     B_A2,

@@ -505,7 +505,8 @@ def check_ribbon_graphs(graphs):
 
 # (trees, odd cycles, other graphs) among the connected labelled ribbon
 # graphs with n edges on n or n + 1 vertices
-RIBBON_GRAPH_COUNTS = {1: (1, 1, 0), 2: (4, 8, 2), 3: (40, 128, 48), 4: (672, 3072, 1392)}
+RIBBON_GRAPH_COUNTS = {1: (1, 1, 0), 2: (4, 8, 2), 3: (40, 128, 48), 4: (672, 3072, 1392),
+                       5: (16128, 98304, 49920)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -516,3 +517,15 @@ def test_every_small_ribbon_graph(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ribbon_graph_classes_count_the_labelled_graphs(n):
     assert check_ribbon_graphs(ribbon_graph_classes(n)) == RIBBON_GRAPH_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_admissible_is_symmetric(n):
+    """On every pair of self-admissible walks of every tree and odd cycle
+    with n edges: `chambers_by_cliques` tests each unordered pair once."""
+    for graph, _count in ribbon_graphs(n):
+        if graph.classify() == OTHER:
+            continue
+        walks = self_admissible_walks(graph)
+        for w1, w2 in combinations(walks, 2):
+            assert pair_admissible(w1, w2) == pair_admissible(w2, w1), graph_to_json(graph)

@@ -149,7 +149,7 @@ def test_sparse_mutation_matches_the_dense_rule(data):
     n, entries, c = data
     b, c = _skew(n, entries), tuple(map(tuple, c))
     # the B/C step alone: an arbitrary C need not be sign-coherent
-    state = cluster._search_state(ExtendedSeed(b, c, la.identity(n)))
+    state = b, c
     for k in range(n):
         new_b, new_c = cluster._mutated_state(state, k)
         assert (new_b, new_c) == _dense_mutate_bc(b, c, k)
@@ -329,7 +329,7 @@ def test_mixed_c_vector_raises_sign_incoherence():
     with pytest.raises(SignIncoherence) as by_mutate:
         mutate(seed, 2)
     with pytest.raises(SignIncoherence) as by_search:
-        cluster._exchanged_g(cluster._search_state(seed), la.columns(seed.g), 1)
+        cluster._exchanged_g((seed.b, seed.c), la.columns(seed.g), 1)
     assert by_mutate.value.k == by_search.value.k == 2
     assert str(by_mutate.value) == str(by_search.value)
     assert mutate(seed, 1).b == mutate(initial_seed(B_A2), 1).b

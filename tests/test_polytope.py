@@ -26,9 +26,10 @@ from tiltfan.polytope import (
     rank2_classify,
     rank2_fan_from_rays,
     root_polytope,
+    short_root_polytope,
     smooth_fano,
 )
-from tiltfan.weyl import cartan_preset, coxeter_fan, root_system, short_root_polytope
+from tiltfan.weyl import cartan_preset, coxeter_fan, root_system
 
 from conftest import (
     B_D4,

@@ -6,6 +6,7 @@ from tiltfan.cli import main
 from tiltfan.combinatorics import f_vector, h_vector
 from tiltfan.errors import NotFiniteType
 from tiltfan.fan import fan_from_cones, fan_to_json
+from tiltfan.polytope import short_root_polytope
 from tiltfan.weyl import (
     BudgetExhausted,
     CartanData,
@@ -14,7 +15,6 @@ from tiltfan.weyl import (
     coxeter_fan,
     descent_histogram,
     root_system,
-    short_root_polytope,
     weyl_enumerate,
 )
 
