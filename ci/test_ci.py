@@ -5,9 +5,10 @@ Run from the repository root:
 
     PYTHONPATH=src:tests python -m pytest ci
 
-The CLI runs in-process through `cli.main`; Coxeter A7 and B6, which must
-each fit in 200 MB of peak RSS, and `benchmarks/run.py` run in their own
-processes.
+The CLI runs in-process through `cli.main`, and each front-end once more
+as `python -m tiltfan.cli` in a fresh interpreter; Coxeter A7 and B6, which
+must each fit in 200 MB of peak RSS, and `benchmarks/run.py` run in their
+own processes.
 No bytecode is written under benchmarks/, so the checkout stays as it is.
 """
 
@@ -95,6 +96,39 @@ def test_affine_a2_search_reports_its_exhausted_budget(tmp_path, capsys):
                    "writing partial fan\n")
     out = run(["fan", "--input", str(partial)], capsys).out
     assert out.endswith(", 2000 chambers, complete=unknown\n")
+
+
+def tiltfan_process(argv, cwd):
+    """`python -m tiltfan.cli argv` in a fresh interpreter, run in cwd."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "tiltfan.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv, chambers", [
+    (["cluster", "--matrix", "a4.json", "--analyze", "--fan", "fan.json"], 42),
+    (["weyl", "--type", "B", "--n", "3", "--analyze", "--eulerian", "--roots"], 48),
+    (["brauer", "--graph", "path3.json", "--analyze", "--roots"], 20),
+], ids=["cluster A4", "weyl B3", "brauer path 3"])
+def test_each_front_end_in_a_fresh_process(argv, chambers, tmp_path):
+    """The console entry point, from a cold start: the report comes first
+    on stdout, and its last f-vector entry counts the chambers."""
+    write(tmp_path, "a4.json", {"B": b_type_a(4)})
+    write(tmp_path, "path3.json", brauer_graph("path", 3))
+    done = tiltfan_process(argv, tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    report, _end = json.JSONDecoder().raw_decode(done.stdout)
+    assert report["f"][-1] == chambers
+    if "--fan" in argv:
+        assert len(json.loads((tmp_path / "fan.json").read_text())["chambers"]) == chambers
+
+
+def test_a_bad_matrix_in_a_fresh_process_is_one_error_line(tmp_path):
+    write(tmp_path, "bad.json", {"B": [[0, 1], [1, 0]]})
+    done = tiltfan_process(["cluster", "--matrix", "bad.json"], tmp_path)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def check_read_back(path, chambers, capsys):

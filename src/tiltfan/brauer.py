@@ -13,7 +13,7 @@ in the cyclic order around its vertex; they take part in the cyclic-order
 tests exactly like real half-edges.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 from math import inf
 
@@ -187,11 +187,12 @@ def graph_from_json(data):
     return BrauerGraph(half_edges, sigma, bar)
 
 
-@dataclass(frozen=True)
 class SignedWalk:
     """A walk {w, bar w} with alternating signature, stored canonically,
     with every fact the NC0-NC3 tests read computed once:
 
+    - `halves`, `first_sign`: the half-edges and first sign of the
+      canonical reading, the lesser of the two;
     - `readings`: for w and then bar w, the half-edges, the sequence with
       the virtual edges at both ends, and their signs;
     - `class_vector`: the class in Z^E;
@@ -200,16 +201,15 @@ class SignedWalk:
       (outgoing symbol, sign)) of the walk there; the first and last
       contain a virtual edge.
 
-    Hash and equality are the dataclass's, on the graph (by identity), the
-    canonical halves and the first sign.
+    Immutable.  Hash and equality are on the graph (by identity), the
+    canonical halves and the first sign, so either reading of a walk gives
+    the same SignedWalk.
     """
 
-    graph: object
-    halves: tuple  # half-edge sequence of the canonical representative
-    first_sign: int
+    __slots__ = ("graph", "halves", "first_sign", "readings", "class_vector", "end_signs", "turns")
 
-    def __post_init__(self):
-        g, halves, first = self.graph, tuple(self.halves), self.first_sign
+    def __init__(self, graph, halves, first_sign):
+        g, halves, first = graph, tuple(halves), first_sign
         rev = tuple(g.bar[h] for h in reversed(halves))
         rev_first = first * (-1) ** (len(halves) - 1)
         if (rev, rev_first) < (halves, first):
@@ -226,10 +226,31 @@ class SignedWalk:
         for i in range(1, len(ext)):
             prev = ext[i - 1] if _is_virtual(ext[i - 1]) else g.bar[ext[i - 1]]
             turns.setdefault(g.s(ext[i]), []).append(((prev, signs[i - 1]), (ext[i], signs[i])))
-        record = {"halves": halves, "first_sign": first, "readings": readings,
+        record = {"graph": g, "halves": halves, "first_sign": first, "readings": readings,
                   "class_vector": tuple(vec), "end_signs": end_signs, "turns": turns}
         for name, value in record.items():
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return self.graph, self.halves, self.first_sign
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"SignedWalk(graph={self.graph!r}, halves={self.halves!r}, "
+                f"first_sign={self.first_sign!r})")
 
 
 def _reading(graph, halves, first):
@@ -431,12 +452,12 @@ def chambers_by_cliques(graph):
     return fan_from_cones([[rays[i] for i in c] for c in chambers], la.identity(n), across=across)
 
 
-@dataclass(frozen=True)
-class RootMap:
-    """Linear map Z^E -> Z^V sending walk classes onto the root system."""
+class RootMap(namedtuple("RootMap", "edge_images n_vertices")):
+    """Linear map Z^E -> Z^V sending walk classes onto the root system:
+    `edge_images` holds the image of each edge basis vector, over the
+    vertex basis."""
 
-    edge_images: tuple  # image of each edge basis vector, over the vertex basis
-    n_vertices: int
+    __slots__ = ()
 
     def apply(self, class_vector):
         return la.matvec(la.from_columns(self.edge_images), class_vector)

@@ -66,10 +66,14 @@ def polytope_to_json(poly):
     }
 
 
-def fan_svg(fan, g_poly=None):
-    """Deterministic 400 x 400 SVG of a rank-2 fan: chamber simplices, rays, polygon."""
+def _require_rank2(fan):
     if fan.rank != 2:
         raise NotRank2(f"SVG output is rank-2 only; the fan has rank {fan.rank}")
+
+
+def fan_svg(fan, g_poly=None):
+    """Deterministic 400 x 400 SVG of a rank-2 fan: chamber simplices, rays, polygon."""
+    _require_rank2(fan)
     size = 400
     pts = list(fan.rays)
     if g_poly is not None:
@@ -108,6 +112,10 @@ def fan_svg(fan, g_poly=None):
 
 
 def _emit_fan_outputs(fan_obj, args):
+    """The --fan, --analyze and --plot outputs; a --plot that cannot be
+    drawn is refused before anything is written."""
+    if args.plot:
+        _require_rank2(fan_obj)
     if args.fan:
         _write_json(args.fan, fan_to_json(fan_obj))
     if args.analyze:

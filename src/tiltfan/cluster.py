@@ -11,7 +11,7 @@ and C: the search never builds a g-matrix, and a crossing reads the sign
 of the one c-vector it needs.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import lattice as la
 from .errors import NotSkewSymmetric, SignIncoherence
@@ -23,11 +23,11 @@ from .fan import (  # noqa: F401 (build_fan is re-exported)
 )
 
 
-@dataclass(frozen=True)
-class ExtendedSeed:
-    b: tuple  # n x n skew-symmetric, rows
-    c: tuple  # columns are c-vectors
-    g: tuple  # columns are g-vectors
+class ExtendedSeed(namedtuple("ExtendedSeed", "b c g")):
+    """The rows of the n x n skew-symmetric B, and the c- and g-matrices,
+    whose columns are the c- and g-vectors."""
+
+    __slots__ = ()
 
     @property
     def n(self):

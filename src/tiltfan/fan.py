@@ -29,8 +29,7 @@ adjacency again; a fan read from a file, a partial fan or a reduction has
 its table derived from the chambers' facets.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from functools import cached_property
 from itertools import chain, combinations
 
@@ -52,14 +51,17 @@ CERTIFIED = "certified"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class Wall:
+class Wall(namedtuple("Wall", "chambers free normal")):
     """Codimension-1 face of two chambers: one mutation.  The face itself is
-    either chamber less its free ray, `wall.face(fan.chambers)`."""
+    either chamber less its free ray, `wall.face(fan.chambers)`.
 
-    chambers: tuple  # pair of chamber indices, ascending
-    free: tuple  # each chamber's ray off the wall, in the order of chambers
-    normal: tuple  # chambers[0]'s inverse row at free[0]: 1 on it, -1 on free[1]
+    - `chambers`: the pair of chamber indices, ascending;
+    - `free`: each chamber's ray off the wall, in the order of `chambers`;
+    - `normal`: chambers[0]'s inverse row at free[0], 1 on it and -1 on
+      free[1].
+    """
+
+    __slots__ = ()
 
     def face(self, chambers):
         """The shared ray indices, in increasing order."""
@@ -68,14 +70,13 @@ class Wall:
         return c[:k] + c[k + 1:]
 
 
-@dataclass(frozen=True)
-class Fan:
-    rank: int
-    rays: tuple  # tuple of primitive integer vectors
-    chambers: tuple  # tuple of chambers, each its ray indices in increasing order
-    base: int  # index into chambers
-    walls: tuple = field(default=(), compare=False)
-    complete: str = field(default=UNKNOWN, compare=False)
+class Fan(namedtuple("Fan", "rank rays chambers base walls complete", defaults=((), UNKNOWN))):
+    """A simplicial fan: `rays` are primitive integer vectors, each chamber
+    is the tuple of its ray indices in increasing order, and `base` is an
+    index into `chambers`.  `walls` and `complete` are what `build_fan`
+    found; equality and hash take in all six fields."""
+
+    __slots__ = ()
 
     def ray_matrix(self, chamber_index):
         """Columns are the rays of the chamber, in increasing index order."""
@@ -85,7 +86,6 @@ class Fan:
         return tuple(sorted(self.rays[i] for i in self.chambers[chamber_index]))
 
 
-@dataclass(frozen=True)
 class BudgetExhausted:
     """Normal outcome of a search that ran out of budget.
 
@@ -94,12 +94,35 @@ class BudgetExhausted:
     were not all crossed.  `partial_fan` is their fan, built on first use,
     so a caller that does not ask for it does not pay for it.  Unlike a Fan
     it has no `chambers`, so `hasattr(result, "chambers")` tells the two
-    outcomes apart.
+    outcomes apart, and it is not a tuple, unlike a closed search's
+    (chambers, across).  Immutable; equality and hash are on
+    (frontier, budget, cones).
     """
 
-    frontier: int
-    budget: int
-    cones: tuple = field(repr=False)
+    def __init__(self, frontier, budget, cones):
+        object.__setattr__(self, "frontier", frontier)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "cones", cones)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return self.frontier, self.budget, self.cones
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"BudgetExhausted(frontier={self.frontier!r}, budget={self.budget!r})"
 
     @property
     def explored(self):
@@ -493,11 +516,11 @@ def faces(fan, i):
     return set(chain.from_iterable(combinations(c, i) for c in fan.chambers))
 
 
-@dataclass(frozen=True)
-class HasseOrientation:
-    """One directed edge per wall; arrows point away from the base chamber side."""
+class HasseOrientation(namedtuple("HasseOrientation", "arrows")):
+    """One directed edge per wall; arrows point away from the base chamber
+    side.  `arrows` is a tuple of (src chamber index, dst chamber index, wall)."""
 
-    arrows: tuple  # tuple of (src chamber index, dst chamber index, wall)
+    __slots__ = ()
 
     def out_degrees(self, n_chambers):
         deg = [0] * n_chambers

@@ -5,7 +5,6 @@ is arbitrary precision; no floats anywhere.  Elimination is fraction-free
 on integers; only the result of `solve_exact` is made of Fractions.
 """
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -127,6 +126,8 @@ def _eliminate(a, ncols):
 
 def solve_exact(m, rhs):
     """Solve m x = rhs over the rationals; None if singular or inconsistent."""
+    from fractions import Fraction
+
     cols_n = len(m[0]) if m else 0
     a = [list(row) + [b] for row, b in zip(m, rhs)]
     piv_cols, d, _sign = _eliminate(a, cols_n)

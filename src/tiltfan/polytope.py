@@ -12,8 +12,7 @@ of the chamber on the other side (Cox-Little-Schenck, Toric Varieties,
 2011, section 6.1); `convexity_report` also gives each wall the paper's
 exchange-triangle class, which is its convexity test on g-fans."""
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from . import lattice as la
 from .errors import (
@@ -26,10 +25,11 @@ from .fan import CERTIFIED, fan_from_cones
 from .weyl import CartanData, cartan_preset, root_system
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
-    vertices: tuple  # integer vectors, sorted
-    facets: tuple  # (normal, offset) pairs, normal . x <= offset, primitive integer
+class LatticePolytope(namedtuple("LatticePolytope", "vertices facets")):
+    """`vertices` are integer vectors, sorted; `facets` are the (normal,
+    offset) pairs of normal . x <= offset, the normal primitive integer."""
+
+    __slots__ = ()
 
     @property
     def rank(self):
@@ -111,17 +111,19 @@ NONCONVEX_POSITIVE = "NonconvexPositive"
 NOT_POSITIVE = "NotPositive"
 
 
-@dataclass(frozen=True)
-class WallClass:
-    wall: tuple  # sorted shared ray indices
-    kind: str
-    data: tuple = ()
+class WallClass(namedtuple("WallClass", "wall kind data", defaults=((),))):
+    """The class `kind` of a wall, given as its sorted shared ray indices,
+    and the `data` the class reads off it: the shared ray of SingleRay, the
+    shared rays with multiplicity of RaySum, the coefficients of the other
+    classes but Zero."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    convex: bool
-    walls: tuple  # WallClass per wall
+class ConvexityReport(namedtuple("ConvexityReport", "convex walls")):
+    """Whether the fan polytope is convex, and a WallClass per wall."""
+
+    __slots__ = ()
 
 
 def convexity_report(fan):
@@ -253,6 +255,8 @@ def canonical_rank2_fan(klass):
 
 def angle_key(v):
     """Sort key of a nonzero rank-2 vector by its angle from e1, in [0, 2 pi)."""
+    from fractions import Fraction
+
     x, y = v
     half = 0 if y > 0 or (y == 0 and x > 0) else 1
     return (half, 0 if y == 0 else 1, Fraction(-x, y) if y != 0 else Fraction(0))

@@ -21,7 +21,7 @@ finiteness before they enumerate.  The roots need no group: finiteness is
 read off the Cartan data.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import inf, lcm
 
 from . import lattice as la
@@ -29,13 +29,13 @@ from .errors import NotFiniteType, TiltfanError, check_schema_version, parse_int
 from .fan import BudgetExhausted, fan_from_cones, wall_crossing_search
 
 
-@dataclass(frozen=True)
-class CartanData:
-    c: tuple  # rows of the Cartan matrix
-    d: tuple  # diagonal symmetrizer, C D symmetric
+class CartanData(namedtuple("CartanData", "c d")):
+    """The rows `c` of a Cartan matrix C and its diagonal symmetrizer `d`,
+    with C D symmetric; checked on construction."""
 
-    def __post_init__(self):
-        c, d = self.c, self.d
+    __slots__ = ()
+
+    def __new__(cls, c, d):
         n = len(c)
         if n < 1:
             raise TiltfanError("rank must be >= 1")
@@ -53,6 +53,7 @@ class CartanData:
                     raise TiltfanError("zero pattern must be symmetric")
                 if c[i][j] * d[j] != c[j][i] * d[i]:
                     raise TiltfanError("C D is not symmetric")
+        return super().__new__(cls, c, d)
 
     @property
     def n(self):

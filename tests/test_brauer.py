@@ -89,6 +89,10 @@ def test_odd_cycle3_walk_classes():
         walks = self_admissible_walks(g)
         assert len(walks) == 18
         assert {w.class_vector for w in walks} == ODD3_CLASSES
+        for w in walks:  # the reverse reading is the same walk
+            halves, _ext, signs = w.readings[1]
+            again = brauer.SignedWalk(g, halves, signs[1])
+            assert again == w and hash(again) == hash(w)
 
 
 def test_unsupported_graph():

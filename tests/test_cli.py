@@ -456,6 +456,17 @@ def test_bad_inputs_are_one_line_errors(tmp_path, capsys):
     assert not (tmp_path / "out.svg").exists()
 
 
+def test_a_plot_of_rank_other_than_2_is_refused_before_any_output(tmp_path, capsys):
+    fan, svg = tmp_path / "F", tmp_path / "S"
+    matrix = write(tmp_path, "b1.json", {"B": [[0]]})
+    for argv, rank in ((["weyl", "--type", "A", "--n", "3"], 3),
+                       (["cluster", "--matrix", matrix], 1)):
+        assert main(argv + ["--analyze", "--fan", str(fan), "--plot", str(svg)]) == 1
+        expected = f"error: SVG output is rank-2 only; the fan has rank {rank}\n"
+        assert capsys.readouterr() == ("", expected)
+        assert not fan.exists() and not svg.exists()
+
+
 # -- fuzzing: any input file gives exit 0, 1 or 2 and never a traceback -------
 
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(

@@ -69,9 +69,10 @@ def test_enumerate_d4():
 
 def test_kronecker_exhausts_budget():
     result = enumerate_gfan(B_KRONECKER, budget=100)
-    assert isinstance(result, BudgetExhausted)
+    assert isinstance(result, BudgetExhausted) and not isinstance(result, tuple)
     assert result.explored >= 100
     assert result.partial_fan.complete == "unknown"
+    assert result.partial_fan is result.partial_fan  # built once
 
 
 def _skew(n, entries):

@@ -4,7 +4,7 @@ from tiltfan import lattice as la
 from tiltfan import weyl
 from tiltfan.cli import main
 from tiltfan.combinatorics import f_vector, h_vector
-from tiltfan.errors import NotFiniteType
+from tiltfan.errors import NotFiniteType, TiltfanError
 from tiltfan.fan import fan_from_cones, fan_to_json
 from tiltfan.polytope import short_root_polytope
 from tiltfan.weyl import (
@@ -109,6 +109,10 @@ def test_cartan_validation():
         CartanData(((2, -1), (0, 2)), (1, 1))  # asymmetric zero pattern
     with pytest.raises(ValueError):
         CartanData(((2, -1), (-2, 2)), (1, 1))  # CD not symmetric
+    # the cycle products c12 c23 c31 = -1 and c21 c32 c13 = -2 differ: no D works
+    for d in ((1, 1, 1), (1, 2, 1), (2, 1, 1)):
+        with pytest.raises(TiltfanError, match=r"^C D is not symmetric$"):
+            CartanData(((2, -1, -1), (-2, 2, -1), (-1, -1, 2)), d)
 
 
 def test_preset_b2():
