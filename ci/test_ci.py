@@ -32,7 +32,7 @@ from tiltfan.fan import CERTIFIED
 from tiltfan.polytope import convexity_report, g_polytope, root_polytope, short_root_polytope
 from tiltfan.weyl import CartanData, cartan_preset, coxeter_fan, weyl_enumerate
 
-from conftest import b_type_a, odd_cycle, simply_laced
+from conftest import b_type_a, cones, mirror, negated, odd_cycle, path_tree, simply_laced
 from test_brauer import RIBBON_GRAPH_COUNTS, check_ribbon_graphs, ribbon_graph_classes, ribbon_graphs
 from test_cli import write
 from test_combinatorics import _face_count
@@ -161,6 +161,26 @@ def test_brauer_fan_reads_back_certified(kind, n, chambers, roots, tmp_path, cap
                            capsys).out)["roots"]
     assert len({tuple(v) for v in table.values()}) == roots
     check_read_back(path, chambers, capsys)
+
+
+@pytest.mark.parametrize("fan_of, opposite_of, chambers, symmetric", [
+    (lambda: enumerate_gfan(b_type_a(7)), lambda: enumerate_gfan(negated(b_type_a(7))),
+     1430, False),
+    (lambda: chambers_by_cliques(path_tree(7)),
+     lambda: chambers_by_cliques(mirror(path_tree(7))), 3432, True),
+    (lambda: chambers_by_cliques(odd_cycle(6)),
+     lambda: chambers_by_cliques(mirror(odd_cycle(6))), 2048, False),
+    (coxeter_a6, coxeter_a6, 5040, True),
+], ids=["cluster A7", "brauer path 7", "brauer odd 6", "coxeter A6"])
+def test_the_opposite_algebra_has_the_negated_fan(fan_of, opposite_of, chambers, symmetric):
+    """Sigma(A^op) = -Sigma(A) past the ranks that tier-1 reaches: -B for a
+    cluster algebra, the mirror graph for a Brauer graph algebra, and the
+    Coxeter fan itself for a preprojective algebra, which is isomorphic to
+    its opposite."""
+    fan = fan_of()
+    assert len(fan.chambers) == chambers
+    assert cones(opposite_of()) == cones(fan, -1)
+    assert (cones(fan) == cones(fan, -1)) == symmetric
 
 
 def test_cluster_a8_reads_back_certified(tmp_path, capsys):

@@ -161,16 +161,22 @@ def _half_edge(h):
     return h
 
 
+def _array(value, what):
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be an array, got {value!r}")
+    return value
+
+
 def graph_from_json(data):
     with reading("not a Brauer graph"):
         if not isinstance(data, dict):
             raise TypeError("expected a JSON object")
         check_schema_version(data)
-        half_edges = [_half_edge(h) for h in data["half_edges"]]
+        half_edges = [_half_edge(h) for h in _array(data["half_edges"], "half_edges")]
         # each half-edge in exactly one non-empty cycle and one pair
         sigma = {}
-        for cyc in data["sigma"]:
-            cyc = [_half_edge(h) for h in cyc]
+        for cyc in _array(data["sigma"], "sigma"):
+            cyc = [_half_edge(h) for h in _array(cyc, "a sigma cycle")]
             if not cyc:
                 raise ValueError("sigma has an empty cycle")
             for i, h in enumerate(cyc):
@@ -178,7 +184,8 @@ def graph_from_json(data):
                     raise ValueError(f"half-edge {h!r} appears twice in sigma")
                 sigma[h] = cyc[(i + 1) % len(cyc)]
         bar = {}
-        for a, b in data["bar"]:
+        for pair in _array(data["bar"], "bar"):
+            a, b = _array(pair, "a bar pair")
             a, b = _half_edge(a), _half_edge(b)
             for h in (a, b):
                 if h in bar:
@@ -187,7 +194,8 @@ def graph_from_json(data):
     return BrauerGraph(half_edges, sigma, bar)
 
 
-class SignedWalk:
+class SignedWalk(namedtuple("SignedWalk",
+                            "graph halves first_sign readings class_vector end_signs turns")):
     """A walk {w, bar w} with alternating signature, stored canonically,
     with every fact the NC0-NC3 tests read computed once:
 
@@ -201,14 +209,17 @@ class SignedWalk:
       (outgoing symbol, sign)) of the walk there; the first and last
       contain a virtual edge.
 
-    Immutable.  Hash and equality are on the graph (by identity), the
-    canonical halves and the first sign, so either reading of a walk gives
-    the same SignedWalk.
+    Built from (graph, halves, first_sign); the other four fields are
+    derived from the canonical reading.  Equality is that of the tuple, over
+    all seven fields, the graph by identity; the hash reads the first three
+    only, since `end_signs` and `turns` are dicts.  The derived fields are
+    functions of the first three, so either reading of a walk gives the
+    same SignedWalk.
     """
 
-    __slots__ = ("graph", "halves", "first_sign", "readings", "class_vector", "end_signs", "turns")
+    __slots__ = ()
 
-    def __init__(self, graph, halves, first_sign):
+    def __new__(cls, graph, halves, first_sign):
         g, halves, first = graph, tuple(halves), first_sign
         rev = tuple(g.bar[h] for h in reversed(halves))
         rev_first = first * (-1) ** (len(halves) - 1)
@@ -226,31 +237,10 @@ class SignedWalk:
         for i in range(1, len(ext)):
             prev = ext[i - 1] if _is_virtual(ext[i - 1]) else g.bar[ext[i - 1]]
             turns.setdefault(g.s(ext[i]), []).append(((prev, signs[i - 1]), (ext[i], signs[i])))
-        record = {"graph": g, "halves": halves, "first_sign": first, "readings": readings,
-                  "class_vector": tuple(vec), "end_signs": end_signs, "turns": turns}
-        for name, value in record.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return self.graph, self.halves, self.first_sign
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        return super().__new__(cls, g, halves, first, readings, tuple(vec), end_signs, turns)
 
     def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"SignedWalk(graph={self.graph!r}, halves={self.halves!r}, "
-                f"first_sign={self.first_sign!r})")
+        return hash(self[:3])
 
 
 def _reading(graph, halves, first):

@@ -95,8 +95,7 @@ class BudgetExhausted:
     so a caller that does not ask for it does not pay for it.  Unlike a Fan
     it has no `chambers`, so `hasattr(result, "chambers")` tells the two
     outcomes apart, and it is not a tuple, unlike a closed search's
-    (chambers, across).  Immutable; equality and hash are on
-    (frontier, budget, cones).
+    (chambers, across).  Immutable; it compares and hashes by identity.
     """
 
     def __init__(self, frontier, budget, cones):
@@ -109,20 +108,6 @@ class BudgetExhausted:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return self.frontier, self.budget, self.cones
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"BudgetExhausted(frontier={self.frontier!r}, budget={self.budget!r})"
 
     @property
     def explored(self):

@@ -86,6 +86,24 @@ def double_edge():
     return BrauerGraph(half_edges(2), cyc_sigma(cycles), edge_bar(2))
 
 
+def mirror(graph):
+    """The ribbon graph with every sigma-cycle reversed: the Brauer graph of
+    the opposite algebra, whose g-fan is the negated one."""
+    cycles = [tuple(reversed(cyc)) for cyc in graph.vertex_cycles]
+    return BrauerGraph(graph.half_edges, cyc_sigma(cycles), graph.bar)
+
+
+def cones(fan, sign=1):
+    """The chambers of a fan as a set, each the sorted tuple of its rays
+    multiplied by sign: the fan whatever the order of its tables."""
+    return {tuple(sorted(tuple(sign * x for x in fan.rays[i]) for i in c)) for c in fan.chambers}
+
+
+def negated(m):
+    """-m: for an exchange matrix B, that of the opposite quiver."""
+    return tuple(tuple(-x for x in row) for row in m)
+
+
 B_A2 = ((0, 1), (-1, 0))
 B_A3 = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
 B_D4 = ((0, 1, 1, 1), (-1, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, 0))

@@ -28,13 +28,16 @@ from tiltfan.fan import CERTIFIED, fan_from_cones, hasse_orient
 from tiltfan.polytope import g_polytope, root_polytope
 
 from conftest import (
+    cones,
     cyc_sigma,
     double_edge,
     edge_bar,
+    front_end_fan,
     gamma2,
     gamma3,
     half_edges,
     loop_graph,
+    mirror,
     odd_cycle,
     odd_cycle_5,
     path_tree,
@@ -284,6 +287,46 @@ def test_a_refused_compatible_pair_breaks_the_exchange(monkeypatch):
     with pytest.raises(AssertionError,
                        match="^start walks 11 and 8 are not admissible with each other$"):
         chambers_by_cliques(graph)
+
+
+def test_self_admissible_walks_with_one_class_vector_are_refused(monkeypatch):
+    """Admitting every candidate walk lets two walks with one class through."""
+    monkeypatch.setattr(brauer, "pair_admissible", lambda w1, w2: True)
+    with pytest.raises(AssertionError,
+                       match="^distinct admissible walks share a class vector$"):
+        self_admissible_walks(gamma2())
+
+
+def test_a_wall_that_no_walk_crosses_breaks_the_exchange(monkeypatch):
+    """With only the unit walks admissible with each other, no walk
+    replaces one of them."""
+    graph = path_tree(3)
+    units = {w for w in self_admissible_walks(graph) if w.class_vector in la.identity(3)}
+    admissible = brauer.pair_admissible
+    monkeypatch.setattr(brauer, "pair_admissible", lambda w1, w2: (
+        admissible(w1, w2) if w1 == w2 else w1 in units and w2 in units))
+    with pytest.raises(AssertionError,
+                       match=r"^\d+ walks cross the wall opposite walk \d+, expected 1$"):
+        chambers_by_cliques(graph)
+
+
+# the Brauer graphs of FRONT_END_FANS whose mirror is checked, and those of
+# them whose fan is not centrally symmetric
+MIRRORED = {"path 3": path_tree(3), "path 4": path_tree(4), "star 4": star_tree(4),
+            "star 5": star_tree(5), "brauer loop_graph": loop_graph(), "brauer gamma2": gamma2(),
+            "brauer gamma3": gamma3(), "brauer triangle": triangle(), "odd 4": odd_cycle(4),
+            "odd 5": odd_cycle(5)}
+NOT_SYMMETRIC = {"star 4", "star 5", "brauer gamma3", "odd 4", "odd 5"}
+
+
+@pytest.mark.parametrize("name", MIRRORED)
+def test_the_mirror_graph_has_the_negated_fan(name):
+    """Reversing every sigma-cycle gives the Brauer graph of the opposite
+    algebra A^op, and Sigma(A^op) = -Sigma(A).  Where the fan is not
+    centrally symmetric, the check needs the mirror."""
+    fan = front_end_fan(name)
+    assert cones(chambers_by_cliques(mirror(MIRRORED[name]))) == cones(fan, -1)
+    assert (cones(fan) != cones(fan, -1)) == (name in NOT_SYMMETRIC)
 
 
 # (self-admissible walks, admissible pairs among them), as counted by the

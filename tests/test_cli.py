@@ -256,16 +256,33 @@ PENTAGON = {"rays": [[-1, 0], [-1, 1], [0, -1], [0, 1], [1, 0]],
     ("weyl", "--cartan", dict(A2_CARTAN, D=[1]), "Cartan matrix and symmetrizer sizes disagree"),
     ("weyl", "--cartan", dict(A2_CARTAN, C=[[2, -1], [-1, 3]]), "diagonal entries must equal 2"),
     ("weyl", "--cartan", dict(A2_CARTAN, D=[0, 1]), "symmetrizer entries must be positive"),
+    ("brauer", "--graph", dict(TWO_HALVES, half_edges="ab"),
+     "not a Brauer graph: half_edges must be an array, got 'ab'"),
+    ("brauer", "--graph", dict(TWO_HALVES, sigma="ab"),
+     "not a Brauer graph: sigma must be an array, got 'ab'"),
+    ("brauer", "--graph", dict(TWO_HALVES, sigma={"a": 0, "b": 0}),
+     "not a Brauer graph: sigma must be an array, got {{'a': 0, 'b': 0}}"),
+    ("brauer", "--graph", dict(TWO_HALVES, bar=["ab"]),
+     "not a Brauer graph: a bar pair must be an array, got 'ab'"),
+    ("brauer", "--graph", dict(TWO_HALVES, half_edges={"a": 0, "b": 0}, bar=[{"a": 0, "b": 0}]),
+     "not a Brauer graph: half_edges must be an array, got {{'a': 0, 'b': 0}}"),
+    ("brauer", "--graph", dict(TWO_HALVES, sigma=["a", ["b"]]),
+     "not a Brauer graph: a sigma cycle must be an array, got 'a'"),
+    ("brauer", "--graph", [TWO_HALVES], "not a Brauer graph: expected a JSON object"),
+    ("weyl", "--cartan", [A2_CARTAN], "not Cartan data: expected a JSON object"),
+    ("weyl", "--cartan", dict(A2_CARTAN, C=[], D=[]), "rank must be >= 1"),
 ])
 def test_every_input_file_is_checked_for_its_schema(command, flag, document, message,
                                                     tmp_path, capsys):
     """Each file the CLI reads is refused in one line if it names another
-    schema version; an exchange matrix is also refused if its "n" is not
-    the number of rows of B, a graph unless every half-edge lies in exactly
-    one non-empty sigma cycle and one bar pair, names are strings and bar
-    is a fixed-point-free involution, and Cartan data that is both a
-    preset and a matrix, or whose C and D disagree in size, whose diagonal
-    is not 2 or whose symmetrizer is not positive."""
+    schema version, and a graph or Cartan data if it is not a JSON object;
+    an exchange matrix is also refused if its "n" is not the number of rows
+    of B, a graph unless half_edges, sigma, its cycles, bar and its pairs
+    are arrays, every half-edge lies in exactly one non-empty sigma cycle
+    and one bar pair, names are strings and bar is a fixed-point-free
+    involution, and Cartan data that is both a preset and a matrix, or
+    whose C and D are empty or disagree in size, whose diagonal is not 2 or
+    whose symmetrizer is not positive."""
     path = write(tmp_path, "input.json", document)
     assert main([command, flag, path]) == 1
     assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
@@ -283,6 +300,15 @@ def test_fan_command_paranoid(tmp_path, capsys):
     path = write(tmp_path, "fan.json", fan_to_json(fan))
     assert main(["fan", "--input", path, "--paranoid"]) == 0
     assert "complete=certified" in capsys.readouterr().out
+    # the pentagon with its rays and chambers in reverse order is written
+    # back with both in canonical order
+    scrambled = {"rays": PENTAGON["rays"][::-1],
+                 "chambers": [[4 - i for i in c] for c in PENTAGON["chambers"][::-1]],
+                 "base": len(PENTAGON["chambers"]) - 1 - PENTAGON["base"]}
+    path, out = write(tmp_path, "scrambled.json", scrambled), tmp_path / "out.json"
+    assert main(["fan", "--input", path, "--paranoid", "--fan", str(out)]) == 0
+    assert json.loads(out.read_text()) == dict(PENTAGON, schema_version=1, rank=2,
+                                               complete="certified")
 
 
 def test_kase_zero_parameter_is_a_one_line_error(capsys):
@@ -402,6 +428,12 @@ def _bad_inputs(tmp_path):
                                              "base": "x"})
     twice = write(tmp_path, "twice.json", {"rays": [[1, 0], [0, 1], [1, 0]],
                                            "chambers": [[0, 1]], "base": 0})
+    same = write(tmp_path, "same.json", {"rays": [[1, 0], [0, 1]], "chambers": [[0, 1], [1, 0]],
+                                         "base": 0})
+    mixed = write(tmp_path, "mixed.json", {"rays": [[1, 0], [0, 1, 0]], "chambers": [[0, 1]],
+                                           "base": 0})
+    row = write(tmp_path, "row.json", {"B": [[0, 1]]})
+    preset_x = write(tmp_path, "preset_x.json", {"type": "X", "n": 2})
     short = write(tmp_path, "short.json", {"rays": [[1, 0], [0, 1]], "chambers": [[0]],
                                            "base": 0})
     v2 = write(tmp_path, "v2.json", {"schema_version": 2, "rays": [[1, 0], [0, 1]],
@@ -410,6 +442,7 @@ def _bad_inputs(tmp_path):
               "base": 0}
     rank5 = write(tmp_path, "rank5.json", dict(square, rank=5))
     spare = write(tmp_path, "spare.json", dict(square, rays=square["rays"] + [[5, 7]]))
+    base_4 = write(tmp_path, "base_4.json", dict(square, base=4))
     outside = write(tmp_path, "outside.json", {"rays": [[1, 0], [0, 1]], "chambers": [[0, 2]],
                                                "base": 0})
     rank3 = str(tmp_path / "rank3.json")
@@ -435,6 +468,11 @@ def _bad_inputs(tmp_path):
          f"error: {letter} is not an exchange matrix: expected an integer, got 'a'\n"),
         (["fan", "--input", base_x], "error: not a fan: expected an integer, got 'x'\n"),
         (["fan", "--input", twice], "error: duplicate rays\n"),
+        (["fan", "--input", same], "error: duplicate chambers\n"),
+        (["fan", "--input", mixed], "error: rays of lengths [2, 3] in one fan\n"),
+        (["fan", "--input", base_4], "error: base chamber index out of range\n"),
+        (["cluster", "--matrix", row], "error: exchange matrix must be square\n"),
+        (["weyl", "--cartan", preset_x], "error: unknown preset type 'X'\n"),
         (["fan", "--input", short], "error: chamber 0 has 1 rays, expected 2\n"),
         (["fan", "--input", v2], "error: unsupported schema version 2\n"),
         (["fan", "--input", rank5], "error: not a fan: rank 5, but the rays have rank 2\n"),

@@ -15,7 +15,7 @@ from tiltfan.cluster import (
 )
 from tiltfan.errors import NotSkewSymmetric, SignIncoherence
 
-from conftest import B_A2, B_A3, B_D4, B_KRONECKER, b_type_a
+from conftest import B_A2, B_A3, B_D4, B_KRONECKER, b_type_a, cones, negated
 from test_fan import A_EDGES, D_EDGES, _tree_orientations
 
 
@@ -355,3 +355,13 @@ def test_budget_exhaustion_reports_the_frontier():
     assert isinstance(result, BudgetExhausted)
     assert (result.explored, result.budget) == (10, 10)
     assert result.frontier > 0
+
+
+@pytest.mark.parametrize("b", [b for n, edges in [(3, A_EDGES[3]), (4, A_EDGES[4]),
+                                                  (5, A_EDGES[5]), (4, D_EDGES[4]),
+                                                  (5, D_EDGES[5])]
+                               for b in _tree_orientations(n, edges)])
+def test_the_opposite_quiver_has_the_negated_fan(b):
+    """-B is the exchange matrix of the opposite quiver, the quiver of A^op,
+    and Sigma(A^op) = -Sigma(A), on every orientation of A3, A4, A5, D4, D5."""
+    assert cones(enumerate_gfan(negated(b))) == cones(enumerate_gfan(b), -1)

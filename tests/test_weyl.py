@@ -18,7 +18,7 @@ from tiltfan.weyl import (
     weyl_enumerate,
 )
 
-from conftest import FINITE_TYPES, front_end_fan
+from conftest import FINITE_TYPES, cones, front_end_fan
 
 A_TILDE_1 = CartanData(((2, -2), (-2, 2)), (1, 1))
 A_TILDE_2 = CartanData(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (1, 1, 1))
@@ -349,3 +349,13 @@ def test_a_finite_type_is_enumerated_without_a_budget(function, monkeypatch):
     monkeypatch.setattr(weyl, "wall_crossing_search", recording)
     function(FINITE_TYPES["D4"])
     assert budgets == [float("inf")]
+
+
+@pytest.mark.parametrize("name", FINITE_TYPES)
+def test_the_coxeter_fan_is_centrally_symmetric(name):
+    """The Coxeter fan is the g-fan of a preprojective algebra, which is
+    isomorphic to its opposite, so Sigma(A^op) = -Sigma(A) says the fan is
+    centrally symmetric; so it is, since -wC = w w0 C for the dominant
+    chamber C and the longest element w0."""
+    fan = front_end_fan(f"coxeter {name}")
+    assert cones(fan) == cones(fan, -1)
