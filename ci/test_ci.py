@@ -319,6 +319,18 @@ def test_coxeter_b6_within_200_mb():
     assert peak_mb <= 200
 
 
+def test_coxeter_a8_within_560_mb():
+    """9! chambers, and the permutohedron's polar pair: 2^9 - 2 vertices and
+    9 * 8 facets; h is the row of Eulerian numbers.  Its 1,451,520 walls
+    are integer columns over a table of their few distinct normals, which
+    keeps rank 8 inside the bound (466 MB measured here; 905 MB when each
+    wall was a record of three tuples)."""
+    *counts, h, peak_mb = coxeter_in_its_own_process("A", 8)
+    assert counts == [362880, CERTIFIED, 510, 72]
+    assert h == [1, 502, 14608, 88234, 156190, 88234, 14608, 502, 1]
+    assert peak_mb <= 560
+
+
 def test_coxeter_e6_is_certified_and_not_g_convex():
     """|W(E6)| = 51,840; g_polytope raises NotConvex at the first wall with
     v_C . r_b > 1, and convexity_report gives the same verdict."""

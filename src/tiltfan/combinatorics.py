@@ -5,11 +5,11 @@ The f-vector is counted from the walls, not from the faces.  For a complete
 simplicial fan and a generic direction v, h_i is the number of chambers
 that v leaves through exactly i walls (Fulton, Introduction to Toric
 Varieties, 1993, section 5.2).  `build_fan` already holds every wall
-normal, signed by its sides, so this costs one sign read per wall;
-`fan.faces` lists the faces themselves.  With v inside the base chamber
-of a g-fan, the count is the paper's: h_i counts the 2-term silting
-complexes with i left mutations, the out-degrees of the Hasse quiver
-(`fan.hasse_orient`).
+normal, signed by its sides, once per distinct normal, so this costs one
+sign read per distinct normal and one count per wall; `fan.faces` lists
+the faces themselves.  With v inside the base chamber of a g-fan, the
+count is the paper's: h_i counts the 2-term silting complexes with i left
+mutations, the out-degrees of the Hasse quiver (`fan.hasse_orient`).
 """
 
 from itertools import combinations_with_replacement
@@ -27,15 +27,17 @@ def f_vector(fan):
     sign of its last nonzero entry on v, and it is positive on the free
     ray of the wall's first chamber, so v leaves the first chamber if that
     entry is negative and the second if it is positive: one sign read per
-    wall.  h_i is the number of chambers with i such exits (Fulton 1993,
-    5.2), and f follows by `recover_f`.
+    distinct normal (`Walls.normals`), then one count per wall.  h_i is
+    the number of chambers with i such exits (Fulton 1993, 5.2), and f
+    follows by `recover_f`.
     """
     if fan.complete != CERTIFIED:
         raise IncompleteFan("f-vector requires a certified-complete fan")
+    walls = fan.walls
+    leaves_higher = [next(x for x in reversed(normal) if x) > 0 for normal in walls.normals]
     exits = [0] * len(fan.chambers)
-    for w in fan.walls:
-        last = next(x for x in reversed(w.normal) if x)
-        exits[w.chambers[last > 0]] += 1
+    for ca, cb, v in zip(walls.lower, walls.higher, walls.normal_index):
+        exits[cb if leaves_higher[v] else ca] += 1
     h = [0] * (fan.rank + 1)
     for e in exits:
         h[e] += 1

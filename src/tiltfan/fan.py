@@ -13,7 +13,9 @@ breadth-first pass over a neighbour table; it proves that any two chambers
 meet in their common face, so the exhaustive pairwise check is needed only
 for fans that are not certified.  Every other fan, such as the partial fan
 of a search that ran out of budget, is "unknown"; there is no third
-status.
+status.  A rank-n fan has n |chambers| / 2 walls; `Walls` holds them as
+integer columns over a table of their distinct normals, and gives one
+`Wall` at a time on demand.
 
 Every Fan is made by `build_fan`; `fan_from_cones` builds the canonical ray
 and chamber tables from chambers given as sequences of ray vectors.  The
@@ -30,8 +32,10 @@ its table derived from the chambers' facets.
 """
 
 from collections import deque, namedtuple
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, combinations
+from operator import lt, mul
 
 from . import lattice as la
 from .errors import (
@@ -52,8 +56,9 @@ UNKNOWN = "unknown"
 
 
 class Wall(namedtuple("Wall", "chambers free normal")):
-    """Codimension-1 face of two chambers: one mutation.  The face itself is
-    either chamber less its free ray, `wall.face(fan.chambers)`.
+    """Codimension-1 face of two chambers: one mutation, as one entry of
+    `Walls` reads it.  The face itself is either chamber less its free ray,
+    `wall.face(fan.chambers)`.
 
     - `chambers`: the pair of chamber indices, ascending;
     - `free`: each chamber's ray off the wall, in the order of `chambers`;
@@ -70,11 +75,71 @@ class Wall(namedtuple("Wall", "chambers free normal")):
         return c[:k] + c[k + 1:]
 
 
-class Fan(namedtuple("Fan", "rank rays chambers base walls complete", defaults=((), UNKNOWN))):
+class Walls(Sequence):
+    """The walls of a fan, sorted by face, as parallel integer columns.
+
+    Wall w lies between the chambers lower[w] < higher[w], whose rays off
+    it are free_lower[w] and free_higher[w], and its normal is
+    normals[normal_index[w]]: `normals` holds each distinct normal once,
+    in the order of the first wall that has it.  A rank-n g-fan has
+    n |chambers| / 2 walls but few normals (up to sign, the positive roots
+    on a Coxeter fan), so the columns are all the per-wall storage there
+    is.  Indexing and iteration give `Wall` views, built on
+    demand; readers of every wall read the columns.  The columns are tuples
+    of ints, so equality and hash are those of the columns, which the
+    order of `normals` makes a function of the walls alone.  Immutable.
+    """
+
+    __slots__ = ("lower", "higher", "free_lower", "free_higher", "normal_index", "normals")
+
+    def __init__(self, lower=(), higher=(), free_lower=(), free_higher=(), normal_index=(),
+                 normals=()):
+        for name, column in zip(self.__slots__, (lower, higher, free_lower, free_higher,
+                                                 normal_index, normals)):
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _columns(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __len__(self):
+        return len(self.lower)
+
+    def __getitem__(self, w):
+        if isinstance(w, slice):
+            return tuple(map(self.__getitem__, range(len(self))[w]))
+        return Wall((self.lower[w], self.higher[w]), (self.free_lower[w], self.free_higher[w]),
+                    self.normals[self.normal_index[w]])
+
+    def __iter__(self):
+        normals = self.normals
+        for ca, cb, a, b, v in zip(self.lower, self.higher, self.free_lower, self.free_higher,
+                                   self.normal_index):
+            yield Wall((ca, cb), (a, b), normals[v])
+
+    def __eq__(self, other):
+        if not isinstance(other, Walls):
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __hash__(self):
+        return hash(self._columns())
+
+    def __repr__(self):
+        return f"Walls({list(self)!r})"
+
+
+class Fan(namedtuple("Fan", "rank rays chambers base walls complete",
+                     defaults=(Walls(), UNKNOWN))):
     """A simplicial fan: `rays` are primitive integer vectors, each chamber
     is the tuple of its ray indices in increasing order, and `base` is an
-    index into `chambers`.  `walls` and `complete` are what `build_fan`
-    found; equality and hash take in all six fields."""
+    index into `chambers`.  `walls` (a `Walls`) and `complete` are what
+    `build_fan` found; equality and hash take in all six fields."""
 
     __slots__ = ()
 
@@ -131,7 +196,9 @@ def build_fan(rays, chambers, base, across=None):
 
     Each chamber is taken as the set of its ray indices and kept as their
     tuple in increasing order; a repeated index collapses, and the chamber
-    is then refused for having too few rays.  Adjacency is a neighbour
+    is then refused for having too few rays.  A tuple of chambers that are
+    all in that form already, as `fan_from_cones` passes them, is kept as
+    it is, not copied.  Adjacency is a neighbour
     table: across[ci][k] is the chamber on the other side of the facet of
     chamber ci opposite its k-th smallest ray index, whatever order the
     caller listed the rays in (`fan_from_cones` permutes a search's rows to
@@ -159,8 +226,14 @@ def build_fan(rays, chambers, base, across=None):
     NonUnimodularChamber names the lowest-index one.  Each wall's normal
     comes from the side reached first, where the other side's free ray
     must pair negatively with it (the same value c_k is the pivot), and is
-    negated when that side is the higher-index chamber.  The walls are
-    sorted once, at the end, by their faces (`Wall.face`).
+    negated when that side is the higher-index chamber.  The walls go into
+    the integer columns of `Walls` as the pass finds them, each normal
+    interned in a table of the distinct ones, and no wall's face is built:
+    its sort key is the face's increasing ray indices read as base-len(rays)
+    digits, one integer computed from the chamber's own, so faces of one
+    length sort as their tuples do (`Wall.face`).  The columns are sorted
+    once, at the end, and the normals renumbered in the order of their
+    first wall.
 
     Completeness is certified iff no face dangles and the test point
     y0 + eps e_1 + eps^2 e_2 + ... (y0 the sum of the base rays, eps > 0
@@ -207,7 +280,8 @@ def build_fan(rays, chambers, base, across=None):
     if len(set(rays)) != len(rays):
         raise TiltfanError("duplicate rays")
 
-    chambers = tuple(tuple(sorted(set(map(int, c)))) for c in chambers)
+    if type(chambers) is not tuple or not all(map(_is_canonical, chambers)):
+        chambers = tuple(tuple(sorted(set(map(int, c)))) for c in chambers)
     if len(set(chambers)) != len(chambers):
         raise TiltfanError("duplicate chambers")
     indices, used = set(range(len(rays))), set(chain.from_iterable(chambers))
@@ -239,9 +313,16 @@ def build_fan(rays, chambers, base, across=None):
 
     y0 = tuple(map(sum, zip(*(rays[i] for i in chambers[base]))))
     covering = 0
-    walls, overlaps = [], []
+    # the columns of `Walls` in the order found and the normals met; a
+    # wall's sort key is its face, the ray indices read as base-len(rays)
+    # digits, times a bound on the number of walls, plus its place
+    lower, higher, free_lower, free_higher, normal_index = [], [], [], [], []
+    normal_ids, sort_keys, overlaps = {}, [], []
+    power = [len(rays) ** e for e in range(rank + 1)]
+    weights = power[:rank][::-1]
     dangling = False
     n_chambers = len(chambers)
+    bound = n_chambers * rank
     reached = [False] * n_chambers
     proven = [0] * n_chambers  # bit m: across[ci][m] was checked from the other side
     for start in range(n_chambers):
@@ -257,6 +338,7 @@ def build_fan(rays, chambers, base, across=None):
             ci, inv = queue.popleft()
             covering += holds_test_point(1, inv, y0)
             p, row, done = chambers[ci], across[ci], proven[ci]
+            key = sum(map(mul, p, weights))
             for k in range(rank):
                 if done >> k & 1:
                     continue
@@ -296,10 +378,20 @@ def build_fan(rays, chambers, base, across=None):
                     reached[j] = True
                 if c_k >= 0:
                     overlaps.append((p[:k] + p[k + 1:], (min(ci, j), max(ci, j))))
-                elif ci < j:
-                    walls.append(Wall((ci, j), (free_a, free_b), inv[k]))
+                    continue
+                if ci < j:
+                    ca, cb, a, b, normal = ci, j, free_a, free_b, inv[k]
                 else:
-                    walls.append(Wall((j, ci), (free_b, free_a), la.vneg(inv[k])))
+                    ca, cb, a, b, normal = j, ci, free_b, free_a, la.vneg(inv[k])
+                lower.append(ca)
+                higher.append(cb)
+                free_lower.append(a)
+                free_higher.append(b)
+                normal_index.append(normal_ids.setdefault(normal, len(normal_ids)))
+                # the face drops digit k of the chamber, of weight low
+                low = power[rank - 1 - k]
+                sort_keys.append((key // power[rank - k] * low + key % low) * bound
+                                 + len(sort_keys))
 
     incoherent = _sign_incoherence(rays, chambers, [rays[i] for i in chambers[base]])
     if incoherent:
@@ -313,8 +405,30 @@ def build_fan(rays, chambers, base, across=None):
     if not dangling and covering != 1:
         raise TiltfanError(f"a generic point lies in {covering} chambers")
 
-    walls.sort(key=lambda w: w.face(chambers))
-    return Fan(rank, rays, chambers, base, tuple(walls), UNKNOWN if dangling else CERTIFIED)
+    # faces of one length sort as their keys do; the sorted keys become the
+    # places in place, each column is rebuilt in that order as the one
+    # before it is let go, and the normals are renumbered in the order of
+    # their first wall
+    order = sort_keys
+    order.sort()
+    for t, x in enumerate(order):
+        order[t] = x % bound
+    lower = tuple(map(lower.__getitem__, order))
+    higher = tuple(map(higher.__getitem__, order))
+    free_lower = tuple(map(free_lower.__getitem__, order))
+    free_higher = tuple(map(free_higher.__getitem__, order))
+    renumber = {}
+    normal_index = tuple(renumber.setdefault(normal_index[w], len(renumber)) for w in order)
+    met = list(normal_ids)
+    walls = Walls(lower, higher, free_lower, free_higher, normal_index,
+                  tuple(met[v] for v in renumber))
+    return Fan(rank, rays, chambers, base, walls, UNKNOWN if dangling else CERTIFIED)
+
+
+def _is_canonical(c):
+    """Whether c is already a chamber as `build_fan` keeps it: a tuple of
+    ints in strictly increasing order."""
+    return type(c) is tuple and all(type(i) is int for i in c) and all(map(lt, c, c[1:]))
 
 
 def _facet_table(chambers):
@@ -358,23 +472,32 @@ def fan_from_cones(cones, base_cone, across=None):
     `build_fan` reads every row.  Equal cones are passed on to
     `build_fan`, which rejects them; cones that leave a face dangling give
     a fan with status "unknown".  A base cone that is not one of the cones
-    is a TiltfanError.
+    is a TiltfanError.  The ray-index tuples in the cones' order and the
+    re-index map are let go before `build_fan` runs, and it keeps the
+    canonical chamber tuple it is handed, so of the tables made here only
+    one chamber table and one neighbour table are alive while it runs.
     """
     cones = [tuple(c) for c in cones]
     rays = sorted(set().union(*cones))
     ray_index = {r: i for i, r in enumerate(rays)}
-    chambers = [tuple(ray_index[r] for r in c) for c in cones]
-    keys = [tuple(sorted(c)) for c in chambers]
-    order = sorted(range(len(chambers)), key=keys.__getitem__)
+    ids = [tuple(ray_index[r] for r in c) for c in cones]
+    keys = [tuple(sorted(c)) for c in ids]
+    order = sorted(range(len(ids)), key=keys.__getitem__)
+    chambers = tuple(keys[ci] for ci in order)
     try:
-        base = [keys[ci] for ci in order].index(tuple(sorted({ray_index[r] for r in base_cone})))
+        base = chambers.index(tuple(sorted({ray_index[r] for r in base_cone})))
     except (KeyError, ValueError):
         raise TiltfanError(f"the base cone {tuple(base_cone)} is not one of the cones") from None
     if across is not None:
-        new_of_old = {old: new for new, old in enumerate(order)}
-        across = [[new_of_old[across[old][chambers[old].index(i)]] for i in keys[old]]
+        new_of_old = [0] * len(order)
+        for new, old in enumerate(order):
+            new_of_old[old] = new
+        across = [[new_of_old[across[old][ids[old].index(i)]] for i in keys[old]]
                   for old in order]
-    return build_fan(rays, [keys[ci] for ci in order], base, across)
+        del new_of_old
+    # only the canonical tables go on: build_fan keeps `chambers` as it is
+    del cones, ray_index, ids, keys, order
+    return build_fan(rays, chambers, base, across)
 
 
 def _base_signs(rays, base_rays):
@@ -526,18 +649,22 @@ def hasse_orient(fan):
     The normal is positive on the first chamber's free ray, so that chamber
     is on the base side iff the normal is >= 0 on the base chamber's rays,
     and the other one iff it is <= 0; if neither holds, the fan is not
-    ordered.
+    ordered.  The test is made once per distinct normal.
     """
     if fan.complete != CERTIFIED:
         raise IncompleteFan("orientation requires a certified-complete fan")
     base_rays = [fan.rays[i] for i in fan.chambers[fan.base]]
+    # 1: the first chamber is on the base side, -1: the second, 0: neither
+    side = []
+    for normal in fan.walls.normals:
+        vals = [la.dot(normal, r) for r in base_rays]
+        side.append(1 if min(vals) >= 0 else -1 if max(vals) <= 0 else 0)
     arrows = []
-    for w in fan.walls:
-        vals = [la.dot(w.normal, r) for r in base_rays]
+    for w, v in zip(fan.walls, fan.walls.normal_index):
         ca, cb = w.chambers
-        if all(v >= 0 for v in vals):
+        if side[v] == 1:
             arrows.append((ca, cb, w))
-        elif all(v <= 0 for v in vals):
+        elif side[v] == -1:
             arrows.append((cb, ca, w))
         else:
             raise OrderViolation(w.face(fan.chambers))

@@ -4,13 +4,13 @@ g-polytope and its dual, reflexivity, the smooth-Fano test, the rank-2
 classification, and root polytopes: of types A and C and of the short
 roots, hulls of the roots of `weyl.root_system`.
 
-Every chamber inverse is read off the wall normals: the normal of the wall
-of C opposite ray i, signed to be 1 on it, is row i of C's inverse ray
-matrix.  Their sum is v_C, with v_C . r = 1 on the rays of C.  The fan
-polytope is convex iff v_C . r_b <= 1 across every wall, r_b the free ray
-of the chamber on the other side (Cox-Little-Schenck, Toric Varieties,
-2011, section 6.1); `convexity_report` also gives each wall the paper's
-exchange-triangle class, which is its convexity test on g-fans."""
+Every chamber inverse is read off the wall columns (`fan.Walls`): the normal
+of the wall of C opposite ray i, signed to be 1 on it, is row i of C's
+inverse ray matrix.  Their sum is v_C, with v_C . r = 1 on the rays of C.
+The fan polytope is convex iff v_C . r_b <= 1 across every wall, r_b the
+free ray of the chamber on the other side (Cox-Little-Schenck, Toric
+Varieties, 2011, section 6.1); `convexity_report` also gives each wall the
+paper's exchange-triangle class, which is its convexity test on g-fans."""
 
 from collections import namedtuple
 
@@ -137,35 +137,42 @@ def convexity_report(fan):
     exchange-triangle classification on g-fans, whose coefficients are
     >= 0; other fans can have NotPositive walls and still be convex.
     """
-    rows = _inverse_rows(fan)
-    classes = [_wall_class(fan, w, rows[w.chambers[0]]) for w in fan.walls]
+    rows, walls = _inverse_rows(fan), fan.walls
+    classes = [_wall_class(fan, ca, a, b, rows[ca])
+               for ca, a, b in zip(walls.lower, walls.free_lower, walls.free_higher)]
     return ConvexityReport(all(s <= 2 for _wc, s in classes),
                            tuple(wc for wc, _s in classes))
 
 
 def _inverse_rows(fan):
-    """rows[C][i], for each chamber C and ray i of C, is row i of the
-    inverse of C's ray matrix: the normal of C's wall opposite ray i,
-    signed to be 1 on it.  A wall's normal is that row for its first
-    chamber, and its negative is the row of the second."""
+    """rows[C][k], for each chamber C and the k-th ray of C, is row k of
+    the inverse of C's ray matrix: the normal of C's wall opposite that
+    ray, signed to be 1 on it.  A wall's normal is that row for its first
+    chamber, and its negative is the row of the second; each distinct
+    normal and its negative are one tuple each, shared by every row that
+    is theirs."""
     if fan.complete != CERTIFIED:
         raise IncompleteFan("convexity requires a certified-complete fan")
-    rows = [{} for _ in fan.chambers]
-    for w in fan.walls:
-        (ca, cb), (a, b) = w.chambers, w.free
-        rows[ca][a], rows[cb][b] = w.normal, la.vneg(w.normal)
+    walls, chambers = fan.walls, fan.chambers
+    negated = [la.vneg(normal) for normal in walls.normals]
+    rows = [[None] * len(c) for c in chambers]
+    for ca, cb, a, b, v in zip(walls.lower, walls.higher, walls.free_lower, walls.free_higher,
+                               walls.normal_index):
+        rows[ca][chambers[ca].index(a)] = walls.normals[v]
+        rows[cb][chambers[cb].index(b)] = negated[v]
     return rows
 
 
-def _wall_class(fan, w, row_of):
-    """The WallClass of wall w and the sum of its shared-ray coefficients;
-    row_of maps each ray of its first chamber to the matching row of that
-    chamber's inverse ray matrix.  The last of coeffs, at free_a, is 0:
-    the normal is 1 on free_a and -1 on free_b."""
-    free_a, free_b = w.free
-    shared = w.face(fan.chambers)
+def _wall_class(fan, ca, free_a, free_b, rows):
+    """The WallClass of the wall of chamber ca opposite its ray free_a,
+    free_b the ray across it, and the sum of its shared-ray coefficients;
+    rows are ca's inverse rows (`_inverse_rows`).  The last of coeffs, at
+    free_a, is 0: the normal is 1 on free_a and -1 on free_b."""
+    chamber = fan.chambers[ca]
+    k = chamber.index(free_a)
+    shared = chamber[:k] + chamber[k + 1:]
     total = la.vadd(fan.rays[free_a], fan.rays[free_b])
-    coeffs = tuple(la.dot(row_of[i], total) for i in shared + (free_a,))
+    coeffs = tuple(la.dot(row, total) for row in rows[:k] + rows[k + 1:] + [rows[k]])
     shared_part = coeffs[:-1]
     if any(c < 0 for c in shared_part):
         kind, data = NOT_POSITIVE, coeffs
@@ -192,9 +199,9 @@ def _polar_pair(fan):
     """
     if fan.rank == 0:
         raise ValueError("a rank-0 fan has no polytope")
-    per_chamber = tuple(tuple(map(sum, zip(*r.values()))) for r in _inverse_rows(fan))
-    for w in fan.walls:
-        if la.dot(per_chamber[w.chambers[0]], fan.rays[w.free[1]]) > 1:
+    per_chamber = tuple(tuple(map(sum, zip(*rows))) for rows in _inverse_rows(fan))
+    for ca, b in zip(fan.walls.lower, fan.walls.free_higher):
+        if la.dot(per_chamber[ca], fan.rays[b]) > 1:
             raise NotConvex("fan polytope is not convex")
     incident = [set() for _ in fan.rays]
     for c, v in zip(fan.chambers, per_chamber):

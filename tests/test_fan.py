@@ -1,4 +1,6 @@
+import json
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +47,8 @@ from conftest import (
     path_tree,
     star_tree,
 )
+
+FAN_FILES = Path(__file__).resolve().parent.parent / "benchmarks" / "fans"
 
 PENTAGON_RAYS = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)]
 PENTAGON_CHAMBERS = [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}]
@@ -370,9 +374,6 @@ def test_json_round_trip(a3_cluster_fan):
 
 
 def _wall_fans():
-    import json
-    from pathlib import Path
-
     from tiltfan.brauer import chambers_by_cliques
     from tiltfan.cluster import enumerate_gfan
     from tiltfan.weyl import cartan_preset, coxeter_fan
@@ -387,8 +388,7 @@ def _wall_fans():
     yield "brauer path 4", chambers_by_cliques(path_tree(4))
     yield "brauer triangle", chambers_by_cliques(triangle())
     yield "brauer odd 5", chambers_by_cliques(odd_cycle_5())
-    fans = Path(__file__).resolve().parent.parent / "benchmarks" / "fans"
-    for path in sorted(fans.glob("*.json")):
+    for path in sorted(FAN_FILES.glob("*.json")):
         yield path.name, fan_from_json(json.loads(path.read_text()))
 
 
@@ -740,13 +740,19 @@ def test_a_shuffled_fan_file_reads_as_increasing_tuples(k, data):
 # -- chamber inverses by exchange pivots against full elimination -------------
 
 
+def _parts(fan):
+    """A fan's tables, its walls as a list of `Wall`s and its status: what
+    two builders of one fan agree on, whatever holds their walls."""
+    return fan[:4], list(fan.walls), fan.complete
+
+
 def _outcome(rays, chambers, base):
-    """build_fan's Fan, walls and status, or its error as (class, message)."""
+    """build_fan's `_parts`, or its error as (class, message)."""
     try:
         fan = build_fan(rays, chambers, base)
     except TiltfanError as exc:
         return type(exc), str(exc)
-    return fan, fan.walls, fan.complete
+    return _parts(fan)
 
 
 def _eliminating_build_fan(rays, chambers, base):
@@ -834,7 +840,7 @@ def _reference_outcome(*args):
         fan = _eliminating_build_fan(*args)
     except TiltfanError as exc:
         return type(exc), str(exc)
-    return fan, fan.walls, fan.complete
+    return _parts(fan)
 
 
 def _assert_pivots_match_elimination(rays, chambers, base):
@@ -872,10 +878,35 @@ def test_pivoted_inverses_match_full_elimination_on_front_end_fans():
     rnd = random.Random(7)
     for name, fan in _front_end_fans():
         got = _assert_pivots_match_elimination(fan.rays, fan.chambers, fan.base)
-        assert got == (fan, fan.walls, fan.complete), name
+        assert got == _parts(fan), name
         for _ in range(2):
             got = _assert_pivots_match_elimination(*_shuffled(fan, rnd))
             assert got[2] == fan.complete, name
+
+
+STORED_FANS = sorted(path.name for path in FAN_FILES.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", [*FRONT_END_FANS, *STORED_FANS])
+def test_the_wall_columns_read_as_the_walls_of_full_elimination(name):
+    """Read as `Wall`s, the columns of every front-end and stored fan are the
+    walls of `_eliminating_build_fan`, in its order: sorted by face.
+    `normals` holds each normal once, in the order of its first wall, so
+    a second build of the same tables is equal and hashes equal."""
+    if name in FRONT_END_FANS:
+        fan = front_end_fan(name)
+    else:
+        fan = fan_from_json(json.loads((FAN_FILES / name).read_text()))
+    walls = list(fan.walls)
+    assert walls == list(_eliminating_build_fan(fan.rays, fan.chambers, fan.base).walls)
+    faces_in_order = [w.face(fan.chambers) for w in walls]
+    assert faces_in_order == sorted(faces_in_order)
+    assert list(fan.walls.normals) == list(dict.fromkeys(w.normal for w in walls))
+    views = fan.walls[0], fan.walls[-1], fan.walls[1:3]
+    assert views == (walls[0], walls[-1], tuple(walls[1:3]))
+    again = build_fan(fan.rays, fan.chambers, fan.base)
+    assert (again, hash(again)) == (fan, hash(fan))
+    assert all(type(column) is tuple for column in again.walls._columns())
 
 
 def test_pivoted_inverses_match_full_elimination_on_broken_tables():
@@ -1140,7 +1171,7 @@ def test_a_table_is_read_against_increasing_ray_indices(name):
     order the chambers list their rays it is refused."""
     rays, chambers, base, ordered, listed = UNSORTED_TABLES[name]
     fan = build_fan(rays, chambers, base, ordered)
-    assert (fan, fan.walls, fan.complete) == _outcome(rays, chambers, base)
+    assert _parts(fan) == _outcome(rays, chambers, base)
     assert fan.complete == CERTIFIED
     far = len(chambers) - 1
     with pytest.raises(TiltfanError, match=rf"^chamber {far}, across wall 0 of chamber 0, "
@@ -1176,6 +1207,7 @@ def _records():
     seed = cluster.initial_seed(B_A3)
     return [
         *((w, ("chambers", "free", "normal")) for w in fan.walls[:3]),
+        (fan.walls, ("lower", "higher", "free_lower", "free_higher", "normal_index", "normals")),
         *((f, ("rank", "rays", "chambers", "base", "walls", "complete"))
           for f in (fan, pentagon(), exhausted.partial_fan)),
         (exhausted, ("frontier", "budget", "cones")),
@@ -1193,7 +1225,7 @@ def _records():
 
 def test_records_are_immutable():
     records = _records()
-    assert len({type(r) for r, _ in records}) == 11
+    assert len({type(r) for r, _ in records}) == 12
     for record, fields in records:
         for name in fields + ("unknown_field",):
             with pytest.raises(AttributeError):

@@ -359,3 +359,19 @@ def test_the_coxeter_fan_is_centrally_symmetric(name):
     chamber C and the longest element w0."""
     fan = front_end_fan(f"coxeter {name}")
     assert cones(fan) == cones(fan, -1)
+
+
+@pytest.mark.parametrize("name", FINITE_TYPES)
+def test_the_wall_normals_are_the_positive_roots(name):
+    """Up to sign, the Coxeter fan's wall normals, read off its chamber
+    inverses, are exactly the positive roots of `root_system`, the orbit of
+    the simple roots under the reflections: two routes that share only the
+    Cartan matrix.  `normals` holds each normal once, and every one of them
+    is some wall's."""
+    walls = front_end_fan(f"coxeter {name}").walls
+    roots, _short = root_system(FINITE_TYPES[name])
+    positive = {r for r in roots if min(r) >= 0}
+    assert len(positive) == len(roots) // 2
+    assert len(set(walls.normals)) == len(walls.normals)
+    assert set(walls.normal_index) == set(range(len(walls.normals)))
+    assert {v if min(v) >= 0 else la.vneg(v) for v in walls.normals} == positive
