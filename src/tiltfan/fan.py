@@ -8,14 +8,15 @@ positions.  Completeness is a certificate ("certified"), never a volume
 computation: every codimension-1 face lies in two chambers on opposite
 sides of it, and a generic point lies in exactly one chamber (covering
 degree 1), which also makes the wall graph connected.  `build_fan`
-establishes it in every rank from one integer inverse per chamber, in one
-breadth-first pass over a neighbour table; it proves that any two chambers
-meet in their common face, so the exhaustive pairwise check is needed only
-for fans that are not certified.  Every other fan, such as the partial fan
-of a search that ran out of budget, is "unknown"; there is no third
-status.  A rank-n fan has n |chambers| / 2 walls; `Walls` holds them as
-integer columns over a table of their distinct normals, and gives one
-`Wall` at a time on demand.
+establishes it in every rank from one integer inverse per chamber, held as
+ids into a table of distinct rows (wall normals: c-vectors, or roots on a
+Coxeter fan), in one breadth-first pass over a neighbour table; it proves
+that any two chambers meet in their common face, so the exhaustive
+pairwise check is needed only for fans that are not certified.  Every
+other fan, such as the partial fan of a search that ran out of budget, is
+"unknown"; there is no third status.  A rank-n fan has n |chambers| / 2
+walls; `Walls` holds them as integer columns over a table of their
+distinct normals, and gives one `Wall` at a time on demand.
 
 Every Fan is made by `build_fan`; `fan_from_cones` builds the canonical ray
 and chamber tables from chambers given as sequences of ray vectors.  The
@@ -216,33 +217,38 @@ def build_fan(rays, chambers, base, across=None):
     position k.
 
     One breadth-first pass over the table, component by component, does
-    the rest.  The first chamber of a component is inverted by full
-    elimination; every other chamber's inverse is one exchange pivot
-    (`la.exchange_inverse`) from its parent's, which travels in the queue,
-    so only the frontier's inverses are alive.  The pivot leaves the new
-    ray's row in the old one's place, and moving that one row to the new
-    ray's place in increasing order gives the new chamber's inverse.  A
-    non-unit pivot or determinant means a non-unimodular chamber;
-    NonUnimodularChamber names the lowest-index one.  Each wall's normal
-    comes from the side reached first, where the other side's free ray
-    must pair negatively with it (the same value c_k is the pivot), and is
-    negated when that side is the higher-index chamber.  The walls go into
-    the integer columns of `Walls` as the pass finds them, each normal
-    interned in a table of the distinct ones, and no wall's face is built:
-    its sort key is the face's increasing ray indices read as base-len(rays)
+    the rest.  A chamber's inverse travels in the queue as the ids of its
+    rows in a table of the distinct rows met in this call; row k is the
+    normal of the wall opposite ray k, so on a g-fan the rows are its few
+    c-vectors.  The first chamber of a component is inverted by full
+    elimination; every other chamber's inverse is one exchange pivot from
+    its parent's: crossing wall k to ray r_b, with c = M^-1 r_b, row k
+    divided by c_k is the pivot, and every other row i loses c_i times it.
+    Each pairing c_i, each (row, c_i, pivot) update and each negation is
+    computed once per call, so a chamber costs n lookups, not an O(n^2)
+    pivot.  The pivot leaves the new ray's row in the old one's place, and
+    moving that one id to the new ray's place in increasing order gives the
+    new chamber's inverse.  A non-unit pivot or determinant means a
+    non-unimodular chamber; NonUnimodularChamber names the lowest-index
+    one.  Each wall's normal comes from the side reached first, where the
+    other side's free ray must pair negatively with it (the same value c_k
+    is the pivot), and is negated when that side is the higher-index
+    chamber.  The walls go into the integer columns of `Walls` as the pass
+    finds them, a normal as its row id, and no wall's face is built: its
+    sort key is the face's increasing ray indices read as base-len(rays)
     digits, one integer computed from the chamber's own, so faces of one
     length sort as their tuples do (`Wall.face`).  The columns are sorted
-    once, at the end, and the normals renumbered in the order of their
-    first wall.
+    once, at the end, and the normals taken from the row table in the order
+    of their first wall.
 
     Completeness is certified iff no face dangles and the test point
     y0 + eps e_1 + eps^2 e_2 + ... (y0 the sum of the base rays, eps > 0
-    infinitesimal) lies in exactly one chamber; the same inverses decide
-    the last test (`holds_test_point`).  If no face dangles but the test
-    point lies in d != 1 chambers, the chambers overlap and TiltfanError is
-    raised.  A fan with a dangling face is still built, with status
-    "unknown"; `Fan.complete` is the one verdict on completeness.  Why this
-    suffices:
+    infinitesimal) lies in exactly one chamber; a chamber holds it iff each
+    of its rows does, which `holds_test_point` decides once per row.  If no
+    face dangles but the test point lies in d != 1 chambers, the chambers
+    overlap and TiltfanError is raised.  A fan with a dangling face is
+    still built, with status "unknown"; `Fan.complete` is the one verdict
+    on completeness.  Why this suffices:
 
     1. With no dangling face, glue the chambers along the table: every
        component is a closed, oriented pseudomanifold, since across every
@@ -268,7 +274,7 @@ def build_fan(rays, chambers, base, across=None):
 
     Rank 1 has only the two half-lines, where the count is 1 as well, and
     rank 0 the one empty chamber, which holds the point 0.  The certificate
-    costs at most rank dot products per chamber.
+    costs one dot product per distinct row and a lookup per chamber row.
     """
     rays = la.mat(rays)
     rank = len(rays[0]) if rays else 0
@@ -313,18 +319,46 @@ def build_fan(rays, chambers, base, across=None):
 
     y0 = tuple(map(sum, zip(*(rays[i] for i in chambers[base]))))
     covering = 0
-    # the columns of `Walls` in the order found and the normals met; a
+    # the columns of `Walls` in the order found, a wall's normal a row id; a
     # wall's sort key is its face, the ray indices read as base-len(rays)
     # digits, times a bound on the number of walls, plus its place
     lower, higher, free_lower, free_higher, normal_index = [], [], [], [], []
-    normal_ids, sort_keys, overlaps = {}, [], []
-    power = [len(rays) ** e for e in range(rank + 1)]
+    sort_keys, overlaps = [], []
+    n_rays = len(rays)
+    power = [n_rays ** e for e in range(rank + 1)]
     weights = power[:rank][::-1]
     dangling = False
     n_chambers = len(chambers)
     bound = n_chambers * rank
     reached = [False] * n_chambers
     proven = [0] * n_chambers  # bit m: across[ci][m] was checked from the other side
+    # an inverse is a list of ids into `rows`; per call, each row's verdict,
+    # pairing with a ray, pivot update and negation is computed once
+    rows, row_ids, holds = [], {}, []
+    pairing, updates, negated = {}, {}, {}
+
+    def row_id(row):
+        r = row_ids.get(row)
+        if r is None:
+            r = row_ids[row] = len(rows)
+            rows.append(row)
+            holds.append(holds_test_point(1, (row,), y0))
+        return r
+
+    def pairing_of(r, i):
+        key = r * n_rays + i
+        c = pairing.get(key)
+        if c is None:
+            c = pairing[key] = la.dot(rows[r], rays[i])
+        return c
+
+    def negation(r):
+        s = negated.get(r)
+        if s is None:
+            s = negated[r] = row_id(la.vneg(rows[r]))
+            negated[s] = r
+        return s
+
     for start in range(n_chambers):
         if reached[start]:
             continue
@@ -333,10 +367,10 @@ def build_fan(rays, chambers, base, across=None):
             raise _non_unimodular(rays, chambers)
         det, inv = found
         reached[start] = True
-        queue = deque([(start, inv if det == 1 else tuple(map(la.vneg, inv)))])
+        queue = deque([(start, [row_id(row if det == 1 else la.vneg(row)) for row in inv])])
         while queue:
             ci, inv = queue.popleft()
-            covering += holds_test_point(1, inv, y0)
+            covering += all(map(holds.__getitem__, inv))
             p, row, done = chambers[ci], across[ci], proven[ci]
             key = sum(map(mul, p, weights))
             for k in range(rank):
@@ -365,14 +399,24 @@ def build_fan(rays, chambers, base, across=None):
                                        f"has {j} across a wall, {j} has {back} across it")
                 proven[j] |= 1 << m
                 # row k vanishes on the face and is 1 on free_a; c_k is its pivot
-                r_b = rays[free_b]
-                c_k = la.dot(inv[k], r_b)
+                r_k = inv[k]
+                c_k = pairing_of(r_k, free_b)
                 if not reached[j]:
                     if c_k not in (1, -1):
                         raise _non_unimodular(rays, chambers)
+                    pivot = r_k if c_k == 1 else negation(r_k)
+                    nxt = inv.copy()
+                    nxt[k] = pivot
+                    for i, r in enumerate(inv):
+                        c = pairing_of(r, free_b) if i != k else 0
+                        if c:
+                            s = updates.get((r, c, pivot))
+                            if s is None:
+                                s = updates[r, c, pivot] = row_id(tuple(
+                                    [x - c * y for x, y in zip(rows[r], rows[pivot])]))
+                            nxt[i] = s
                     # the pivot's rows follow p with free_b in place k: move
                     # that row to free_b's place in j's rays
-                    nxt = list(la.exchange_inverse(inv, k, r_b))
                     nxt.insert(m, nxt.pop(k))
                     queue.append((j, nxt))
                     reached[j] = True
@@ -380,14 +424,14 @@ def build_fan(rays, chambers, base, across=None):
                     overlaps.append((p[:k] + p[k + 1:], (min(ci, j), max(ci, j))))
                     continue
                 if ci < j:
-                    ca, cb, a, b, normal = ci, j, free_a, free_b, inv[k]
+                    ca, cb, a, b, normal = ci, j, free_a, free_b, r_k
                 else:
-                    ca, cb, a, b, normal = j, ci, free_b, free_a, la.vneg(inv[k])
+                    ca, cb, a, b, normal = j, ci, free_b, free_a, negation(r_k)
                 lower.append(ca)
                 higher.append(cb)
                 free_lower.append(a)
                 free_higher.append(b)
-                normal_index.append(normal_ids.setdefault(normal, len(normal_ids)))
+                normal_index.append(normal)
                 # the face drops digit k of the chamber, of weight low
                 low = power[rank - 1 - k]
                 sort_keys.append((key // power[rank - k] * low + key % low) * bound
@@ -419,9 +463,8 @@ def build_fan(rays, chambers, base, across=None):
     free_higher = tuple(map(free_higher.__getitem__, order))
     renumber = {}
     normal_index = tuple(renumber.setdefault(normal_index[w], len(renumber)) for w in order)
-    met = list(normal_ids)
     walls = Walls(lower, higher, free_lower, free_higher, normal_index,
-                  tuple(met[v] for v in renumber))
+                  tuple(rows[v] for v in renumber))
     return Fan(rank, rays, chambers, base, walls, UNKNOWN if dangling else CERTIFIED)
 
 

@@ -168,25 +168,6 @@ def invert_unimodular(m):
     return adj if det == 1 else tuple(tuple(-x for x in row) for row in adj)
 
 
-def exchange_inverse(inv, j, v):
-    """Inverse of M with column j replaced by v, given inv = M^-1 for a
-    unimodular M; None unless c_j = +-1 for c = M^-1 v.
-
-    M' = M E with E the identity whose column j is c, so det M' = c_j det M
-    and M'^-1 = E^-1 M^-1 is one pivot on c: row j becomes row j / c_j, and
-    every other row i loses c_i times the new row j.  O(n^2) operations.
-    """
-    c = [dot(row, v) for row in inv]
-    cj = c[j]
-    if cj not in (1, -1):
-        return None
-    pivot = inv[j] if cj == 1 else vneg(inv[j])
-    return tuple([
-        pivot if i == j else tuple([x - ci * y for x, y in zip(row, pivot)]) if ci else row
-        for i, (row, ci) in enumerate(zip(inv, c))
-    ])
-
-
 def kernel_functional(rows, n):
     """Primitive integer functional vanishing on the span of `rows` in rank n.
 

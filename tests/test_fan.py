@@ -946,32 +946,93 @@ def test_pivoted_inverses_match_full_elimination_on_broken_tables():
     assert outcomes == {NonUnimodularChamber, SignCoherenceViolation, TiltfanError, "fan"}
 
 
-def _scaled_inverse_calls(monkeypatch, make):
-    """(chambers, scaled_inverse calls made by build_fan) for the fan of make()."""
-    fan = make()
+def _calls_under_build_fan(monkeypatch, fan, name):
+    """The number of calls of `la.<name>` made by build_fan on the fan's
+    tables, which must give the fan back."""
     calls = []
-    original = la.scaled_inverse
+    original = getattr(la, name)
 
-    def counting(m):
-        calls.append(m)
-        return original(m)
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
 
-    monkeypatch.setattr(la, "scaled_inverse", counting)
+    monkeypatch.setattr(la, name, counting)
     again = build_fan(fan.rays, fan.chambers, fan.base)
+    made = len(calls)
     assert (again, again.walls) == (fan, fan.walls)
-    return len(fan.chambers), len(calls)
+    return made
 
 
-@pytest.mark.parametrize("make", [
+FEW_NORMAL_FANS = pytest.mark.parametrize("make", [
     lambda: coxeter_fan(cartan_preset("A", 5)),
     lambda: chambers_by_cliques(odd_cycle(6)),
 ], ids=["coxeter A5", "brauer odd 6"])
+
+
+@FEW_NORMAL_FANS
 def test_build_fan_eliminates_for_few_chambers(make, monkeypatch):
     """Every chamber but the first of a component (and few others) gets its
     inverse by a pivot across a wall, not by full elimination."""
-    chambers, calls = _scaled_inverse_calls(monkeypatch, make)
-    assert chambers in (720, 2048)
-    assert 1 <= calls <= chambers // 100
+    fan = make()
+    calls = _calls_under_build_fan(monkeypatch, fan, "scaled_inverse")
+    assert len(fan.chambers) in (720, 2048)
+    assert 1 <= calls <= len(fan.chambers) // 100
+
+
+@FEW_NORMAL_FANS
+def test_build_fan_takes_fewer_dot_products_than_walls(make, monkeypatch):
+    """Each pairing of a row with a ray, and each row's test-point verdict,
+    is one `la.dot` made once per build, and the rows are the few wall
+    normals: fewer dot products than walls (1,800 on Coxeter A5, 6,144 on
+    Brauer odd 6), where a full pivot per chamber took 6,511 and 21,576."""
+    fan = make()
+    assert _calls_under_build_fan(monkeypatch, fan, "dot") < len(fan.walls)
+
+
+def _stellar_subdivision(rank, steps, rnd):
+    """(rays, chambers, base) of the orthant fan of +-e_i after `steps`
+    random stellar subdivisions, each at the sum of the rays of a face of
+    dimension >= 2: the chambers through the face are replaced by the cones
+    that swap one face ray for the sum.  No face of the positive orthant is
+    subdivided, so it stays a chamber, the base, and the fan stays
+    sign-coherent; every cone stays unimodular.  Most new rays lie on few
+    walls, so far fewer rows repeat than on a g-fan."""
+    rays = [tuple(s * int(i == j) for j in range(rank)) for s in (1, -1) for i in range(rank)]
+    positive = frozenset(range(rank))
+    chambers = {frozenset(i + rank * (s < 0) for i, s in enumerate(signs))
+                for signs in product((1, -1), repeat=rank)}
+    for _ in range(steps):
+        chamber = rnd.choice(sorted(map(sorted, chambers)))
+        face = frozenset(rnd.sample(chamber, rnd.randint(2, rank)))
+        if face <= positive:
+            continue
+        rays.append(tuple(map(sum, zip(*(rays[i] for i in face)))))
+        for c in [c for c in chambers if face <= c]:
+            chambers.remove(c)
+            chambers.update(c - {i} | {len(rays) - 1} for i in face)
+    chambers = sorted(map(sorted, chambers))
+    return rays, chambers, chambers.index(sorted(positive))
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_pivoted_inverses_match_full_elimination_when_few_rows_repeat(rank):
+    """On stellar subdivisions of the orthant fan, whose distinct wall
+    normals are a large share of their walls, the fan, walls, normals and
+    status are those of full elimination, in the given chamber order and in
+    shuffled ones."""
+    import random
+
+    rnd = random.Random(rank)
+    for steps in (4, 12, 30):
+        rays, chambers, base = _stellar_subdivision(rank, steps, rnd)
+        _tables, walls, complete = _assert_pivots_match_elimination(rays, chambers, base)
+        assert complete == CERTIFIED
+        assert 5 * len({w.normal for w in walls}) > len(walls)
+        order = list(range(len(chambers)))
+        for _ in range(2):
+            rnd.shuffle(order)
+            _assert_pivots_match_elimination(
+                rays, [chambers[ci] for ci in order], order.index(base))
 
 
 def _reference_sign_incoherence(rays, chambers, base_rays):

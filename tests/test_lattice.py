@@ -295,42 +295,3 @@ def test_non_square_is_rejected():
         la.determinant(((1, 2),))
     with pytest.raises(ValueError, match="non-square"):
         la.scaled_inverse(((1, 2),))
-
-
-def _replace_column(m, j, v):
-    return tuple(row[:j] + (x,) + row[j + 1:] for row, x in zip(m, v))
-
-
-@given(unimodular(), st.data())
-def test_exchange_inverse_matches_scaled_inverse(m, data):
-    """A unit pivot gives the inverse that full elimination gives for the
-    matrix with column j replaced, in ranks 1-6."""
-    n = len(m)
-    j = data.draw(st.integers(0, n - 1))
-    c = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    c[j] = data.draw(st.sampled_from((1, -1)))
-    v = la.matvec(m, c)
-    det, adj = la.scaled_inverse(m)
-    new = _replace_column(m, j, v)
-    new_det, new_adj = la.scaled_inverse(new)
-    assert new_det == c[j] * det
-    got = la.exchange_inverse(la.invert_unimodular(m), j, v)
-    assert got == la.invert_unimodular(new)
-    assert got == tuple(tuple(new_det * x for x in row) for row in new_adj)
-
-
-@given(unimodular(), st.data())
-def test_exchange_inverse_refuses_non_unit_pivots(m, data):
-    """c_j = 0 makes the new matrix singular and |c_j| >= 2 makes it not
-    unimodular; both give None."""
-    n = len(m)
-    j = data.draw(st.integers(0, n - 1))
-    c = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    c[j] = data.draw(st.sampled_from((0, 2, -2, 3, -3)))
-    v = la.matvec(m, c)
-    assert la.exchange_inverse(la.invert_unimodular(m), j, v) is None
-    got = la.scaled_inverse(_replace_column(m, j, v))
-    if c[j] == 0:
-        assert got is None
-    else:
-        assert got[0] == c[j] * la.determinant(m)
