@@ -450,7 +450,7 @@ class RootMap(namedtuple("RootMap", "edge_images n_vertices")):
     __slots__ = ()
 
     def apply(self, class_vector):
-        return la.matvec(la.from_columns(self.edge_images), class_vector)
+        return la.matvec(la.transpose(self.edge_images), class_vector)
 
 
 def root_map(graph):

@@ -35,7 +35,7 @@ class ExtendedSeed(namedtuple("ExtendedSeed", "b c g")):
 
     def chamber_key(self):
         """Unordered cluster: the sorted tuple of g-matrix columns."""
-        return tuple(sorted(la.columns(self.g)))
+        return tuple(sorted(la.transpose(self.g)))
 
 
 def initial_seed(b):
@@ -110,10 +110,10 @@ def mutate(seed, k):
         raise IndexError(f"mutation direction {k} out of range 1..{n}")
     k -= 1
     state = seed.b, seed.c
-    g_cols = la.columns(seed.g)
+    g_cols = list(la.transpose(seed.g))
     g_cols[k] = _exchanged_g(state, g_cols, k)
     new_b, new_c = _mutated_state(state, k)
-    return ExtendedSeed(new_b, new_c, la.from_columns(g_cols))
+    return ExtendedSeed(new_b, new_c, la.transpose(g_cols))
 
 
 def enumerate_gfan(b, budget=100_000):
@@ -131,7 +131,7 @@ def enumerate_gfan(b, budget=100_000):
     The search's neighbour table goes to `build_fan` with the chambers.
     """
     seed0 = initial_seed(b)
-    result = wall_crossing_search(la.columns(seed0.g), _exchanged_g, budget, (seed0.b, seed0.c),
+    result = wall_crossing_search(la.transpose(seed0.g), _exchanged_g, budget, (seed0.b, seed0.c),
                                   lambda state, _rays, k: _mutated_state(state, k))
     if isinstance(result, BudgetExhausted):
         return result

@@ -2,42 +2,42 @@
 Dehn-Sommerville symmetry, Ehrhart counts (closed form and brute force).
 
 The f-vector is counted from the walls, not from the faces.  For a complete
-simplicial fan and a generic direction v, h_i is the number of chambers
-that v leaves through exactly i walls (Fulton, Introduction to Toric
-Varieties, 1993, section 5.2).  `build_fan` already holds every wall
-normal, signed by its sides, once per distinct normal, so this costs one
-sign read per distinct normal and one count per wall; `fan.faces` lists
-the faces themselves.  With v inside the base chamber of a g-fan, the
-count is the paper's: h_i counts the 2-term silting complexes with i left
-mutations, the out-degrees of the Hasse quiver (`fan.hasse_orient`).
+simplicial fan and a generic point y, h_i is the number of chambers that
+cross exactly i walls toward y (Fulton, Introduction to Toric Varieties,
+1993, section 5.2).  `build_fan` already holds every wall normal, signed by
+its sides, once per distinct normal, so this costs one verdict per distinct
+normal and one count per wall; `fan.faces` lists the faces themselves.  y
+is the base chamber's test point, so on a g-fan a chamber crosses toward it
+along the arrows into it in the Hasse quiver (`fan.hasse_orient`), and as h
+is palindromic, the count is the paper's: h_i counts the 2-term silting
+complexes with i left mutations, the out-degrees of that quiver.
 """
 
 from itertools import combinations_with_replacement
 from math import comb
 
-from .errors import IncompleteFan, NotPalindromic
-from .fan import CERTIFIED, faces  # noqa: F401 (faces is re-exported)
+from .errors import NotPalindromic
+from .fan import faces  # noqa: F401 (re-exported)
+from .fan import base_point, holds_test_point, require_certified
 
 
 def f_vector(fan):
     """(f_-1, f_0, ..., f_{n-1}) where f_{i-1} counts i-element faces.
 
-    Counted from the h-vector of the direction v = e_n + eps e_{n-1} +
-    eps^2 e_{n-2} + ... (eps > 0 infinitesimal).  A wall normal has the
-    sign of its last nonzero entry on v, and it is positive on the free
-    ray of the wall's first chamber, so v leaves the first chamber if that
-    entry is negative and the second if it is positive: one sign read per
-    distinct normal (`Walls.normals`), then one count per wall.  h_i is
-    the number of chambers with i such exits (Fulton 1993, 5.2), and f
-    follows by `recover_f`.
+    h_i is the number of chambers that cross i walls toward the test point
+    y0 + eps e_1 + eps^2 e_2 + ... of the base chamber (Fulton 1993, 5.2),
+    and f follows by `recover_f`.  A wall normal is positive on the free
+    ray of the wall's first chamber, so the second chamber crosses toward
+    the point iff the normal holds it (`holds_test_point`): one verdict
+    per distinct normal (`Walls.normals`), then one count per wall.
     """
-    if fan.complete != CERTIFIED:
-        raise IncompleteFan("f-vector requires a certified-complete fan")
+    require_certified(fan, "f-vector")
     walls = fan.walls
-    leaves_higher = [next(x for x in reversed(normal) if x) > 0 for normal in walls.normals]
+    y0 = base_point(fan.rays, fan.chambers[fan.base])
+    higher_crosses = [holds_test_point(1, (normal,), y0) for normal in walls.normals]
     exits = [0] * len(fan.chambers)
     for ca, cb, v in zip(walls.lower, walls.higher, walls.normal_index):
-        exits[cb if leaves_higher[v] else ca] += 1
+        exits[cb if higher_crosses[v] else ca] += 1
     h = [0] * (fan.rank + 1)
     for e in exits:
         h[e] += 1
@@ -100,8 +100,7 @@ def ehrhart_bruteforce(fan, ell):
     chambers are unimodular, so these are all of its lattice points.  A
     rank-0 fan has the one point 0.
     """
-    if fan.complete != CERTIFIED:
-        raise IncompleteFan("Ehrhart enumeration requires a certified-complete fan")
+    require_certified(fan, "Ehrhart enumeration")
     if ell < 1:
         raise ValueError("dilation factor must be >= 1")
     points = {(0,) * fan.rank}
@@ -117,11 +116,11 @@ def analyze(fan, ell_max=4):
     """Full invariant report used by the CLI `analyze` command."""
     f = f_vector(fan)
     h = h_vector(f)
-    report = {
+    palindromic = dehn_sommerville(h)
+    return {
         "f": list(f),
         "h": list(h),
-        "gamma": list(gamma_vector(h)) if dehn_sommerville(h) else None,
-        "dehn_sommerville": dehn_sommerville(h),
+        "gamma": list(gamma_vector(h)) if palindromic else None,
+        "dehn_sommerville": palindromic,
         "ehrhart": {str(ell): ehrhart_count(h, ell) for ell in range(1, ell_max + 1)},
     }
-    return report

@@ -9,14 +9,14 @@ computation: every codimension-1 face lies in two chambers on opposite
 sides of it, and a generic point lies in exactly one chamber (covering
 degree 1), which also makes the wall graph connected.  `build_fan`
 establishes it in every rank from one integer inverse per chamber, held as
-ids into a table of distinct rows (wall normals: c-vectors, or roots on a
-Coxeter fan), in one breadth-first pass over a neighbour table; it proves
-that any two chambers meet in their common face, so the exhaustive
-pairwise check is needed only for fans that are not certified.  Every
-other fan, such as the partial fan of a search that ran out of budget, is
-"unknown"; there is no third status.  A rank-n fan has n |chambers| / 2
-walls; `Walls` holds them as integer columns over a table of their
-distinct normals, and gives one `Wall` at a time on demand.
+ids into a table of distinct rows in +- pairs (wall normals: c-vectors, or
+roots on a Coxeter fan), in one breadth-first pass over a neighbour table;
+it proves that any two chambers meet in their common face, so the
+exhaustive pairwise check is needed only for fans that are not certified.
+Every other fan, such as the partial fan of a search that ran out of
+budget, is "unknown"; there is no third status.  A rank-n fan has n
+|chambers| / 2 walls; `Walls` holds them as integer columns over a table of
+their distinct normals, and gives one `Wall` at a time on demand.
 
 Every Fan is made by `build_fan`; `fan_from_cones` builds the canonical ray
 and chamber tables from chambers given as sequences of ray vectors.  The
@@ -146,7 +146,7 @@ class Fan(namedtuple("Fan", "rank rays chambers base walls complete",
 
     def ray_matrix(self, chamber_index):
         """Columns are the rays of the chamber, in increasing index order."""
-        return la.from_columns([self.rays[i] for i in self.chambers[chamber_index]])
+        return la.transpose([self.rays[i] for i in self.chambers[chamber_index]])
 
     def chamber_key(self, chamber_index):
         return tuple(sorted(self.rays[i] for i in self.chambers[chamber_index]))
@@ -216,33 +216,33 @@ def build_fan(rays, chambers, base, across=None):
     computed once per wall.  Error messages name a wall by that same
     position k.
 
-    One breadth-first pass over the table, component by component, does
-    the rest.  A chamber's inverse travels in the queue as the ids of its
-    rows in a table of the distinct rows met in this call; row k is the
-    normal of the wall opposite ray k, so on a g-fan the rows are its few
+    One breadth-first pass over the table, component by component, does the
+    rest.  A chamber's inverse travels in the queue as the ids of its rows
+    in a table of the distinct rows met in this call; row k is the normal
+    of the wall opposite ray k, so on a g-fan the rows are its few
     c-vectors.  The first chamber of a component is inverted by full
     elimination; every other chamber's inverse is one exchange pivot from
     its parent's: crossing wall k to ray r_b, with c = M^-1 r_b, row k
     divided by c_k is the pivot, and every other row i loses c_i times it.
-    Each pairing c_i, each (row, c_i, pivot) update and each negation is
-    computed once per call, so a chamber costs n lookups, not an O(n^2)
-    pivot.  The pivot leaves the new ray's row in the old one's place, and
-    moving that one id to the new ray's place in increasing order gives the
-    new chamber's inverse.  A non-unit pivot or determinant means a
-    non-unimodular chamber; NonUnimodularChamber names the lowest-index
-    one.  Each wall's normal comes from the side reached first, where the
-    other side's free ray must pair negatively with it (the same value c_k
-    is the pivot), and is negated when that side is the higher-index
-    chamber.  The walls go into the integer columns of `Walls` as the pass
-    finds them, a normal as its row id, and no wall's face is built: its
-    sort key is the face's increasing ray indices read as base-len(rays)
-    digits, one integer computed from the chamber's own, so faces of one
-    length sort as their tuples do (`Wall.face`).  The columns are sorted
-    once, at the end, and the normals taken from the row table in the order
-    of their first wall.
+    A row is held with its negation, as ids 2t and 2t + 1; each pairing c_i
+    and (row, c_i, pivot) update is computed once per call, so a chamber
+    costs n lookups, not an O(n^2) pivot.  The pivot leaves the new ray's
+    row in the old one's place, and moving that one id to the new ray's
+    place in increasing order gives the new chamber's inverse.  A non-unit
+    pivot or determinant means a non-unimodular chamber;
+    NonUnimodularChamber names the lowest-index one.  Each wall's normal
+    comes from the side reached first, where the other side's free ray must
+    pair negatively with it (the same value c_k is the pivot), and is
+    negated when that side is the higher-index chamber.  The walls go into
+    the integer columns of `Walls` as the pass finds them, a normal as its
+    row id, and no wall's face is built: its sort key is the face's
+    increasing ray indices read as base-len(rays) digits, one integer
+    computed from the chamber's own, so faces of one length sort as their
+    tuples do (`Wall.face`).  The columns are sorted once, at the end, and
+    the normals taken from the row table in the order of their first wall.
 
     Completeness is certified iff no face dangles and the test point
-    y0 + eps e_1 + eps^2 e_2 + ... (y0 the sum of the base rays, eps > 0
+    y0 + eps e_1 + eps^2 e_2 + ... (y0 = `base_point`, eps > 0
     infinitesimal) lies in exactly one chamber; a chamber holds it iff each
     of its rows does, which `holds_test_point` decides once per row.  If no
     face dangles but the test point lies in d != 1 chambers, the chambers
@@ -317,7 +317,7 @@ def build_fan(rays, chambers, base, across=None):
                 raise TiltfanError(
                     f"row {ci} of the neighbour table has {len(row)} entries, expected {rank}")
 
-    y0 = tuple(map(sum, zip(*(rays[i] for i in chambers[base]))))
+    y0 = base_point(rays, chambers[base])
     covering = 0
     # the columns of `Walls` in the order found, a wall's normal a row id; a
     # wall's sort key is its face, the ray indices read as base-len(rays)
@@ -332,17 +332,18 @@ def build_fan(rays, chambers, base, across=None):
     bound = n_chambers * rank
     reached = [False] * n_chambers
     proven = [0] * n_chambers  # bit m: across[ci][m] was checked from the other side
-    # an inverse is a list of ids into `rows`; per call, each row's verdict,
-    # pairing with a ray, pivot update and negation is computed once
+    # an inverse is a list of ids into `rows`; r ^ 1 negates row r
     rows, row_ids, holds = [], {}, []
-    pairing, updates, negated = {}, {}, {}
+    pairing, updates = {}, {}
 
     def row_id(row):
         r = row_ids.get(row)
         if r is None:
-            r = row_ids[row] = len(rows)
-            rows.append(row)
-            holds.append(holds_test_point(1, (row,), y0))
+            r = len(rows)
+            for t, x in enumerate((row, la.vneg(row))):
+                row_ids[x] = r + t
+                rows.append(x)
+                holds.append(holds_test_point(1, (x,), y0))
         return r
 
     def pairing_of(r, i):
@@ -352,22 +353,15 @@ def build_fan(rays, chambers, base, across=None):
             c = pairing[key] = la.dot(rows[r], rays[i])
         return c
 
-    def negation(r):
-        s = negated.get(r)
-        if s is None:
-            s = negated[r] = row_id(la.vneg(rows[r]))
-            negated[s] = r
-        return s
-
     for start in range(n_chambers):
         if reached[start]:
             continue
-        found = la.scaled_inverse(la.from_columns([rays[i] for i in chambers[start]]))
+        found = la.scaled_inverse(la.transpose([rays[i] for i in chambers[start]]))
         if found is None or found[0] not in (1, -1):
             raise _non_unimodular(rays, chambers)
         det, inv = found
         reached[start] = True
-        queue = deque([(start, [row_id(row if det == 1 else la.vneg(row)) for row in inv])])
+        queue = deque([(start, [row_id(row) ^ (det < 0) for row in inv])])
         while queue:
             ci, inv = queue.popleft()
             covering += all(map(holds.__getitem__, inv))
@@ -404,7 +398,7 @@ def build_fan(rays, chambers, base, across=None):
                 if not reached[j]:
                     if c_k not in (1, -1):
                         raise _non_unimodular(rays, chambers)
-                    pivot = r_k if c_k == 1 else negation(r_k)
+                    pivot = r_k if c_k == 1 else r_k ^ 1
                     nxt = inv.copy()
                     nxt[k] = pivot
                     for i, r in enumerate(inv):
@@ -426,7 +420,7 @@ def build_fan(rays, chambers, base, across=None):
                 if ci < j:
                     ca, cb, a, b, normal = ci, j, free_a, free_b, r_k
                 else:
-                    ca, cb, a, b, normal = j, ci, free_b, free_a, negation(r_k)
+                    ca, cb, a, b, normal = j, ci, free_b, free_a, r_k ^ 1
                 lower.append(ca)
                 higher.append(cb)
                 free_lower.append(a)
@@ -497,7 +491,7 @@ def _non_unimodular(rays, chambers):
     """NonUnimodularChamber for the lowest-index chamber whose ray matrix,
     columns in increasing index order, has a determinant other than +-1."""
     for ci, c in enumerate(chambers):
-        det = la.determinant(la.from_columns([rays[i] for i in c]))
+        det = la.determinant(la.transpose([rays[i] for i in c]))
         if det not in (1, -1):
             return NonUnimodularChamber(ci, det)
 
@@ -547,7 +541,7 @@ def _base_signs(rays, base_rays):
     """For each ray, the bitmasks of the coordinates in the basis base_rays,
     taken in descending order, on which it is strictly positive and strictly
     negative."""
-    s_inv = la.invert_unimodular(la.from_columns(sorted(base_rays, reverse=True)))
+    s_inv = la.invert_unimodular(la.transpose(sorted(base_rays, reverse=True)))
     positive, negative = [], []
     for r in rays:
         plus = minus = 0
@@ -641,6 +635,18 @@ def wall_crossing_search(rays, exchange, budget, state=None, cross=None):
     return chambers, across
 
 
+def base_point(rays, chamber):
+    """y0, the sum of the chamber's rays; for the base chamber, the fan's
+    test point is y0 + eps e_1 + eps^2 e_2 + ..."""
+    return tuple(map(sum, zip(*(rays[i] for i in chamber))))
+
+
+def require_certified(fan, what):
+    """IncompleteFan unless the fan is certified."""
+    if fan.complete != CERTIFIED:
+        raise IncompleteFan(f"{what} requires a certified-complete fan")
+
+
 def holds_test_point(det, adj, y0):
     """Whether the chamber whose ray matrix M has det M = det and
     det * M^-1 = adj contains y0 + eps e_1 + eps^2 e_2 + ... for every small
@@ -660,8 +666,7 @@ def holds_test_point(det, adj, y0):
 def faces(fan, i):
     """The set of i-faces of the fan, each the sorted tuple of the ray indices
     spanning it (the i-subsets of chambers)."""
-    if fan.complete != CERTIFIED:
-        raise IncompleteFan("face enumeration requires a certified-complete fan")
+    require_certified(fan, "face enumeration")
     if not 0 <= i <= fan.rank:
         raise TiltfanError(f"face dimension {i} out of range")
     return set(chain.from_iterable(combinations(c, i) for c in fan.chambers))
@@ -694,8 +699,7 @@ def hasse_orient(fan):
     and the other one iff it is <= 0; if neither holds, the fan is not
     ordered.  The test is made once per distinct normal.
     """
-    if fan.complete != CERTIFIED:
-        raise IncompleteFan("orientation requires a certified-complete fan")
+    require_certified(fan, "orientation")
     base_rays = [fan.rays[i] for i in fan.chambers[fan.base]]
     # 1: the first chamber is on the base side, -1: the second, 0: neither
     side = []
@@ -735,7 +739,7 @@ def reduce_at_cone(fan, cone_ray_indices):
     sorted ray vectors) at the rays of C off the cone: it maps Z^n onto
     Z^(n - |cone|) with kernel the span of the cone, so the projected star
     is a complete unimodular fan.  Its base is the image cone that holds
-    q(y0) + eps e_1 + eps^2 e_2 + ... (y0 the sum of the base rays, eps > 0
+    q(y0) + eps e_1 + eps^2 e_2 + ... (y0 = `base_point`, eps > 0
     infinitesimal; `holds_test_point`), and exactly one does, by the
     covering argument of `build_fan`.  For a c-sign-coherent fan that is
     the image of the star chamber on the base side of every wall through
@@ -744,8 +748,7 @@ def reduce_at_cone(fan, cone_ray_indices):
     Sigma(A/<e>) of the idempotent reduction, in the coordinates of q.
     """
     sigma = frozenset(cone_ray_indices)
-    if fan.complete != CERTIFIED:
-        raise IncompleteFan("reduction requires a certified-complete fan")
+    require_certified(fan, "reduction")
     if not sigma:
         return fan
     star = sorted((ci for ci, c in enumerate(fan.chambers) if sigma.issubset(c)),
@@ -754,13 +757,13 @@ def reduce_at_cone(fan, cone_ray_indices):
     if not star:
         raise NotAFace(f"{tuple(sorted(sigma))} is not a face of any chamber")
 
-    inv = la.invert_unimodular(la.from_columns([fan.rays[i] for i in star[0]]))
+    inv = la.invert_unimodular(la.transpose([fan.rays[i] for i in star[0]]))
     q = [row for i, row in zip(star[0], inv) if i not in sigma]
     image = {i: la.matvec(q, fan.rays[i]) for i in set().union(*star) - sigma}
     cones = [[image[i] for i in c if i not in sigma] for c in star]
-    y0 = la.matvec(q, tuple(map(sum, zip(*(fan.rays[i] for i in fan.chambers[fan.base])))))
+    y0 = la.matvec(q, base_point(fan.rays, fan.chambers[fan.base]))
     base = next(c for c in cones
-                if holds_test_point(*la.scaled_inverse(la.from_columns(c)), y0))
+                if holds_test_point(*la.scaled_inverse(la.transpose(c)), y0))
     return fan_from_cones(cones, base)
 
 

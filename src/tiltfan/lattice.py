@@ -20,19 +20,9 @@ def identity(n):
 
 
 def transpose(m):
+    """The transpose, as a tuple of tuples: the columns of a row-major
+    matrix, or the matrix whose columns are the vectors m; () for no rows."""
     return tuple(zip(*m)) if m else ()
-
-
-def columns(m):
-    """Columns of a row-major matrix, as vectors."""
-    return [tuple(row[j] for row in m) for j in range(len(m[0]))] if m else []
-
-
-def from_columns(cols):
-    """Matrix whose j-th column is cols[j]; () when cols is empty."""
-    if not cols:
-        return ()
-    return tuple(tuple(c[i] for c in cols) for i in range(len(cols[0])))
 
 
 def matvec(m, v):

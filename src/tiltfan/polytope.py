@@ -16,12 +16,11 @@ from collections import namedtuple
 
 from . import lattice as la
 from .errors import (
-    IncompleteFan,
     NotConvex,
     NotRank2,
     OriginNotInterior,
 )
-from .fan import CERTIFIED, fan_from_cones
+from .fan import fan_from_cones, require_certified
 from .weyl import CartanData, cartan_preset, root_system
 
 
@@ -69,7 +68,7 @@ def convex_hull(points):
     if any(len(p) != n for p in points):
         raise ValueError(f"hull of points with other than {n} coordinates")
     lifted = [p + (-1,) for p in points]
-    simplex = la.pivot_columns(la.from_columns(lifted), len(points))
+    simplex = la.pivot_columns(la.transpose(lifted), len(points))
     if len(simplex) <= n:
         raise ValueError("hull is not full-dimensional")
     det, adj = la.scaled_inverse([lifted[i] for i in simplex])
@@ -77,7 +76,7 @@ def convex_hull(points):
     # vanishes on every simplex point but the k-th
     on_all = sum(1 << i for i in simplex)
     rays = [(on_all ^ 1 << i, la.primitive(la.vscale(-det, col)))
-            for i, col in zip(simplex, la.columns(adj))]
+            for i, col in zip(simplex, la.transpose(adj))]
     for i in sorted(set(range(len(points))) - set(simplex)):
         h, bit = lifted[i], 1 << i
         signed = [(la.dot(h, x), z, x) for z, x in rays]
@@ -151,15 +150,13 @@ def _inverse_rows(fan):
     chamber, and its negative is the row of the second; each distinct
     normal and its negative are one tuple each, shared by every row that
     is theirs."""
-    if fan.complete != CERTIFIED:
-        raise IncompleteFan("convexity requires a certified-complete fan")
+    require_certified(fan, "convexity")
     walls, chambers = fan.walls, fan.chambers
-    negated = [la.vneg(normal) for normal in walls.normals]
+    signed = [(normal, la.vneg(normal)) for normal in walls.normals]
     rows = [[None] * len(c) for c in chambers]
     for ca, cb, a, b, v in zip(walls.lower, walls.higher, walls.free_lower, walls.free_higher,
                                walls.normal_index):
-        rows[ca][chambers[ca].index(a)] = walls.normals[v]
-        rows[cb][chambers[cb].index(b)] = negated[v]
+        rows[ca][chambers[ca].index(a)], rows[cb][chambers[cb].index(b)] = signed[v]
     return rows
 
 
@@ -235,7 +232,7 @@ def smooth_fano(poly):
         fv = poly.facet_vertices(facet)
         if len(fv) != n:
             return False
-        if la.determinant(la.from_columns(list(fv))) not in (1, -1):
+        if la.determinant(la.transpose(fv)) not in (1, -1):
             return False
     return True
 
@@ -289,8 +286,7 @@ def rank2_classify(fan):
     """
     if fan.rank != 2:
         raise NotRank2(f"fan has rank {fan.rank}")
-    if fan.complete != CERTIFIED:
-        raise IncompleteFan("classification requires a certified-complete fan")
+    require_certified(fan, "classification")
     s_inv = la.invert_unimodular(fan.ray_matrix(fan.base))
     image = [la.matvec(s_inv, r) for r in fan.rays]
     for x, y in ((0, 1), (1, 0)):

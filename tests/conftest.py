@@ -188,17 +188,17 @@ def lattice_iso(p, q):
         return None
     anchor = None
     for sub in combinations(p.vertices, n):
-        if la.determinant(la.from_columns(list(sub))) != 0:
+        if la.determinant(la.transpose(sub)) != 0:
             anchor = sub
             break
     if anchor is None:
         return None
-    a_mat = la.from_columns(list(anchor))
+    a_mat = la.transpose(anchor)
     p_set = set(p.vertices)
     q_set = set(q.vertices)
     for image in permutations(q.vertices, n):
         # solve M * anchor_i = image_i  =>  M = image_mat * anchor_mat^{-1}
-        img_mat = la.from_columns(list(image))
+        img_mat = la.transpose(image)
         m = _rational_matmul_inverse(img_mat, a_mat)
         if m is None:
             continue

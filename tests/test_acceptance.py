@@ -270,7 +270,7 @@ def _c_column_sums(b_matrix):
     out = {}
     frontier = [seed]
     seen = {seed.chamber_key()}
-    out[seed.chamber_key()] = tuple(sum(col) for col in zip(*la.columns(seed.c)))
+    out[seed.chamber_key()] = tuple(map(sum, seed.c))
     while frontier:
         nxt = []
         for s in frontier:
@@ -279,7 +279,7 @@ def _c_column_sums(b_matrix):
                 key = t.chamber_key()
                 if key not in seen:
                     seen.add(key)
-                    out[key] = tuple(sum(col) for col in zip(*la.columns(t.c)))
+                    out[key] = tuple(map(sum, t.c))
                     nxt.append(t)
         frontier = nxt
     return out
@@ -302,7 +302,7 @@ def test_criterion_11_property_suites():
             seed = mutate(seed, k)
             assert mutate(seed, k).g == before.g  # involution
         assert la.matmul(la.transpose(seed.c), seed.g) == la.identity(n)
-        for col in la.columns(seed.c):
+        for col in la.transpose(seed.c):
             assert all(x >= 0 for x in col) or all(x <= 0 for x in col)
         for row in seed.g:
             assert all(x >= 0 for x in row) or all(x <= 0 for x in row)

@@ -28,11 +28,11 @@ def test_initial_seed():
 
 def test_kronecker_first_steps():
     s1 = mutate(initial_seed(B_KRONECKER), 1)
-    assert la.columns(s1.g) == [(-1, 2), (0, 1)]
-    assert la.columns(s1.c) == [(-1, 0), (2, 1)]
+    assert la.transpose(s1.g) == ((-1, 2), (0, 1))
+    assert la.transpose(s1.c) == ((-1, 0), (2, 1))
     s12 = mutate(s1, 2)
-    assert la.columns(s12.g) == [(-1, 2), (-2, 3)]
-    assert la.columns(s12.c) == [(3, 2), (-2, -1)]
+    assert la.transpose(s12.g) == ((-1, 2), (-2, 3))
+    assert la.transpose(s12.c) == ((3, 2), (-2, -1))
 
 
 def test_mutation_is_involutive():
@@ -104,7 +104,7 @@ def test_duality_and_sign_coherence_under_mutation(data):
     # C^T G = identity
     assert la.matmul(la.transpose(seed.c), seed.g) == la.identity(n)
     # column sign-coherence of C
-    for col in la.columns(seed.c):
+    for col in la.transpose(seed.c):
         assert all(x >= 0 for x in col) or all(x <= 0 for x in col)
     # row sign-coherence of G
     for row in seed.g:
@@ -163,8 +163,8 @@ def test_general_g_rule_agrees_with_simplified():
     def general_mutate_g(seed, b0, k):
         n = seed.n
         k -= 1
-        g_cols = la.columns(seed.g)
-        b0_cols = la.columns(b0)
+        g_cols = la.transpose(seed.g)
+        b0_cols = la.transpose(b0)
         new = la.vneg(g_cols[k])
         for i in range(n):
             if seed.b[i][k] > 0:
@@ -184,14 +184,14 @@ def test_general_g_rule_agrees_with_simplified():
             k = rng.randrange(1, seed.n + 1)
             expected = general_mutate_g(seed, b0, k)
             seed = mutate(seed, k)
-            assert la.columns(seed.g)[k - 1] == expected
+            assert la.transpose(seed.g)[k - 1] == expected
 
 
 def test_dedup_collapses_permuted_clusters():
     s = initial_seed(B_A2)
     a = mutate(mutate(s, 1), 2)
     key = a.chamber_key()
-    assert key == tuple(sorted(la.columns(a.g)))
+    assert key == tuple(sorted(la.transpose(a.g)))
 
 
 def _full_mutation_bfs(b):
@@ -274,11 +274,11 @@ def _seed_search(b, budget):
 
     def cross(seed, rays, k):
         new = mutate(seed, k + 1)
-        assert la.columns(new.g) == list(rays)
+        assert la.transpose(new.g) == tuple(rays)
         return new
 
     seed0 = initial_seed(b)
-    return wall_crossing_search(la.columns(seed0.g), _seed_exchange, budget, seed0, cross)
+    return wall_crossing_search(la.transpose(seed0.g), _seed_exchange, budget, seed0, cross)
 
 
 def check_against_the_seed_route(b, budget=100_000):
@@ -330,7 +330,7 @@ def test_mixed_c_vector_raises_sign_incoherence():
     with pytest.raises(SignIncoherence) as by_mutate:
         mutate(seed, 2)
     with pytest.raises(SignIncoherence) as by_search:
-        cluster._exchanged_g((seed.b, seed.c), la.columns(seed.g), 1)
+        cluster._exchanged_g((seed.b, seed.c), la.transpose(seed.g), 1)
     assert by_mutate.value.k == by_search.value.k == 2
     assert str(by_mutate.value) == str(by_search.value)
     assert mutate(seed, 1).b == mutate(initial_seed(B_A2), 1).b
@@ -345,7 +345,7 @@ def test_wall_normals_are_the_c_vectors(b):
     c_vectors = {
         frozenset((c, la.vneg(c)))
         for seed in _full_mutation_bfs(b).values()
-        for c in la.columns(seed.c)
+        for c in la.transpose(seed.c)
     }
     assert normals == c_vectors
 

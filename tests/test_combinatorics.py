@@ -17,7 +17,14 @@ from tiltfan.combinatorics import (
     recover_f,
 )
 from tiltfan.errors import NotPalindromic
-from tiltfan.fan import build_fan, faces, fan_from_cones, fan_from_json, reduce_at_cone
+from tiltfan.fan import (
+    build_fan,
+    faces,
+    fan_from_cones,
+    fan_from_json,
+    hasse_orient,
+    reduce_at_cone,
+)
 from tiltfan.polytope import canonical_rank2_fan
 from tiltfan.weyl import cartan_preset, descent_histogram
 
@@ -172,6 +179,15 @@ def test_ehrhart_bruteforce_matches_the_composition_enumeration(pentagon_fan):
 def test_f_vector_from_the_walls_matches_the_face_count(name):
     fan = front_end_fan(name)
     assert f_vector(fan) == _face_count(fan)
+
+
+@pytest.mark.parametrize("name", FRONT_END_FANS)
+def test_h_vector_counts_the_hasse_out_degrees(name):
+    """The paper's reading of h: h_i counts the chambers with i arrows out
+    in the Hasse quiver, on every front-end fan."""
+    fan = front_end_fan(name)
+    hist = hasse_orient(fan).out_degree_histogram(len(fan.chambers), fan.rank)
+    assert h_vector(f_vector(fan)) == hist
 
 
 def test_f_vector_from_the_walls_on_the_kase_family_and_fixtures(pentagon_fan):

@@ -32,7 +32,15 @@ from tiltfan.fan import (
     sign_filter,
     verify_pairwise_intersections,
 )
-from tiltfan.polytope import convex_hull, rank2_classify, rank2_fan_from_rays, smooth_fano
+from tiltfan.polytope import (
+    convex_hull,
+    convexity_report,
+    dual_polytope,
+    g_polytope,
+    rank2_classify,
+    rank2_fan_from_rays,
+    smooth_fano,
+)
 from tiltfan.weyl import CartanData, cartan_preset, coxeter_fan
 
 from conftest import (
@@ -104,15 +112,20 @@ def test_faces_counts():
             faces(fan, i)
 
 
-@pytest.mark.parametrize("call", [
-    f_vector,
-    lambda fan: ehrhart_bruteforce(fan, 1),
-    hasse_orient,
-    lambda fan: reduce_at_cone(fan, ()),
-    rank2_classify,
-], ids=["f_vector", "ehrhart_bruteforce", "hasse_orient", "reduce_at_cone", "rank2_classify"])
-def test_a_partial_fan_is_refused_where_completeness_is_needed(call):
-    with pytest.raises(IncompleteFan):
+@pytest.mark.parametrize("call, what", [
+    (f_vector, "f-vector"),
+    (lambda fan: ehrhart_bruteforce(fan, 1), "Ehrhart enumeration"),
+    (lambda fan: faces(fan, 1), "face enumeration"),
+    (hasse_orient, "orientation"),
+    (lambda fan: reduce_at_cone(fan, ()), "reduction"),
+    (convexity_report, "convexity"),
+    (g_polytope, "convexity"),
+    (dual_polytope, "convexity"),
+    (rank2_classify, "classification"),
+], ids=["f_vector", "ehrhart_bruteforce", "faces", "hasse_orient", "reduce_at_cone",
+        "convexity_report", "g_polytope", "dual_polytope", "rank2_classify"])
+def test_a_partial_fan_is_refused_where_completeness_is_needed(call, what):
+    with pytest.raises(IncompleteFan, match=f"^{what} requires a certified-complete fan$"):
         call(enumerate_gfan(B_KRONECKER, budget=10).partial_fan)
 
 
@@ -308,7 +321,7 @@ def _principal(m, keep):
 
 def _chamber_sets(fan, base_rays):
     """The chambers as sets of ray vectors, in the coordinates of base_rays."""
-    s_inv = la.invert_unimodular(la.from_columns(base_rays))
+    s_inv = la.invert_unimodular(la.transpose(base_rays))
     coords = [la.matvec(s_inv, r) for r in fan.rays]
     return {frozenset(coords[i] for i in c) for c in fan.chambers}
 
@@ -491,7 +504,7 @@ def _test_point_count(rays, chambers, base):
 
     y0 = tuple(map(sum, zip(*(rays[i] for i in chambers[base]))))
     return sum(
-        holds_test_point(*la.scaled_inverse(la.from_columns([rays[i] for i in sorted(c)])), y0)
+        holds_test_point(*la.scaled_inverse(la.transpose([rays[i] for i in sorted(c)])), y0)
         for c in chambers
     )
 
@@ -504,7 +517,7 @@ def test_test_point_counts_the_covering_degree():
     rays, chambers = _octahedral_double_cover()
     owners = {}
     for ci, c in enumerate(chambers):
-        assert abs(la.determinant(la.from_columns([rays[i] for i in sorted(c)]))) == 1
+        assert abs(la.determinant(la.transpose([rays[i] for i in sorted(c)]))) == 1
         for sub in combinations(sorted(c), 2):
             owners.setdefault(frozenset(sub), []).append(ci)
     for sub, (ca, cb) in owners.items():
@@ -797,7 +810,7 @@ def _eliminating_build_fan(rays, chambers, base):
     normals = {}
     for ci, c in enumerate(chambers):
         idx = sorted(c)
-        det, adj = la.scaled_inverse(la.from_columns([rays[i] for i in idx])) or (0, None)
+        det, adj = la.scaled_inverse(la.transpose([rays[i] for i in idx])) or (0, None)
         if det not in (1, -1):
             raise NonUnimodularChamber(ci, det)
         covering += holds_test_point(det, adj, y0)
@@ -1037,7 +1050,7 @@ def test_pivoted_inverses_match_full_elimination_when_few_rows_repeat(rank):
 
 def _reference_sign_incoherence(rays, chambers, base_rays):
     """The coordinate loop `_sign_incoherence` ran before it kept sign sets."""
-    s_inv = la.invert_unimodular(la.from_columns(sorted(base_rays, reverse=True)))
+    s_inv = la.invert_unimodular(la.transpose(sorted(base_rays, reverse=True)))
     coords = [la.matvec(s_inv, r) for r in rays]
     for ci, c in enumerate(chambers):
         for coord in range(len(s_inv)):

@@ -480,7 +480,7 @@ def _reference_convexity_report(fan):
         face = set(fan.chambers[ca]) & set(fan.chambers[cb])
         shared = sorted(face)
         (free_a,), (free_b,) = set(fan.chambers[ca]) - face, set(fan.chambers[cb]) - face
-        basis = la.from_columns([fan.rays[i] for i in shared] + [fan.rays[free_a]])
+        basis = la.transpose([fan.rays[i] for i in shared] + [fan.rays[free_a]])
         total = la.vadd(fan.rays[free_a], fan.rays[free_b])
         coeffs = tuple(int(x) for x in la.solve_exact(basis, total))
         part, last = coeffs[:-1], coeffs[-1]
@@ -592,7 +592,7 @@ def _reference_root_polytope(type_, n):
                     for sj in (1, -1):
                         roots.append(la.vadd(la.vscale(si, unit(i)), la.vscale(sj, unit(j))))
         basis = [la.vsub(unit(i), unit(i + 1)) for i in range(n - 1)] + [la.vscale(2, unit(n - 1))]
-    b = la.from_columns(basis)
+    b = la.transpose(basis)
     coords = []
     for r in roots:
         sol = la.solve_exact(b, r)
