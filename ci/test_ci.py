@@ -6,9 +6,9 @@ Run from the repository root:
     PYTHONPATH=src:tests python -m pytest ci
 
 The CLI runs in-process through `cli.main`, and each front-end once more
-as `python -m tiltfan.cli` in a fresh interpreter; Coxeter A7 and B6, which
-must each fit in 200 MB of peak RSS, and `benchmarks/run.py` run in their
-own processes.
+as `python -m tiltfan.cli` in a fresh interpreter; Coxeter A7, B6 and A8,
+each held to a peak-RSS bound, and `benchmarks/run.py` run in their own
+processes.
 No bytecode is written under benchmarks/, so the checkout stays as it is.
 """
 
@@ -302,13 +302,14 @@ def test_rank2_classify_decides_every_sign_coherent_fan_with_entries_up_to_3():
 
 
 COXETER = """
-import json, resource, sys
+import json, sys
 from tiltfan.combinatorics import f_vector, h_vector
 from tiltfan.polytope import g_polytope
 from tiltfan.weyl import cartan_preset, coxeter_fan
 fan = coxeter_fan(cartan_preset(sys.argv[1], int(sys.argv[2])))
 g = g_polytope(fan)
-peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
+with open("/proc/self/status") as status:
+    peak_mb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) // 1024
 print(json.dumps([len(fan.chambers), fan.complete, len(g.vertices), len(g.facets),
                   h_vector(f_vector(fan)), peak_mb]))
 """
@@ -316,9 +317,11 @@ print(json.dumps([len(fan.chambers), fan.complete, len(g.vertices), len(g.facets
 
 def coxeter_in_its_own_process(type_, n):
     """[chambers, status, g-polytope vertices and facets, h-vector, peak RSS
-    in MB] of the Coxeter fan of type_ n.  Its own process, so that
-    ru_maxrss (kilobytes on Linux) measures this fan alone; the peak is
-    read once the g-polytope is built, before the h-vector."""
+    in MB] of the Coxeter fan of type_ n.  Its own process, whose VmHWM
+    (kilobytes, Linux) measures this fan alone; the peak is read once the
+    g-polytope is built, before the h-vector.  Not ru_maxrss: a child's
+    starts at the resident size of the process that forked it, here the
+    test run, some 87 MB by then."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-c", COXETER, type_, str(n)], env=env,
                           capture_output=True, text=True)
@@ -326,38 +329,40 @@ def coxeter_in_its_own_process(type_, n):
     return json.loads(done.stdout)
 
 
-def test_coxeter_a7_within_200_mb():
+def test_coxeter_a7_within_57_mb():
     """8! chambers, and the permutohedron's polar pair: 2^8 - 2 vertices and
-    8 * 7 facets; h is the row of Eulerian numbers."""
+    8 * 7 facets; h is the row of Eulerian numbers.  47 MB measured (see
+    the A8 test)."""
     *counts, h, peak_mb = coxeter_in_its_own_process("A", 7)
     assert counts == [40320, CERTIFIED, 254, 56]
     assert h == [1, 247, 4293, 15619, 15619, 4293, 247, 1]
-    assert peak_mb <= 200
+    assert peak_mb <= 57
 
 
-def test_coxeter_b6_within_200_mb():
+def test_coxeter_b6_within_64_mb():
     """2^6 6! chambers, and a cube for the g-polytope, dual to the short
     root polytope (the cross-polytope): 2^6 vertices and 2 * 6 facets; h is
-    the row of type-B Eulerian numbers."""
+    the row of type-B Eulerian numbers.  53 MB measured (see the A8
+    test)."""
     *counts, h, peak_mb = coxeter_in_its_own_process("B", 6)
     assert counts == [46080, CERTIFIED, 64, 12]
     assert h == [1, 722, 10543, 23548, 10543, 722, 1]
-    assert peak_mb <= 200
+    assert peak_mb <= 64
 
 
-def test_coxeter_a8_within_560_mb():
+def test_coxeter_a8_within_435_mb():
     """9! chambers, and the permutohedron's polar pair: 2^9 - 2 vertices and
     9 * 8 facets; h is the row of Eulerian numbers.  Its 1,451,520 walls
-    are integer columns over a table of their few distinct normals, and
-    build_fan holds each queued chamber inverse as 8 ids into a table of
-    the 72 distinct rows, which keeps rank 8 inside the bound (457-469 MB
-    measured on a 2-vCPU Linux box with Python 3.11, the same source read
-    from different paths, against 905 MB when each wall was a record of
-    three tuples)."""
+    are stored as nothing of their own: the fan keeps the neighbour table
+    and each chamber's inverse as 8 ids into a table of the 72 distinct
+    rows, which keeps rank 8 inside the bound, about a fifth above the
+    peak (361 MB measured on a 2-vCPU Linux box with Python 3.11, against
+    474 MB with sorted per-wall columns and 905 MB when each wall was a
+    record of three tuples)."""
     *counts, h, peak_mb = coxeter_in_its_own_process("A", 8)
     assert counts == [362880, CERTIFIED, 510, 72]
     assert h == [1, 502, 14608, 88234, 156190, 88234, 14608, 502, 1]
-    assert peak_mb <= 560
+    assert peak_mb <= 435
 
 
 def test_coxeter_e6_is_certified_and_not_g_convex():

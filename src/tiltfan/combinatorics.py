@@ -1,18 +1,16 @@
 """Enumerative invariants of a complete fan: f-, h- and gamma-vectors,
 Dehn-Sommerville symmetry, Ehrhart counts (closed form and brute force).
 
-The f-vector is counted from the walls, not from the faces.  For a complete
-simplicial fan and a generic point y, h_i is the number of chambers that
-cross exactly i walls toward y (Fulton, Introduction to Toric Varieties,
-1993, section 5.2).  `build_fan` already holds every wall normal, signed by
-its sides, once per distinct normal, so this costs one verdict per distinct
-normal and one count per wall; `fan.faces` lists the faces themselves.  y
-is the base chamber's test point, so on a g-fan a chamber crosses toward it
-along the arrows into it in the Hasse quiver (`fan.hasse_orient`), and as h
-is palindromic, the count is the paper's: h_i counts the 2-term silting
-complexes with i left mutations, the out-degrees of that quiver.
+The f-vector is counted from the chamber inverses (`f_vector`), not from
+the faces, which `fan.faces` lists.  h_i counts the chambers that cross i
+walls toward the base chamber's test point, so on a g-fan a chamber
+crosses toward it along the arrows into it in the Hasse quiver
+(`fan.hasse_orient`), and as h is palindromic, the count is the paper's:
+h_i counts the 2-term silting complexes with i left mutations, the
+out-degrees of that quiver.
 """
 
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -26,22 +24,19 @@ def f_vector(fan):
 
     h_i is the number of chambers that cross i walls toward the test point
     y0 + eps e_1 + eps^2 e_2 + ... of the base chamber (Fulton 1993, 5.2),
-    and f follows by `recover_f`.  A wall normal is positive on the free
-    ray of the wall's first chamber, so the second chamber crosses toward
-    the point iff the normal holds it (`holds_test_point`): one verdict
-    per distinct normal (`Walls.normals`), then one count per wall.
+    and f follows by `recover_f`.  Row k of a chamber's inverse is 1 on its
+    k-th ray and 0 on the wall opposite, so the chamber crosses that wall
+    toward the point iff the row fails it (`holds_test_point`): h_i counts
+    the chambers with exactly i failing rows, one verdict per distinct row
+    (`Walls.rows`), then one count per chamber.  h_0 is `build_fan`'s
+    covering count.
     """
     require_certified(fan, "f-vector")
     walls = fan.walls
     y0 = base_point(fan.rays, fan.chambers[fan.base])
-    higher_crosses = [holds_test_point(1, (normal,), y0) for normal in walls.normals]
-    exits = [0] * len(fan.chambers)
-    for ca, cb, v in zip(walls.lower, walls.higher, walls.normal_index):
-        exits[cb if higher_crosses[v] else ca] += 1
-    h = [0] * (fan.rank + 1)
-    for e in exits:
-        h[e] += 1
-    return recover_f(h)
+    failing = {r for r, row in enumerate(walls.rows) if not holds_test_point(1, (row,), y0)}
+    counts = Counter(map(len, map(failing.intersection, walls.inverses)))
+    return recover_f([counts[i] for i in range(fan.rank + 1)])
 
 
 def h_vector(f):

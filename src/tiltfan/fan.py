@@ -15,8 +15,9 @@ it proves that any two chambers meet in their common face, so the
 exhaustive pairwise check is needed only for fans that are not certified.
 Every other fan, such as the partial fan of a search that ran out of
 budget, is "unknown"; there is no third status.  A rank-n fan has n
-|chambers| / 2 walls; `Walls` holds them as integer columns over a table of
-their distinct normals, and gives one `Wall` at a time on demand.
+|chambers| / 2 walls.  None is stored on its own: `Walls` keeps the
+neighbour table and the chamber inverses that `build_fan` checked, which
+are the walls and their normals, and gives one `Wall` at a time on demand.
 
 Every Fan is made by `build_fan`; `fan_from_cones` builds the canonical ray
 and chamber tables from chambers given as sequences of ray vectors.  The
@@ -33,10 +34,9 @@ its table derived from the chambers' facets.
 """
 
 from collections import deque, namedtuple
-from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, combinations
-from operator import lt, mul
+from operator import lt
 
 from . import lattice as la
 from .errors import (
@@ -57,8 +57,8 @@ UNKNOWN = "unknown"
 
 
 class Wall(namedtuple("Wall", "chambers free normal")):
-    """Codimension-1 face of two chambers: one mutation, as one entry of
-    `Walls` reads it.  The face itself is either chamber less its free ray,
+    """Codimension-1 face of two chambers: one mutation, as `Walls` gives
+    it.  The face itself is either chamber less its free ray,
     `wall.face(fan.chambers)`.
 
     - `chambers`: the pair of chamber indices, ascending;
@@ -76,28 +76,27 @@ class Wall(namedtuple("Wall", "chambers free normal")):
         return c[:k] + c[k + 1:]
 
 
-class Walls(Sequence):
-    """The walls of a fan, sorted by face, as parallel integer columns.
+class Walls:
+    """The walls of a fan, read off the tables `build_fan` checked.
 
-    Wall w lies between the chambers lower[w] < higher[w], whose rays off
-    it are free_lower[w] and free_higher[w], and its normal is
-    normals[normal_index[w]]: `normals` holds each distinct normal once,
-    in the order of the first wall that has it.  A rank-n g-fan has
-    n |chambers| / 2 walls but few normals (up to sign, the positive roots
-    on a Coxeter fan), so the columns are all the per-wall storage there
-    is.  Indexing and iteration give `Wall` views, built on
-    demand; readers of every wall read the columns.  The columns are tuples
-    of ints, so equality and hash are those of the columns, which the
-    order of `normals` makes a function of the walls alone.  Immutable.
+    `across` is the neighbour table (see `build_fan`) as a tuple of tuples,
+    None across a dangling face; `inverses[ci]` is chamber ci's inverse ray
+    matrix as the ids of its rows in `rows`, the distinct rows in +- pairs
+    (ids 2t and 2t + 1).  Row k of ci's inverse is the normal of its wall
+    opposite its k-th ray, 1 on that ray.  A wall is a pair
+    ci < j = across[ci][k], listed in (ci, k) order, with normal
+    rows[inverses[ci][k]]; nothing is stored per wall, and a g-fan has few
+    distinct rows (up to sign, the positive roots on a Coxeter fan).
+    Iteration gives `Wall` views, built on demand, and `positions` the
+    (ci, k, j) alone.  Equality and hash are those of the tables, a
+    function of the fan.  Immutable.
     """
 
-    __slots__ = ("lower", "higher", "free_lower", "free_higher", "normal_index", "normals")
+    __slots__ = ("chambers", "across", "inverses", "rows")
 
-    def __init__(self, lower=(), higher=(), free_lower=(), free_higher=(), normal_index=(),
-                 normals=()):
-        for name, column in zip(self.__slots__, (lower, higher, free_lower, free_higher,
-                                                 normal_index, normals)):
-            object.__setattr__(self, name, column)
+    def __init__(self, chambers=(), across=(), inverses=(), rows=()):
+        for name, table in zip(self.__slots__, (chambers, across, inverses, rows)):
+            object.__setattr__(self, name, table)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -105,31 +104,34 @@ class Walls(Sequence):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _columns(self):
+    def _tables(self):
         return tuple(getattr(self, name) for name in self.__slots__)
 
-    def __len__(self):
-        return len(self.lower)
+    def positions(self):
+        """(ci, k, j) for each wall: its chambers ci < j, and k the place in
+        ci of its free ray."""
+        for ci, row in enumerate(self.across):
+            for k, j in enumerate(row):
+                if j is not None and ci < j:
+                    yield ci, k, j
 
-    def __getitem__(self, w):
-        if isinstance(w, slice):
-            return tuple(map(self.__getitem__, range(len(self))[w]))
-        return Wall((self.lower[w], self.higher[w]), (self.free_lower[w], self.free_higher[w]),
-                    self.normals[self.normal_index[w]])
+    def __len__(self):
+        # every wall is two entries of the table, one on each side
+        return sum(len(row) - row.count(None) for row in self.across) // 2
 
     def __iter__(self):
-        normals = self.normals
-        for ca, cb, a, b, v in zip(self.lower, self.higher, self.free_lower, self.free_higher,
-                                   self.normal_index):
-            yield Wall((ca, cb), (a, b), normals[v])
+        chambers, across, inverses, rows = self._tables()
+        for ci, k, j in self.positions():
+            yield Wall((ci, j), (chambers[ci][k], chambers[j][across[j].index(ci)]),
+                       rows[inverses[ci][k]])
 
     def __eq__(self, other):
         if not isinstance(other, Walls):
             return NotImplemented
-        return self._columns() == other._columns()
+        return self._tables() == other._tables()
 
     def __hash__(self):
-        return hash(self._columns())
+        return hash(self._tables())
 
     def __repr__(self):
         return f"Walls({list(self)!r})"
@@ -206,7 +208,8 @@ def build_fan(rays, chambers, base, across=None):
     match).  A front-end's search knows it (`wall_crossing_search`);
     without one it is derived from which chambers own which facet, None
     marking a dangling face, and a face in more than two chambers is an
-    error.  A given table names a chamber across every wall.  Every entry
+    error.  A given table names a chamber across every wall; it is taken
+    over, each row replaced by its tuple once checked.  Every entry
     is checked: the neighbour has this chamber's rays with exactly the k-th
     one swapped, and the table is reciprocal; so every face of the table
     lies in two chambers, glued across it in pairs.  Each entry is checked
@@ -230,16 +233,11 @@ def build_fan(rays, chambers, base, across=None):
     row in the old one's place, and moving that one id to the new ray's
     place in increasing order gives the new chamber's inverse.  A non-unit
     pivot or determinant means a non-unimodular chamber;
-    NonUnimodularChamber names the lowest-index one.  Each wall's normal
-    comes from the side reached first, where the other side's free ray must
-    pair negatively with it (the same value c_k is the pivot), and is
-    negated when that side is the higher-index chamber.  The walls go into
-    the integer columns of `Walls` as the pass finds them, a normal as its
-    row id, and no wall's face is built: its sort key is the face's
-    increasing ray indices read as base-len(rays) digits, one integer
-    computed from the chamber's own, so faces of one length sort as their
-    tuples do (`Wall.face`).  The columns are sorted once, at the end, and
-    the normals taken from the row table in the order of their first wall.
+    NonUnimodularChamber names the lowest-index one.  Each wall is checked
+    from the side reached first, where the other side's free ray must pair
+    negatively with its row (the same value c_k is the pivot).  Each
+    chamber's inverse is kept as it leaves the queue; with the checked
+    table and the row table it is the `Walls` of the fan.
 
     Completeness is certified iff no face dangles and the test point
     y0 + eps e_1 + eps^2 e_2 + ... (y0 = `base_point`, eps > 0
@@ -309,6 +307,8 @@ def build_fan(rays, chambers, base, across=None):
         across, crowded = _facet_table(chambers)
     else:
         crowded = []
+        if type(across) is not list:
+            across = list(across)
         if len(across) != len(chambers):
             raise TiltfanError(
                 f"the neighbour table has {len(across)} rows for {len(chambers)} chambers")
@@ -319,22 +319,15 @@ def build_fan(rays, chambers, base, across=None):
 
     y0 = base_point(rays, chambers[base])
     covering = 0
-    # the columns of `Walls` in the order found, a wall's normal a row id; a
-    # wall's sort key is its face, the ray indices read as base-len(rays)
-    # digits, times a bound on the number of walls, plus its place
-    lower, higher, free_lower, free_higher, normal_index = [], [], [], [], []
-    sort_keys, overlaps = [], []
-    n_rays = len(rays)
-    power = [n_rays ** e for e in range(rank + 1)]
-    weights = power[:rank][::-1]
+    overlaps = []
     dangling = False
-    n_chambers = len(chambers)
-    bound = n_chambers * rank
+    n_rays, n_chambers = len(rays), len(chambers)
     reached = [False] * n_chambers
     proven = [0] * n_chambers  # bit m: across[ci][m] was checked from the other side
     # an inverse is a list of ids into `rows`; r ^ 1 negates row r
     rows, row_ids, holds = [], {}, []
     pairing, updates = {}, {}
+    inverses = [None] * n_chambers
 
     def row_id(row):
         r = row_ids.get(row)
@@ -364,9 +357,9 @@ def build_fan(rays, chambers, base, across=None):
         queue = deque([(start, [row_id(row) ^ (det < 0) for row in inv])])
         while queue:
             ci, inv = queue.popleft()
+            inverses[ci] = tuple(inv)
             covering += all(map(holds.__getitem__, inv))
             p, row, done = chambers[ci], across[ci], proven[ci]
-            key = sum(map(mul, p, weights))
             for k in range(rank):
                 if done >> k & 1:
                     continue
@@ -416,20 +409,8 @@ def build_fan(rays, chambers, base, across=None):
                     reached[j] = True
                 if c_k >= 0:
                     overlaps.append((p[:k] + p[k + 1:], (min(ci, j), max(ci, j))))
-                    continue
-                if ci < j:
-                    ca, cb, a, b, normal = ci, j, free_a, free_b, r_k
-                else:
-                    ca, cb, a, b, normal = j, ci, free_b, free_a, r_k ^ 1
-                lower.append(ca)
-                higher.append(cb)
-                free_lower.append(a)
-                free_higher.append(b)
-                normal_index.append(normal)
-                # the face drops digit k of the chamber, of weight low
-                low = power[rank - 1 - k]
-                sort_keys.append((key // power[rank - k] * low + key % low) * bound
-                                 + len(sort_keys))
+            # checked: the row is kept as a tuple in place of the caller's
+            across[ci] = tuple(row)
 
     incoherent = _sign_incoherence(rays, chambers, [rays[i] for i in chambers[base]])
     if incoherent:
@@ -442,23 +423,7 @@ def build_fan(rays, chambers, base, across=None):
         raise TiltfanError(min(problems)[1])
     if not dangling and covering != 1:
         raise TiltfanError(f"a generic point lies in {covering} chambers")
-
-    # faces of one length sort as their keys do; the sorted keys become the
-    # places in place, each column is rebuilt in that order as the one
-    # before it is let go, and the normals are renumbered in the order of
-    # their first wall
-    order = sort_keys
-    order.sort()
-    for t, x in enumerate(order):
-        order[t] = x % bound
-    lower = tuple(map(lower.__getitem__, order))
-    higher = tuple(map(higher.__getitem__, order))
-    free_lower = tuple(map(free_lower.__getitem__, order))
-    free_higher = tuple(map(free_higher.__getitem__, order))
-    renumber = {}
-    normal_index = tuple(renumber.setdefault(normal_index[w], len(renumber)) for w in order)
-    walls = Walls(lower, higher, free_lower, free_higher, normal_index,
-                  tuple(rows[v] for v in renumber))
+    walls = Walls(chambers, tuple(across), tuple(inverses), tuple(rows))
     return Fan(rank, rays, chambers, base, walls, UNKNOWN if dangling else CERTIFIED)
 
 
@@ -510,9 +475,10 @@ def fan_from_cones(cones, base_cone, across=None):
     `build_fan`, which rejects them; cones that leave a face dangling give
     a fan with status "unknown".  A base cone that is not one of the cones
     is a TiltfanError.  The ray-index tuples in the cones' order and the
-    re-index map are let go before `build_fan` runs, and it keeps the
-    canonical chamber tuple it is handed, so of the tables made here only
-    one chamber table and one neighbour table are alive while it runs.
+    re-index map are let go before `build_fan` runs, so of the tables made
+    here only one chamber table and one neighbour table are alive while it
+    runs, and both end in the Fan: `build_fan` keeps the canonical chamber
+    tuple it is handed and turns the table's rows into tuples in place.
     """
     cones = [tuple(c) for c in cones]
     rays = sorted(set().union(*cones))
@@ -697,24 +663,29 @@ def hasse_orient(fan):
     The normal is positive on the first chamber's free ray, so that chamber
     is on the base side iff the normal is >= 0 on the base chamber's rays,
     and the other one iff it is <= 0; if neither holds, the fan is not
-    ordered.  The test is made once per distinct normal.
+    ordered, and OrderViolation names the least such wall by face.  The
+    test is made once per row id.
     """
     require_certified(fan, "orientation")
+    walls = fan.walls
     base_rays = [fan.rays[i] for i in fan.chambers[fan.base]]
-    # 1: the first chamber is on the base side, -1: the second, 0: neither
+    # per row id, 1: a chamber with that row is on the base side, -1: the
+    # chamber across it is, 0: neither
     side = []
-    for normal in fan.walls.normals:
-        vals = [la.dot(normal, r) for r in base_rays]
+    for row in walls.rows:
+        vals = [la.dot(row, r) for r in base_rays]
         side.append(1 if min(vals) >= 0 else -1 if max(vals) <= 0 else 0)
-    arrows = []
-    for w, v in zip(fan.walls, fan.walls.normal_index):
-        ca, cb = w.chambers
-        if side[v] == 1:
+    arrows, split = [], []
+    for w, (ca, k, cb) in zip(walls, walls.positions()):
+        s = side[walls.inverses[ca][k]]
+        if s == 1:
             arrows.append((ca, cb, w))
-        elif side[v] == -1:
+        elif s == -1:
             arrows.append((cb, ca, w))
         else:
-            raise OrderViolation(w.face(fan.chambers))
+            split.append(w.face(fan.chambers))
+    if split:
+        raise OrderViolation(min(split))
     return HasseOrientation(tuple(arrows))
 
 

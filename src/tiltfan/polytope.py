@@ -4,13 +4,14 @@ g-polytope and its dual, reflexivity, the smooth-Fano test, the rank-2
 classification, and root polytopes: of types A and C and of the short
 roots, hulls of the roots of `weyl.root_system`.
 
-Every chamber inverse is read off the wall columns (`fan.Walls`): the normal
-of the wall of C opposite ray i, signed to be 1 on it, is row i of C's
-inverse ray matrix.  Their sum is v_C, with v_C . r = 1 on the rays of C.
-The fan polytope is convex iff v_C . r_b <= 1 across every wall, r_b the
-free ray of the chamber on the other side (Cox-Little-Schenck, Toric
-Varieties, 2011, section 6.1); `convexity_report` also gives each wall the
-paper's exchange-triangle class, which is its convexity test on g-fans."""
+Every chamber inverse is looked up in `fan.Walls`, which keeps it as ids
+into a table of rows: the normal of the wall of C opposite ray i, signed to
+be 1 on it, is row i of C's inverse ray matrix.  Their sum is v_C, with
+v_C . r = 1 on the rays of C.  The fan polytope is convex iff v_C . r_b <= 1
+across every wall, r_b the free ray of the chamber on the other side
+(Cox-Little-Schenck, Toric Varieties, 2011, section 6.1);
+`convexity_report` also gives each wall the paper's exchange-triangle
+class, which is its convexity test on g-fans."""
 
 from collections import namedtuple
 
@@ -136,9 +137,9 @@ def convexity_report(fan):
     exchange-triangle classification on g-fans, whose coefficients are
     >= 0; other fans can have NotPositive walls and still be convex.
     """
-    rows, walls = _inverse_rows(fan), fan.walls
-    classes = [_wall_class(fan, ca, a, b, rows[ca])
-               for ca, a, b in zip(walls.lower, walls.free_lower, walls.free_higher)]
+    rows, chambers, across = _inverse_rows(fan), fan.chambers, fan.walls.across
+    classes = [_wall_class(fan, ca, k, chambers[cb][across[cb].index(ca)], rows[ca])
+               for ca, k, cb in fan.walls.positions()]
     return ConvexityReport(all(s <= 2 for _wc, s in classes),
                            tuple(wc for wc, _s in classes))
 
@@ -151,25 +152,19 @@ def _inverse_rows(fan):
     normal and its negative are one tuple each, shared by every row that
     is theirs."""
     require_certified(fan, "convexity")
-    walls, chambers = fan.walls, fan.chambers
-    signed = [(normal, la.vneg(normal)) for normal in walls.normals]
-    rows = [[None] * len(c) for c in chambers]
-    for ca, cb, a, b, v in zip(walls.lower, walls.higher, walls.free_lower, walls.free_higher,
-                               walls.normal_index):
-        rows[ca][chambers[ca].index(a)], rows[cb][chambers[cb].index(b)] = signed[v]
-    return rows
+    rows = fan.walls.rows
+    return [tuple(map(rows.__getitem__, inv)) for inv in fan.walls.inverses]
 
 
-def _wall_class(fan, ca, free_a, free_b, rows):
-    """The WallClass of the wall of chamber ca opposite its ray free_a,
+def _wall_class(fan, ca, k, free_b, rows):
+    """The WallClass of the wall of chamber ca opposite its k-th ray free_a,
     free_b the ray across it, and the sum of its shared-ray coefficients;
     rows are ca's inverse rows (`_inverse_rows`).  The last of coeffs, at
     free_a, is 0: the normal is 1 on free_a and -1 on free_b."""
     chamber = fan.chambers[ca]
-    k = chamber.index(free_a)
     shared = chamber[:k] + chamber[k + 1:]
-    total = la.vadd(fan.rays[free_a], fan.rays[free_b])
-    coeffs = tuple(la.dot(row, total) for row in rows[:k] + rows[k + 1:] + [rows[k]])
+    total = la.vadd(fan.rays[chamber[k]], fan.rays[free_b])
+    coeffs = tuple(la.dot(row, total) for row in rows[:k] + rows[k + 1:] + (rows[k],))
     shared_part = coeffs[:-1]
     if any(c < 0 for c in shared_part):
         kind, data = NOT_POSITIVE, coeffs
@@ -189,24 +184,29 @@ def _polar_pair(fan):
 
     v_C = (M_C^T)^-1 1 is the sum of the rows of M_C^-1, the chamber's signed
     wall normals, so it is integral (reflexivity).  NotConvex is raised at
-    the first wall with v_C . r_b > 1, C its first chamber and r_b the
-    free ray of the other: the toric criterion of `convexity_report`.  The
-    g-polytope has the facets v_C . x <= 1 and as vertices the rays whose
-    incident v_C span the space; its dual has the two lists swapped.
+    the first wall with v_C . r_a > 1, C its second chamber and r_a the
+    free ray of the first, the same value as from the first side: the toric
+    criterion of `convexity_report`.  The g-polytope has the facets
+    v_C . x <= 1 and as vertices the rays whose incident v_C span the
+    space; its dual has the two lists swapped.
     """
     if fan.rank == 0:
         raise ValueError("a rank-0 fan has no polytope")
+    rays, chambers = fan.rays, fan.chambers
     per_chamber = tuple(tuple(map(sum, zip(*rows))) for rows in _inverse_rows(fan))
-    for ca, b in zip(fan.walls.lower, fan.walls.free_higher):
-        if la.dot(per_chamber[ca], fan.rays[b]) > 1:
+    for ca, k, cb in fan.walls.positions():
+        if la.dot(per_chamber[cb], rays[chambers[ca][k]]) > 1:
             raise NotConvex("fan polytope is not convex")
-    incident = [set() for _ in fan.rays]
-    for c, v in zip(fan.chambers, per_chamber):
-        for i in c:
-            incident[i].add(v)
-    vertices = tuple(sorted(r for r, vs in zip(fan.rays, incident)
-                            if la.rank(vs, fan.rank) == fan.rank))
     duals = tuple(sorted(set(per_chamber)))
+    # a ray's incident v_C, each as its place in `duals`
+    place = {v: t for t, v in enumerate(duals)}
+    incident = [set() for _ in rays]
+    for c, v in zip(chambers, per_chamber):
+        t = place[v]
+        for i in c:
+            incident[i].add(t)
+    vertices = tuple(sorted(r for r, ts in zip(rays, incident)
+                            if la.rank([duals[t] for t in ts], fan.rank) == fan.rank))
     g = LatticePolytope(vertices, tuple((v, 1) for v in duals))
     return g, LatticePolytope(duals, tuple((r, 1) for r in vertices)), per_chamber
 

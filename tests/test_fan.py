@@ -848,12 +848,16 @@ def _eliminating_build_fan(rays, chambers, base):
 
 
 def _reference_outcome(*args):
-    """_outcome of `_eliminating_build_fan`, an independent route."""
+    """_outcome of `_eliminating_build_fan`, an independent route, its walls
+    put in the order of `Walls`: by first chamber, then by the place of
+    free[0] in it."""
     try:
         fan = _eliminating_build_fan(*args)
     except TiltfanError as exc:
         return type(exc), str(exc)
-    return _parts(fan)
+    tables, walls, complete = _parts(fan)
+    walls.sort(key=lambda w: (w.chambers[0], fan.chambers[w.chambers[0]].index(w.free[0])))
+    return tables, walls, complete
 
 
 def _assert_pivots_match_elimination(rays, chambers, base):
@@ -902,24 +906,31 @@ STORED_FANS = sorted(path.name for path in FAN_FILES.glob("*.json"))
 
 @pytest.mark.parametrize("name", [*FRONT_END_FANS, *STORED_FANS])
 def test_the_wall_columns_read_as_the_walls_of_full_elimination(name):
-    """Read as `Wall`s, the columns of every front-end and stored fan are the
-    walls of `_eliminating_build_fan`, in its order: sorted by face.
-    `normals` holds each normal once, in the order of its first wall, so
-    a second build of the same tables is equal and hashes equal."""
+    """Read as `Wall`s, the tables of every front-end and stored fan give
+    the walls of `_eliminating_build_fan`: one per pair ci < across[ci][k],
+    in (ci, k) order, its normal row k of ci's inverse.  The tables are
+    tuples and a function of the fan, so a second build from the derived
+    table is equal and hashes equal."""
     if name in FRONT_END_FANS:
         fan = front_end_fan(name)
     else:
         fan = fan_from_json(json.loads((FAN_FILES / name).read_text()))
-    walls = list(fan.walls)
-    assert walls == list(_eliminating_build_fan(fan.rays, fan.chambers, fan.base).walls)
-    faces_in_order = [w.face(fan.chambers) for w in walls]
-    assert faces_in_order == sorted(faces_in_order)
-    assert list(fan.walls.normals) == list(dict.fromkeys(w.normal for w in walls))
-    views = fan.walls[0], fan.walls[-1], fan.walls[1:3]
-    assert views == (walls[0], walls[-1], tuple(walls[1:3]))
+    tables = fan.walls
+    walls = list(tables)
+    assert walls == _reference_outcome(fan.rays, fan.chambers, fan.base)[1]
+    assert len(tables) == len(walls) == fan.rank * len(fan.chambers) // 2
+    positions = [(ci, k, j) for ci, row in enumerate(tables.across)
+                 for k, j in enumerate(row) if ci < j]
+    assert list(tables.positions()) == positions
+    assert [w.normal for w in walls] == [tables.rows[tables.inverses[ci][k]]
+                                         for ci, k, _j in positions]
+    assert all(tables.inverses[j][tables.across[j].index(ci)] == tables.inverses[ci][k] ^ 1
+               for ci, k, j in positions)
+    assert tables.chambers is fan.chambers
     again = build_fan(fan.rays, fan.chambers, fan.base)
     assert (again, hash(again)) == (fan, hash(fan))
-    assert all(type(column) is tuple for column in again.walls._columns())
+    assert all(type(table) is tuple for table in again.walls._tables())
+    assert all(type(row) is tuple for row in again.walls.across + again.walls.inverses)
 
 
 def test_pivoted_inverses_match_full_elimination_on_broken_tables():
@@ -1123,7 +1134,8 @@ def _search_tables():
     original = fan_module.build_fan
 
     def capturing(rays, chambers, base, across=None):
-        captured.append((rays, chambers, base, across))
+        # a copy: build_fan turns the rows of the table it is given into tuples
+        captured.append((rays, chambers, base, [list(row) for row in across]))
         return original(rays, chambers, base, across)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1280,8 +1292,8 @@ def _records():
     report = polytope.convexity_report(fan)
     seed = cluster.initial_seed(B_A3)
     return [
-        *((w, ("chambers", "free", "normal")) for w in fan.walls[:3]),
-        (fan.walls, ("lower", "higher", "free_lower", "free_higher", "normal_index", "normals")),
+        *((w, ("chambers", "free", "normal")) for w in list(fan.walls)[:3]),
+        (fan.walls, ("chambers", "across", "inverses", "rows")),
         *((f, ("rank", "rays", "chambers", "base", "walls", "complete"))
           for f in (fan, pentagon(), exhausted.partial_fan)),
         (exhausted, ("frontier", "budget", "cones")),

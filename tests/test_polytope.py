@@ -9,6 +9,7 @@ from tiltfan import lattice as la
 from tiltfan.brauer import chambers_by_cliques
 from tiltfan.cli import kase_family_fan
 from tiltfan.cluster import enumerate_gfan
+from tiltfan.combinatorics import f_vector, h_vector
 from tiltfan.errors import NotConvex, NotRank2
 from tiltfan.fan import CERTIFIED, fan_from_cones
 from tiltfan.polytope import (
@@ -665,3 +666,47 @@ def test_g_convex_preprojective_types(name):
     else:
         with pytest.raises(NotConvex):
             g_polytope(fan)
+
+
+def _smooth_fano_or_none(fan):
+    """smooth_fano of the g-polytope, None when the fan polytope is not convex."""
+    try:
+        return smooth_fano(g_polytope(fan))
+    except NotConvex:
+        return None
+
+
+def test_the_smooth_fano_front_end_fans():
+    """Of the front-end fans, exactly the rank-1 and type-A2 ones have a
+    smooth Fano g-polytope.  arXiv 2203.15213 characterises the algebras
+    whose g-polytope is smooth Fano; this pins what the sweep finds, not
+    the theorem."""
+    smooth = [name for name in FRONT_END_FANS if _smooth_fano_or_none(front_end_fan(name))]
+    assert smooth == ["cluster A1", "cluster A2", "coxeter A1", "coxeter A2", "path 2"]
+
+
+def _block_diagonal(*blocks):
+    n = sum(map(len, blocks))
+    b, offset = [[0] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            b[offset + i][offset:offset + len(row)] = row
+        offset += len(block)
+    return tuple(map(tuple, b))
+
+
+@pytest.mark.parametrize("parts, chambers, h, smooth", [
+    ((1, 1, 1), 8, (1, 3, 3, 1), True),
+    ((2, 1), 10, (1, 4, 4, 1), True),
+    ((2, 2), 25, (1, 6, 11, 6, 1), True),
+    ((2, 2, 2), 125, (1, 9, 30, 45, 30, 9, 1), True),
+    ((3, 1), 28, (1, 7, 12, 7, 1), False),
+])
+def test_products_of_type_a_cluster_fans(parts, chambers, h, smooth):
+    """A block-diagonal exchange matrix gives the product fan: chambers and
+    h-vectors multiply, (1, 3, 1)^2 = (1, 6, 11, 6, 1) for A2 x A2.
+    Products of A1 and A2 have a smooth Fano g-polytope, A3 x A1 does not."""
+    fan = enumerate_gfan(_block_diagonal(*map(b_type_a, parts)))
+    assert (len(fan.chambers), fan.complete) == (chambers, CERTIFIED)
+    assert h_vector(f_vector(fan)) == h
+    assert _smooth_fano_or_none(fan) is smooth

@@ -363,15 +363,17 @@ def test_the_coxeter_fan_is_centrally_symmetric(name):
 
 @pytest.mark.parametrize("name", FINITE_TYPES)
 def test_the_wall_normals_are_the_positive_roots(name):
-    """Up to sign, the Coxeter fan's wall normals, read off its chamber
-    inverses, are exactly the positive roots of `root_system`, the orbit of
+    """Up to sign, the rows of the Coxeter fan's chamber inverses, its wall
+    normals, are exactly the positive roots of `root_system`, the orbit of
     the simple roots under the reflections: two routes that share only the
-    Cartan matrix.  `normals` holds each normal once, and every one of them
-    is some wall's."""
+    Cartan matrix.  The row table holds each normal and its negation once,
+    as ids 2t and 2t + 1, and every row is some chamber's."""
     walls = front_end_fan(f"coxeter {name}").walls
     roots, _short = root_system(FINITE_TYPES[name])
     positive = {r for r in roots if min(r) >= 0}
     assert len(positive) == len(roots) // 2
-    assert len(set(walls.normals)) == len(walls.normals)
-    assert set(walls.normal_index) == set(range(len(walls.normals)))
-    assert {v if min(v) >= 0 else la.vneg(v) for v in walls.normals} == positive
+    rows = walls.rows
+    assert len(set(rows)) == len(rows) == 2 * len(positive)
+    assert all(rows[t + 1] == la.vneg(rows[t]) for t in range(0, len(rows), 2))
+    assert set().union(*walls.inverses) == set(range(len(rows)))
+    assert {v if min(v) >= 0 else la.vneg(v) for v in rows} == positive
