@@ -228,7 +228,7 @@ def _cluster_a8_walls():
 
 def _weyl_a7_walls():
     """7 |W| / 2 for the elements of W(A7), enumerated without a fan."""
-    elements, _ = weyl_enumerate(cartan_preset("A", 7))
+    _rays, elements, _ = weyl_enumerate(cartan_preset("A", 7))
     assert len(elements) == 40320
     return 7 * len(elements) // 2
 
@@ -396,14 +396,17 @@ def test_every_ribbon_graph_class_with_5_edges():
 # -- the benchmark's oracle ----------------------------------------------------
 
 
+@pytest.mark.parametrize("trace", ["0", "1"])
 @pytest.mark.parametrize("workload", ["cluster", "coxeter", "brauer", "stored"])
-def test_benchmark_outputs_match_the_closed_forms(workload):
+def test_benchmark_outputs_match_the_closed_forms(workload, trace):
     """run.py exits 0 even when an output is wrong; the verdict is the
-    "correct" field of the JSON object on its last line."""
+    "correct" field of the JSON object on its last line.  With --trace 1
+    the tracer wraps the library's functions by name, so a renamed or
+    removed one fails here."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "1", "--trace", "0"],
+         "--seconds", "1", "--trace", trace],
         cwd=ROOT, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True, done.stdout

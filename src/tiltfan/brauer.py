@@ -18,8 +18,9 @@ from itertools import combinations, product
 from math import inf
 
 from . import lattice as la
-from .errors import Disconnected, TiltfanError, UnsupportedGraph, check_schema_version, reading
-from .fan import fan_from_cones, wall_crossing_search
+from .errors import (Disconnected, TiltfanError, UnsupportedGraph, check_schema_version,
+                     parse_array, reading)
+from .fan import fan_from_ids, wall_crossing_search
 
 TREE = "Tree"
 ODD_CYCLE = "OddCycle"
@@ -161,22 +162,16 @@ def _half_edge(h):
     return h
 
 
-def _array(value, what):
-    if not isinstance(value, list):
-        raise TypeError(f"{what} must be an array, got {value!r}")
-    return value
-
-
 def graph_from_json(data):
     with reading("not a Brauer graph"):
         if not isinstance(data, dict):
             raise TypeError("expected a JSON object")
         check_schema_version(data)
-        half_edges = [_half_edge(h) for h in _array(data["half_edges"], "half_edges")]
+        half_edges = [_half_edge(h) for h in parse_array(data["half_edges"], "half_edges")]
         # each half-edge in exactly one non-empty cycle and one pair
         sigma = {}
-        for cyc in _array(data["sigma"], "sigma"):
-            cyc = [_half_edge(h) for h in _array(cyc, "a sigma cycle")]
+        for cyc in parse_array(data["sigma"], "sigma"):
+            cyc = [_half_edge(h) for h in parse_array(cyc, "a sigma cycle")]
             if not cyc:
                 raise ValueError("sigma has an empty cycle")
             for i, h in enumerate(cyc):
@@ -184,8 +179,8 @@ def graph_from_json(data):
                     raise ValueError(f"half-edge {h!r} appears twice in sigma")
                 sigma[h] = cyc[(i + 1) % len(cyc)]
         bar = {}
-        for pair in _array(data["bar"], "bar"):
-            a, b = _array(pair, "a bar pair")
+        for pair in parse_array(data["bar"], "bar"):
+            a, b = parse_array(pair, "a bar pair")
             a, b = _half_edge(a), _half_edge(b)
             for h in (a, b):
                 if h in bar:
@@ -409,8 +404,9 @@ def chambers_by_cliques(graph):
     other.  That holds for every chamber found if it holds for the start,
     the unit walks, so their n(n-1)/2 pairs are checked first
     (AssertionError if one is refused).
-    The search's neighbour table goes to `build_fan` as it is: each chamber
-    keeps its walks' classes in the order of its walk indices.
+    The search interns the walk indices as ray ids, and `fan_from_ids`
+    builds the fan from its chambers and neighbour table as they are, with
+    the class vectors of the search's table of walks as the rays.
     The name, from an earlier clique search, stays for its callers (the
     benchmark tracer among them).
     """
@@ -438,8 +434,8 @@ def chambers_by_cliques(graph):
     for a, b in combinations(start, 2):
         if not adj[a] >> b & 1:
             raise AssertionError(f"start walks {a} and {b} are not admissible with each other")
-    chambers, across = wall_crossing_search(start, exchange, inf)
-    return fan_from_cones([[rays[i] for i in c] for c in chambers], la.identity(n), across=across)
+    table, chambers, across = wall_crossing_search(start, exchange, inf)
+    return fan_from_ids([rays[i] for i in table], chambers, across)
 
 
 class RootMap(namedtuple("RootMap", "edge_images n_vertices")):

@@ -11,7 +11,7 @@ import sys
 
 from . import brauer, cluster, combinatorics, polytope, weyl
 from .errors import (NotConvex, NotRank2, ParseError, TiltfanError, check_schema_version,
-                     parse_int, reading)
+                     parse_array, parse_int, reading)
 from .fan import (
     BudgetExhausted,
     fan_from_json,
@@ -165,7 +165,8 @@ def cmd_cluster(args):
         raise ParseError(f'{args.matrix} has no "B" key')
     check_schema_version(data)
     with reading(f"{args.matrix} is not an exchange matrix"):
-        b = tuple(tuple(map(parse_int, row)) for row in data["B"])
+        b = tuple(tuple(map(parse_int, parse_array(row, "a row of B")))
+                  for row in parse_array(data["B"], "B"))
         if parse_int(data.get("n", len(b))) != len(b):
             raise ValueError(f'"n" is {data["n"]}, but B has {len(b)} rows')
     result = cluster.enumerate_gfan(b, budget=args.budget)

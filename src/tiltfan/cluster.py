@@ -18,7 +18,7 @@ from .errors import NotSkewSymmetric, SignIncoherence
 from .fan import (  # noqa: F401 (build_fan is re-exported)
     BudgetExhausted,
     build_fan,
-    fan_from_cones,
+    fan_from_ids,
     wall_crossing_search,
 )
 
@@ -128,12 +128,12 @@ def enumerate_gfan(b, budget=100_000):
     mutated from its parent's, with no g-matrix.  Directions are explored
     in increasing order with a FIFO frontier, which makes the enumeration
     deterministic.
-    The search's neighbour table goes to `build_fan` with the chambers.
+    The search's ray table, chambers as ray ids and neighbour table go to
+    `fan_from_ids`, so no g-vector is hashed again.
     """
     seed0 = initial_seed(b)
     result = wall_crossing_search(la.transpose(seed0.g), _exchanged_g, budget, (seed0.b, seed0.c),
                                   lambda state, _rays, k: _mutated_state(state, k))
     if isinstance(result, BudgetExhausted):
         return result
-    chambers, across = result
-    return fan_from_cones(chambers, chambers[0], across=across)
+    return fan_from_ids(*result)

@@ -121,3 +121,11 @@ def parse_int(x):
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"expected an integer, got {x!r}")
     return x
+
+
+def parse_array(value, what):
+    """value if it is a JSON array; TypeError naming `what` for anything
+    else (for use inside `reading`)."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be an array, got {value!r}")
+    return value

@@ -19,18 +19,23 @@ budget, is "unknown"; there is no third status.  A rank-n fan has n
 neighbour table and the chamber inverses that `build_fan` checked, which
 are the walls and their normals, and gives one `Wall` at a time on demand.
 
-Every Fan is made by `build_fan`; `fan_from_cones` builds the canonical ray
-and chamber tables from chambers given as sequences of ray vectors.  The
-cluster, Weyl and Brauer front-ends find their chambers with one search,
-`wall_crossing_search`: each chamber of a g-fan has exactly one neighbour
-across each wall (mutation of 2-term silting complexes), so a front-end
-only says which ray replaces the one opposite a wall, and the search hands
-back which chamber lies across every wall.  Mutation is an involution, so
-the search crosses each wall once, from the side that reaches it first,
-and that crossing fills the table on both sides.  The neighbour table
-goes with the chambers to `build_fan`, which checks it instead of finding
-adjacency again; a fan read from a file, a partial fan or a reduction has
-its table derived from the chambers' facets.
+Every Fan is made by `build_fan`; `fan_from_ids` builds the canonical ray
+and chamber tables from chambers given as ids into a ray table, and
+`fan_from_cones`, for chambers given as sequences of ray vectors, interns
+their rays and calls it.  The cluster, Weyl and Brauer front-ends find
+their chambers with one search, `wall_crossing_search`: each chamber of a
+g-fan has exactly one neighbour across each wall (mutation of 2-term
+silting complexes), so a front-end only says which ray replaces the one
+opposite a wall, and the search hands back which chamber lies across every
+wall.  The search interns each ray once and keys a chamber by the bitmask
+of its ray ids, so a crossing hashes only the ray the exchange returns,
+and its ray table, chambers and neighbour table go to `fan_from_ids` as
+they are, with no chamber's vectors hashed again.  Mutation is an
+involution, so the search crosses each wall once, from the side that
+reaches it first, and that crossing fills the table on both sides.  The
+neighbour table goes with the chambers to `build_fan`, which checks it
+instead of finding adjacency again; a fan read from a file, a partial fan
+or a reduction has its table derived from the chambers' facets.
 """
 
 from collections import deque, namedtuple
@@ -48,6 +53,7 @@ from .errors import (
     ParseError,
     SignCoherenceViolation,
     check_schema_version,
+    parse_array,
     parse_int,
     reading,
 )
@@ -163,7 +169,8 @@ class BudgetExhausted:
     so a caller that does not ask for it does not pay for it.  Unlike a Fan
     it has no `chambers`, so `hasattr(result, "chambers")` tells the two
     outcomes apart, and it is not a tuple, unlike a closed search's
-    (chambers, across).  Immutable; it compares and hashes by identity.
+    (rays, chambers, across).  The search builds `cones` from its ray ids
+    once, when it stops.  Immutable; it compares and hashes by identity.
     """
 
     def __init__(self, frontier, budget, cones):
@@ -200,11 +207,11 @@ def build_fan(rays, chambers, base, across=None):
     Each chamber is taken as the set of its ray indices and kept as their
     tuple in increasing order; a repeated index collapses, and the chamber
     is then refused for having too few rays.  A tuple of chambers that are
-    all in that form already, as `fan_from_cones` passes them, is kept as
+    all in that form already, as `fan_from_ids` passes them, is kept as
     it is, not copied.  Adjacency is a neighbour
     table: across[ci][k] is the chamber on the other side of the facet of
     chamber ci opposite its k-th smallest ray index, whatever order the
-    caller listed the rays in (`fan_from_cones` permutes a search's rows to
+    caller listed the rays in (`fan_from_ids` permutes a search's rows to
     match).  A front-end's search knows it (`wall_crossing_search`);
     without one it is derived from which chambers own which facet, None
     marking a dangling face, and a face in more than two chambers is an
@@ -465,41 +472,65 @@ def fan_from_cones(cones, base_cone, across=None):
     """The Fan whose chambers are the given cones, each a sequence of ray
     vectors (tuples of integers), with base chamber base_cone.
 
-    The ray table is sorted and the chambers are sorted by their ray
-    indices, as in `fan_to_json`, so the result does not depend on the
-    order of the cones or of the rays inside them.  `across`, a search's
-    neighbour table over the cones as given (see `build_fan`), is
-    re-indexed to that chamber order, and each row is permuted to match
-    its chamber's ray indices in increasing order, the order in which
-    `build_fan` reads every row.  Equal cones are passed on to
-    `build_fan`, which rejects them; cones that leave a face dangling give
-    a fan with status "unknown".  A base cone that is not one of the cones
-    is a TiltfanError.  The ray-index tuples in the cones' order and the
-    re-index map are let go before `build_fan` runs, so of the tables made
-    here only one chamber table and one neighbour table are alive while it
-    runs, and both end in the Fan: `build_fan` keeps the canonical chamber
-    tuple it is handed and turns the table's rows into tuples in place.
+    Interns each ray once and hands the ids to `fan_from_ids`, which makes
+    the result independent of the order of the cones and of the rays
+    inside them.  `across`, a search's neighbour table over the cones as
+    given, is read against each cone's rays in the order given (see
+    `fan_from_ids`).  Equal cones are passed on to `build_fan`, which
+    rejects them; cones that leave a face dangling give a fan with status
+    "unknown".  A base cone that is not one of the cones is a TiltfanError.
     """
     cones = [tuple(c) for c in cones]
-    rays = sorted(set().union(*cones))
-    ray_index = {r: i for i, r in enumerate(rays)}
-    ids = [tuple(ray_index[r] for r in c) for c in cones]
+    ray_ids = {}
+    for r in chain.from_iterable(cones):
+        ray_ids.setdefault(r, len(ray_ids))
+    ids = [tuple(map(ray_ids.__getitem__, c)) for c in cones]
+    try:
+        key = sorted({ray_ids[r] for r in base_cone})
+        base = next(ci for ci, c in enumerate(ids) if sorted(c) == key)
+    except (KeyError, StopIteration):
+        raise TiltfanError(f"the base cone {tuple(base_cone)} is not one of the cones") from None
+    return fan_from_ids(list(ray_ids), ids, across, base)
+
+
+def fan_from_ids(rays, chambers, across=None, base=0):
+    """The Fan of chambers given as tuples of ids into the ray table `rays`
+    (distinct rays), in any order, with chamber `base` as its base: a
+    closed `wall_crossing_search` returns the first three arguments, and
+    its start, chamber 0, is the base.
+
+    The ray table is sorted and renumbered, one list lookup per id, and the
+    chambers are sorted by their ray indices, as in `fan_to_json`, so the
+    result does not depend on the order of the chambers or of the ids
+    inside them.  `across`, a search's neighbour table over the chambers as
+    given, across[i][k] opposite the k-th id of chamber i (see
+    `build_fan`), is re-indexed to that chamber order, and each row is
+    permuted to match its chamber's ray indices in increasing order, the
+    order in which `build_fan` reads every row.  The renumbered chambers in
+    the given order and the re-index map are let go before `build_fan`
+    runs, so of the tables made here only one chamber table and one
+    neighbour table are alive while it runs, and both end in the Fan:
+    `build_fan` keeps the canonical chamber tuple it is handed and turns
+    the table's rows into tuples in place.
+    """
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    new_id = [0] * len(rays)
+    for new, old in enumerate(order):
+        new_id[old] = new
+    rays = [rays[i] for i in order]
+    ids = [tuple(map(new_id.__getitem__, c)) for c in chambers]
     keys = [tuple(sorted(c)) for c in ids]
     order = sorted(range(len(ids)), key=keys.__getitem__)
-    chambers = tuple(keys[ci] for ci in order)
-    try:
-        base = chambers.index(tuple(sorted({ray_index[r] for r in base_cone})))
-    except (KeyError, ValueError):
-        raise TiltfanError(f"the base cone {tuple(base_cone)} is not one of the cones") from None
+    new_of_old = [0] * len(order)
+    for new, old in enumerate(order):
+        new_of_old[old] = new
+    base = new_of_old[base]
     if across is not None:
-        new_of_old = [0] * len(order)
-        for new, old in enumerate(order):
-            new_of_old[old] = new
         across = [[new_of_old[across[old][ids[old].index(i)]] for i in keys[old]]
                   for old in order]
-        del new_of_old
+    chambers = tuple(keys[ci] for ci in order)
     # only the canonical tables go on: build_fan keeps `chambers` as it is
-    del cones, ray_index, ids, keys, order
+    del new_id, ids, keys, order, new_of_old
     return build_fan(rays, chambers, base, across)
 
 
@@ -546,8 +577,14 @@ def wall_crossing_search(rays, exchange, budget, state=None, cross=None):
     place k.  A front-end may carry a state per chamber: `cross(state, new,
     k)` is the state of the chamber `new` across wall k, built only for a
     new chamber; without `cross` every chamber shares the start's state.
-    Chambers are deduplicated by their ray sets, and walls are crossed in
-    increasing order with a FIFO queue, so the search is deterministic.
+    Each ray is interned the first time it appears, as an id into the ray
+    table, and a chamber is keyed by the int bitmask of its ray ids, so a
+    crossing that swaps id a for id b turns the key into
+    key ^ (1 << a) | (1 << b) with no hashing of vectors.  An exchange that
+    returns a ray of the chamber it crosses from, the one it replaces or
+    another, is refused there (TiltfanError naming the chamber and the
+    wall).  Walls are crossed in increasing order with a FIFO queue, so
+    the search is deterministic.
 
     Each wall is crossed once.  `exchange` must be an involution (an almost
     complete 2-term silting complex has exactly two completions), so the
@@ -559,46 +596,61 @@ def wall_crossing_search(rays, exchange, budget, state=None, cross=None):
     an involution finds a chamber whose reverse entry names another, that
     entry stays, and `build_fan` refuses the table as not reciprocal.
 
-    Returns (chambers, across) once every wall has an entry: the chambers
-    in the order found, the start first, and the neighbour table,
+    Returns (rays, chambers, across) once every wall has an entry: the ray
+    table, each ray once, by id in the order met (the start's rays are ids
+    0..n-1); the chambers in the order found, the start first, each the
+    tuple of its ray ids in wall order; and the neighbour table,
     across[i][k] the index of the chamber across wall k of chamber i.
-    When a new chamber would exceed `budget` it returns BudgetExhausted
-    instead, which holds the chambers found; `frontier` counts the
-    chambers not yet expanded, the one under expansion included.
+    `fan_from_ids` turns the three into a Fan.  When a new chamber would
+    exceed `budget` it returns BudgetExhausted instead, which holds the
+    chambers found as tuples of rays; `frontier` counts the chambers not
+    yet expanded, the one under expansion included.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rays = tuple(rays)
     n = len(rays)
-    found = {tuple(sorted(rays)): 0}
-    chambers, across = [rays], [[None] * n]
-    queue = deque([(rays, state, 0)])
+    table = list(rays)
+    ray_ids = {r: t for t, r in enumerate(table)}
+    start = tuple(range(n))
+    key = (1 << n) - 1
+    found = {key: 0}
+    chambers, across = [start], [[None] * n]
+    queue = deque([(rays, key, state, 0)])
     while queue:
-        rays, state, i = queue.popleft()
-        row = across[i]
+        rays, key, state, i = queue.popleft()
+        ids, row = chambers[i], across[i]
         for k in range(n):
             if row[k] is not None:
                 continue
             ray = exchange(state, rays, k)
-            new = rays[:k] + (ray,) + rays[k + 1:]
-            key = tuple(sorted(new))
-            j = found.get(key)
+            t = ray_ids.get(ray)
+            if t is None:
+                t = ray_ids[ray] = len(table)
+                table.append(ray)
+            elif key >> t & 1:
+                raise TiltfanError(f"the exchange across wall {k} of chamber {i} "
+                                   f"returns its ray {ray!r}")
+            new_key = key ^ (1 << ids[k]) | (1 << t)
+            j = found.get(new_key)
             if j is None:
                 if len(chambers) >= budget:
                     # the chamber under expansion has walls not yet crossed too
-                    return BudgetExhausted(len(queue) + 1, budget, tuple(chambers))
-                j = found[key] = len(chambers)
-                chambers.append(new)
+                    cones = tuple(tuple(map(table.__getitem__, c)) for c in chambers)
+                    return BudgetExhausted(len(queue) + 1, budget, cones)
+                j = found[new_key] = len(chambers)
+                new = rays[:k] + (ray,) + rays[k + 1:]
+                chambers.append(ids[:k] + (t,) + ids[k + 1:])
                 across.append([None] * n)
                 across[j][k] = i
-                queue.append((new, cross(state, new, k) if cross else state, j))
+                queue.append((new, new_key, cross(state, new, k) if cross else state, j))
             else:
                 back = across[j]
-                m = chambers[j].index(ray)
+                m = chambers[j].index(t)
                 if back[m] is None:
                     back[m] = i
             row[k] = j
-    return chambers, across
+    return table, chambers, across
 
 
 def base_point(rays, chamber):
@@ -799,8 +851,10 @@ def fan_from_json(data):
         raise ParseError("not a fan: expected an object with rays, chambers and base")
     check_schema_version(data)
     with reading("not a fan"):
-        rays = [tuple(map(parse_int, r)) for r in data["rays"]]
-        chambers = [tuple(map(parse_int, c)) for c in data["chambers"]]
+        rays = [tuple(map(parse_int, parse_array(r, "a ray")))
+                for r in parse_array(data["rays"], "rays")]
+        chambers = [tuple(map(parse_int, parse_array(c, "a chamber")))
+                    for c in parse_array(data["chambers"], "chambers")]
         base = parse_int(data["base"])
         rank = parse_int(data["rank"]) if "rank" in data else None
     fan = build_fan(rays, chambers, base)

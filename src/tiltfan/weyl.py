@@ -12,21 +12,23 @@ w s_k, and (M_w s_k)^{-1} = s_k M_w^{-1} changes only row k, to
 r_k' = -r_k - sum_{j != k} c_kj r_j, with c_kj read from row k of C (the
 transpose would give the dual type).  A Cartan row has few nonzero entries
 off the diagonal (at most three in finite type), so the search is handed
-them once per enumeration, and each crossing sums over those alone.  Each
-element is its tuple of rays in generator order; the descents are read off
-its columns in one pass.  The functions that need the whole group accept
-an already enumerated element list with the search's neighbour table, so
-one enumeration can serve a fan and its descents; without one they check
-finiteness before they enumerate.  The roots need no group: finiteness is
-read off the Cartan data.
+them once per enumeration, and each crossing sums over those alone.  The
+search interns each ray once: an element is the tuple of its ray ids in
+generator order, into a table of the distinct rays.  The descents are read
+off one bitmask of positive coordinates per ray.  The functions that need
+the whole group accept an already finished enumeration (ray table,
+elements, neighbour table), so one enumeration can serve a fan and its
+descents; without one they check finiteness before they enumerate.  The
+roots need no group: finiteness is read off the Cartan data.
 """
 
 from collections import namedtuple
 from math import inf, lcm
 
 from . import lattice as la
-from .errors import NotFiniteType, TiltfanError, check_schema_version, parse_int, reading
-from .fan import BudgetExhausted, fan_from_cones, wall_crossing_search
+from .errors import (NotFiniteType, TiltfanError, check_schema_version, parse_array,
+                     parse_int, reading)
+from .fan import BudgetExhausted, fan_from_ids, wall_crossing_search
 
 
 class CartanData(namedtuple("CartanData", "c d")):
@@ -100,8 +102,9 @@ def cartan_from_json(data):
             if "C" in data or "D" in data:
                 raise ValueError('give either "type" and "n" or "C" and "D", not both')
             return cartan_preset(data["type"], parse_int(data["n"]))
-        c = tuple(tuple(map(parse_int, row)) for row in data["C"])
-        return CartanData(c, tuple(map(parse_int, data["D"])))
+        c = tuple(tuple(map(parse_int, parse_array(row, "a row of C")))
+                  for row in parse_array(data["C"], "C"))
+        return CartanData(c, tuple(map(parse_int, parse_array(data["D"], "D"))))
 
 
 def _crossed_ray(terms, rays, k):
@@ -114,10 +117,11 @@ def _crossed_ray(terms, rays, k):
 
 
 def weyl_enumerate(cartan, budget=2_000_000):
-    """(elements, across): every element w as the rows of M_w^-1, its
-    chamber's rays in generator order, found by crossing walls from the
-    identity in breadth-first order, and the search's neighbour table
-    (across[i][k] is the index of w_i s_k).
+    """(rays, elements, across): every element w as the rows of M_w^-1, its
+    chamber's rays in generator order, held as ids into the ray table
+    `rays`, found by crossing walls from the identity in breadth-first
+    order, and the search's neighbour table (across[i][k] is the index of
+    w_i s_k).
 
     Returns BudgetExhausted, with the partial fan of the chambers found,
     when the group fails to close within the budget (non-finite type).
@@ -142,11 +146,11 @@ def _finite_elements(cartan, elements):
 def coxeter_fan(cartan, elements=None):
     """Fan of Weyl chambers in dominant-weight coordinates; |W| chambers.
 
-    `elements` is the output of `weyl_enumerate`, whose neighbour table goes
-    to `build_fan`; without it the group is enumerated here.
+    `elements` is the output of `weyl_enumerate`, whose ray table, elements
+    and neighbour table go to `fan_from_ids`; without it the group is
+    enumerated here.
     """
-    elements, across = _finite_elements(cartan, elements)
-    return fan_from_cones(elements, la.identity(cartan.n), across=across)
+    return fan_from_ids(*_finite_elements(cartan, elements))
 
 
 def require_finite_type(cartan):
@@ -190,12 +194,19 @@ def root_system(cartan):
 def descent_histogram(cartan, elements=None):
     """W-Eulerian numbers: counts of elements by number of left descents.
 
-    s_i is a descent of w iff w^{-1}(alpha_i) is a negative root.
+    s_i is a descent of w iff w^{-1}(alpha_i) is a negative root, that is
+    iff no ray of w's chamber (row of M_w^-1) has a positive coordinate i.
+    Each ray's positive coordinates are one bitmask, so the number of
+    descents of w is n minus the popcount of the OR of its rays' masks.
     `elements` is the output of `weyl_enumerate`, as for `coxeter_fan`.
     """
-    elements, _across = _finite_elements(cartan, elements)
+    rays, elements, _across = _finite_elements(cartan, elements)
     n = cartan.n
+    positive = [sum(1 << i for i, x in enumerate(r) if x > 0) for r in rays]
     hist = [0] * (n + 1)
     for w in elements:
-        hist[sum(max(col) <= 0 for col in zip(*w))] += 1
+        mask = 0
+        for t in w:
+            mask |= positive[t]
+        hist[n - mask.bit_count()] += 1
     return tuple(hist)

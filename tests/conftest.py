@@ -8,6 +8,7 @@ import pytest
 from tiltfan import lattice as la
 from tiltfan.brauer import BrauerGraph, chambers_by_cliques
 from tiltfan.cluster import enumerate_gfan
+from tiltfan.fan import BudgetExhausted
 from tiltfan.weyl import CartanData, cartan_preset, coxeter_fan
 
 
@@ -97,6 +98,16 @@ def cones(fan, sign=1):
     """The chambers of a fan as a set, each the sorted tuple of its rays
     multiplied by sign: the fan whatever the order of its tables."""
     return {tuple(sorted(tuple(sign * x for x in fan.rays[i]) for i in c)) for c in fan.chambers}
+
+
+def vector_chambers(search):
+    """A closed `wall_crossing_search` result (rays, chambers, across) as
+    (chambers, across), each chamber read through the ray table as the
+    tuple of its rays in wall order; a BudgetExhausted passes through."""
+    if isinstance(search, BudgetExhausted):
+        return search
+    rays, chambers, across = search
+    return [tuple(rays[t] for t in c) for c in chambers], across
 
 
 def negated(m):

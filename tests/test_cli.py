@@ -288,6 +288,32 @@ def test_every_input_file_is_checked_for_its_schema(command, flag, document, mes
     assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
 
 
+@pytest.mark.parametrize("command, flag, document, message", [
+    ("fan", "--input", {"rays": [1, 0], "chambers": [[0]], "base": 0},
+     "not a fan: a ray must be an array, got 1"),
+    ("fan", "--input", dict(PENTAGON, rays=7), "not a fan: rays must be an array, got 7"),
+    ("fan", "--input", dict(PENTAGON, chambers=[[0, 1], 3]),
+     "not a fan: a chamber must be an array, got 3"),
+    ("fan", "--input", dict(PENTAGON, chambers="01"),
+     "not a fan: chambers must be an array, got '01'"),
+    ("cluster", "--matrix", {"B": 0}, "{path} is not an exchange matrix: B must be an array, got 0"),
+    ("cluster", "--matrix", {"B": [[0, 1], "10"]},
+     "{path} is not an exchange matrix: a row of B must be an array, got '10'"),
+    ("weyl", "--cartan", dict(A2_CARTAN, C=2), "not Cartan data: C must be an array, got 2"),
+    ("weyl", "--cartan", dict(A2_CARTAN, C=[[2, -1], -1]),
+     "not Cartan data: a row of C must be an array, got -1"),
+    ("weyl", "--cartan", dict(A2_CARTAN, D={"1": 1}),
+     "not Cartan data: D must be an array, got {{'1': 1}}"),
+], ids=["a ray", "rays", "a chamber", "chambers", "B", "a row of B", "C", "a row of C", "D"])
+def test_a_field_that_is_not_an_array_is_named(command, flag, document, message, tmp_path,
+                                               capsys):
+    """Rays, chambers, the rows of B and C, and D are read as arrays: any
+    other value is refused in one line that names the field."""
+    path = write(tmp_path, "input.json", document)
+    assert main([command, flag, path]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -54,6 +54,7 @@ from conftest import (
     odd_cycle_5,
     path_tree,
     star_tree,
+    vector_chambers,
 )
 
 FAN_FILES = Path(__file__).resolve().parent.parent / "benchmarks" / "fans"
@@ -561,7 +562,7 @@ CANONICAL_SOURCES = {
 @pytest.mark.parametrize("name", CANONICAL_SOURCES)
 def test_every_front_end_returns_the_canonical_form(name):
     """fan_from_json(fan_to_json(f)) == f: every front-end builds its fan
-    through fan_from_cones, whose tables are already the canonical ones."""
+    through fan_from_ids, whose tables are already the canonical ones."""
     fan = CANONICAL_SOURCES[name]()
     again = fan_from_json(fan_to_json(fan))
     assert again == fan
@@ -606,7 +607,9 @@ def _crossing_every_wall(rays, exchange, budget, state=None, cross=None):
 def paired_searches(monkeypatch):
     """Every front-end search also runs the reference search on the same
     arguments; the list collects (search result, reference result, the
-    search's exchange calls)."""
+    search's exchange calls), a closed search's chambers read as rays
+    through its ray table, which holds each ray once and has every id in
+    some chamber."""
     from tiltfan import brauer, cluster, weyl
 
     triples = []
@@ -619,7 +622,12 @@ def paired_searches(monkeypatch):
             return exchange(state, chamber, k)
 
         got = fan_module.wall_crossing_search(rays, counted, *args, **kwargs)
-        triples.append((got, _crossing_every_wall(rays, exchange, *args, **kwargs), len(calls)))
+        if not isinstance(got, fan_module.BudgetExhausted):
+            table, chambers, _ = got
+            assert len(set(table)) == len(table)
+            assert set(chain.from_iterable(chambers)) == set(range(len(table)))
+        triples.append((vector_chambers(got), _crossing_every_wall(rays, exchange, *args, **kwargs),
+                        len(calls)))
         return got
 
     for module in (cluster, weyl, brauer):
@@ -639,6 +647,15 @@ def test_search_skipping_the_arrival_wall_finds_the_same_chambers(name, paired_s
     [(got, ref, exchanges)] = paired_searches
     assert len(got[0]) > 1 and got == ref
     assert exchanges == len(fan.walls)
+
+
+def test_the_compared_searches_reach_past_64_rays(paired_searches):
+    """A chamber's key is the bitmask of its ray ids, a Python int of any
+    width: the comparison covers Brauer odd 6, whose 72 rays take ids past
+    63."""
+    fan = FRONT_END_FANS["odd 6"]()
+    [(got, ref, _)] = paired_searches
+    assert len(fan.rays) == 72 and got == ref
 
 
 def test_search_skipping_the_arrival_wall_exhausts_budgets_the_same(paired_searches):
@@ -685,13 +702,31 @@ def test_an_exchange_that_is_not_an_involution_gives_a_refused_table():
         calls.append(k)
         return NOT_AN_INVOLUTION[rays[1 - k]][rays[k]]
 
-    chambers, across = fan_module.wall_crossing_search([E1, E2], exchange, 100)
+    chambers, across = vector_chambers(fan_module.wall_crossing_search([E1, E2], exchange, 100))
     assert chambers == [(E1, E2), (E1_NEG, E2), (E1, E2_NEG), (E1_NEG, E2_NEG),
                         (E12, E2_NEG), (E12, E2)]
     assert across == [[1, 2], [0, 3], [4, 0], [2, 1], [2, 5], [0, 4]]
     assert len(calls) == 12 - 5  # every entry but the 5 walls that new chambers came through
     with pytest.raises(TiltfanError, match=r"^the neighbour table is not reciprocal: "):
         fan_from_cones(chambers, chambers[0], across=across)
+
+
+@pytest.mark.parametrize("returned, ray", [(1, r"\(0, 1\)"), (0, r"\(-1, 0\)")],
+                         ids=["the ray it replaces", "another ray of the chamber"])
+def test_an_exchange_that_returns_a_ray_of_the_chamber_is_refused(returned, ray):
+    """On the coordinate fan of rank 2, crossing wall 1 of chamber 1,
+    (-e1, e2), returns e2, the ray it replaces, or -e1, the other one.
+    Either would key a chamber by one ray id, where distinct degenerate
+    chambers could merge, so the search refuses it at that crossing."""
+
+    def exchange(_, rays, k):
+        if rays == (E1_NEG, E2) and k == 1:
+            return rays[returned]
+        return la.vneg(rays[k])
+
+    with pytest.raises(TiltfanError, match=rf"^the exchange across wall 1 of chamber 1 "
+                                           rf"returns its ray {ray}$"):
+        fan_module.wall_crossing_search([E1, E2], exchange, 100)
 
 
 ORDER_FANS = [

@@ -18,7 +18,7 @@ from tiltfan.weyl import (
     weyl_enumerate,
 )
 
-from conftest import FINITE_TYPES, cones, front_end_fan
+from conftest import FINITE_TYPES, cones, front_end_fan, vector_chambers
 
 A_TILDE_1 = CartanData(((2, -2), (-2, 2)), (1, 1))
 A_TILDE_2 = CartanData(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (1, 1, 1))
@@ -84,7 +84,7 @@ def reference_descents(cartan, reference):
 def test_wall_crossing_matches_the_matrix_search(cd):
     reference = reference_enumerate(cd)
     # the same chambers in the same order: the chamber of w is M_w^-1 by rows
-    assert weyl_enumerate(cd)[0] == [inv for _m, _word, inv in reference]
+    assert vector_chambers(weyl_enumerate(cd))[0] == [inv for _m, _word, inv in reference]
     expected = fan_from_cones([inv for _m, _w, inv in reference], la.identity(cd.n))
     assert fan_to_json(coxeter_fan(cd)) == fan_to_json(expected)
     assert descent_histogram(cd) == reference_descents(cd, reference)
@@ -122,12 +122,13 @@ def test_preset_b2():
 
 
 def test_enumeration_counts():
-    assert len(weyl_enumerate(cartan_preset("A", 2))[0]) == 6
-    assert len(weyl_enumerate(cartan_preset("B", 2))[0]) == 8
+    assert len(vector_chambers(weyl_enumerate(cartan_preset("A", 2)))[0]) == 6
+    assert len(vector_chambers(weyl_enumerate(cartan_preset("B", 2)))[0]) == 8
     for n in (1, 2, 3, 4):
-        assert len(weyl_enumerate(cartan_preset("A", n))[0]) == _factorial(n + 1)
+        assert len(vector_chambers(weyl_enumerate(cartan_preset("A", n)))[0]) == _factorial(n + 1)
     for n in (2, 3, 4):
-        assert len(weyl_enumerate(cartan_preset("B", n))[0]) == 2**n * _factorial(n)
+        assert len(vector_chambers(weyl_enumerate(cartan_preset("B", n)))[0]) == \
+            2**n * _factorial(n)
 
 
 def _factorial(n):
@@ -260,7 +261,8 @@ def test_word_lengths_are_coxeter_lengths():
     # the positive roots that are negative inside the chamber
     for cd in (cd, cartan_preset("A", 3), cartan_preset("B", 3)):
         positive = [r for r in root_system(cd)[0] if min(r) >= 0]
-        for (_m, word, _inv), rays in zip(reference_enumerate(cd), weyl_enumerate(cd)[0]):
+        elements = vector_chambers(weyl_enumerate(cd))[0]
+        for (_m, word, _inv), rays in zip(reference_enumerate(cd), elements):
             inside = tuple(map(sum, zip(*rays)))
             assert sum(1 for r in positive if la.dot(r, inside) < 0) == len(word)
 
@@ -275,7 +277,8 @@ def test_reflections_are_involutions():
 @pytest.mark.parametrize("type_, n", [("A", 3), ("B", 3)])
 def test_tracked_inverses(type_, n):
     reference = reference_enumerate(cartan_preset(type_, n))
-    for (m, _word, inverse), rays in zip(reference, weyl_enumerate(cartan_preset(type_, n))[0]):
+    elements = vector_chambers(weyl_enumerate(cartan_preset(type_, n)))[0]
+    for (m, _word, inverse), rays in zip(reference, elements):
         assert la.matmul(m, inverse) == la.identity(n)
         assert inverse == la.invert_unimodular(m)
         assert la.matmul(m, rays) == la.identity(n)
