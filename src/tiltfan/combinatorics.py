@@ -2,41 +2,40 @@
 Dehn-Sommerville symmetry, Ehrhart counts (closed form and brute force).
 
 The f-vector is counted from the chamber inverses (`f_vector`), not from
-the faces, which `fan.faces` lists.  h_i counts the chambers that cross i
-walls toward the base chamber's test point, so on a g-fan a chamber
-crosses toward it along the arrows into it in the Hasse quiver
+the faces, which `fan.faces` lists: `build_fan` tallies h with its
+certificate, in `Walls.h`.  h_i counts the chambers that cross i walls
+toward the base chamber's test point, so on a g-fan a chamber crosses
+toward it along the arrows into it in the Hasse quiver
 (`fan.hasse_orient`), and as h is palindromic, the count is the paper's:
 h_i counts the 2-term silting complexes with i left mutations, the
 out-degrees of that quiver.
 """
 
-from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import NotPalindromic
 from .fan import faces  # noqa: F401 (re-exported)
-from .fan import base_point, holds_test_point, require_certified
+from .fan import require_certified
 
 
 def f_vector(fan):
     """(f_-1, f_0, ..., f_{n-1}) where f_{i-1} counts i-element faces.
 
     h_i is the number of chambers that cross i walls toward the test point
-    y0 + eps e_1 + eps^2 e_2 + ... of the base chamber (Fulton 1993, 5.2),
-    and f follows by `recover_f`.  Row k of a chamber's inverse is 1 on its
-    k-th ray and 0 on the wall opposite, so the chamber crosses that wall
-    toward the point iff the row fails it (`holds_test_point`): h_i counts
-    the chambers with exactly i failing rows, one verdict per distinct row
-    (`Walls.rows`), then one count per chamber.  h_0 is `build_fan`'s
-    covering count.
+    y0 + eps e_1 + eps^2 e_2 + ... of the base chamber (Fulton 1993, 5.2):
+    row k of a chamber's inverse is 1 on its k-th ray and 0 on the wall
+    opposite, so the chamber crosses that wall toward the point iff the
+    row fails it.  `build_fan` counts the failing rows of every chamber
+    with its covering certificate, whose count is h_0, and keeps h as
+    `Walls.h`; f follows by `recover_f`.
     """
+    return recover_f(_h(fan))
+
+
+def _h(fan):
     require_certified(fan, "f-vector")
-    walls = fan.walls
-    y0 = base_point(fan.rays, fan.chambers[fan.base])
-    failing = {r for r, row in enumerate(walls.rows) if not holds_test_point(1, (row,), y0)}
-    counts = Counter(map(len, map(failing.intersection, walls.inverses)))
-    return recover_f([counts[i] for i in range(fan.rank + 1)])
+    return fan.walls.h
 
 
 def h_vector(f):
@@ -109,8 +108,8 @@ def ehrhart_bruteforce(fan, ell):
 
 def analyze(fan, ell_max=4):
     """Full invariant report used by the CLI `analyze` command."""
-    f = f_vector(fan)
-    h = h_vector(f)
+    h = _h(fan)
+    f = recover_f(h)
     palindromic = dehn_sommerville(h)
     return {
         "f": list(f),

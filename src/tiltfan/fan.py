@@ -17,7 +17,9 @@ Every other fan, such as the partial fan of a search that ran out of
 budget, is "unknown"; there is no third status.  A rank-n fan has n
 |chambers| / 2 walls.  None is stored on its own: `Walls` keeps the
 neighbour table and the chamber inverses that `build_fan` checked, which
-are the walls and their normals, and gives one `Wall` at a time on demand.
+are the walls and their normals, and gives one `Wall` at a time on demand,
+a chamber's inverse, and the h-vector the certificate counted; the row ids
+and the test point are read in this module only.
 
 Every Fan is made by `build_fan`; `fan_from_ids` builds the canonical ray
 and chamber tables from chambers given as ids into a ray table, and
@@ -28,14 +30,13 @@ g-fan has exactly one neighbour across each wall (mutation of 2-term
 silting complexes), so a front-end only says which ray replaces the one
 opposite a wall, and the search hands back which chamber lies across every
 wall.  The search interns each ray once and keys a chamber by the bitmask
-of its ray ids, so a crossing hashes only the ray the exchange returns,
-and its ray table, chambers and neighbour table go to `fan_from_ids` as
-they are, with no chamber's vectors hashed again.  Mutation is an
-involution, so the search crosses each wall once, from the side that
-reaches it first, and that crossing fills the table on both sides.  The
-neighbour table goes with the chambers to `build_fan`, which checks it
-instead of finding adjacency again; a fan read from a file, a partial fan
-or a reduction has its table derived from the chambers' facets.
+of its ray ids; its ray table, chambers and neighbour table go to
+`fan_from_ids` as they are.  Mutation is an involution, so the search
+crosses each wall once, from the side that reaches it first, and that
+crossing fills the table on both sides.  The neighbour table goes with
+the chambers to `build_fan`, which checks it instead of finding adjacency
+again; a fan read from a file, a partial fan or a reduction has its table
+derived from the chambers' facets.
 """
 
 from collections import deque, namedtuple
@@ -82,7 +83,19 @@ class Wall(namedtuple("Wall", "chambers free normal")):
         return c[:k] + c[k + 1:]
 
 
-class Walls:
+class _Immutable:
+    """Fields are set once, by `object.__setattr__` in `__init__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Walls(_Immutable):
     """The walls of a fan, read off the tables `build_fan` checked.
 
     `across` is the neighbour table (see `build_fan`) as a tuple of tuples,
@@ -93,25 +106,24 @@ class Walls:
     ci < j = across[ci][k], listed in (ci, k) order, with normal
     rows[inverses[ci][k]]; nothing is stored per wall, and a g-fan has few
     distinct rows (up to sign, the positive roots on a Coxeter fan).
-    Iteration gives `Wall` views, built on demand, and `positions` the
-    (ci, k, j) alone.  Equality and hash are those of the tables, a
-    function of the fan.  Immutable.
+    `inverse(ci)` gives the rows; h[i] counts the chambers with i rows
+    failing the test point.  Iteration gives `Wall` views, built on demand,
+    and `positions` the (ci, k, j) alone.  Equality and hash are those of
+    the tables, a function of the fan.  Immutable.
     """
 
-    __slots__ = ("chambers", "across", "inverses", "rows")
+    __slots__ = ("chambers", "across", "inverses", "rows", "h")
 
-    def __init__(self, chambers=(), across=(), inverses=(), rows=()):
-        for name, table in zip(self.__slots__, (chambers, across, inverses, rows)):
+    def __init__(self, chambers=(), across=(), inverses=(), rows=(), h=()):
+        for name, table in zip(self.__slots__, (chambers, across, inverses, rows, h)):
             object.__setattr__(self, name, table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def _tables(self):
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def inverse(self, ci):
+        """Chamber ci's inverse, its rows shared tuples of `rows`."""
+        return tuple(map(self.rows.__getitem__, self.inverses[ci]))
 
     def positions(self):
         """(ci, k, j) for each wall: its chambers ci < j, and k the place in
@@ -126,7 +138,7 @@ class Walls:
         return sum(len(row) - row.count(None) for row in self.across) // 2
 
     def __iter__(self):
-        chambers, across, inverses, rows = self._tables()
+        chambers, across, inverses, rows, _h = self._tables()
         for ci, k, j in self.positions():
             yield Wall((ci, j), (chambers[ci][k], chambers[j][across[j].index(ci)]),
                        rows[inverses[ci][k]])
@@ -160,7 +172,7 @@ class Fan(namedtuple("Fan", "rank rays chambers base walls complete",
         return tuple(sorted(self.rays[i] for i in self.chambers[chamber_index]))
 
 
-class BudgetExhausted:
+class BudgetExhausted(_Immutable):
     """Normal outcome of a search that ran out of budget.
 
     `cones` are the chambers found, each the tuple of its rays, the start
@@ -177,12 +189,6 @@ class BudgetExhausted:
         object.__setattr__(self, "frontier", frontier)
         object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "cones", cones)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def explored(self):
@@ -201,29 +207,27 @@ def build_fan(rays, chambers, base, across=None):
     sides of the shared hyperplane) and sign-coherence relative to the base
     chamber.  It is the one place that decides which side of each wall a
     chamber lies on: a `Wall`'s normal is its first chamber's inverse row
-    at free[0], which the unimodular chambers make 1 on free[0] and -1 on
-    free[1].
+    at free[0], 1 on free[0] and -1 on free[1].
 
     Each chamber is taken as the set of its ray indices and kept as their
     tuple in increasing order; a repeated index collapses, and the chamber
-    is then refused for having too few rays.  A tuple of chambers that are
-    all in that form already, as `fan_from_ids` passes them, is kept as
-    it is, not copied.  Adjacency is a neighbour
-    table: across[ci][k] is the chamber on the other side of the facet of
-    chamber ci opposite its k-th smallest ray index, whatever order the
-    caller listed the rays in (`fan_from_ids` permutes a search's rows to
-    match).  A front-end's search knows it (`wall_crossing_search`);
-    without one it is derived from which chambers own which facet, None
-    marking a dangling face, and a face in more than two chambers is an
-    error.  A given table names a chamber across every wall; it is taken
-    over, each row replaced by its tuple once checked.  Every entry
-    is checked: the neighbour has this chamber's rays with exactly the k-th
-    one swapped, and the table is reciprocal; so every face of the table
-    lies in two chambers, glued across it in pairs.  Each entry is checked
-    once, from the chamber reached first: the reciprocity test there
-    proves the reverse entry too, which a per-chamber bitmask then skips,
-    so the set difference, the test and the wall's pivot value are
-    computed once per wall.  Error messages name a wall by that same
+    is then refused for having too few rays.  A tuple of chambers already
+    in that form, as `fan_from_ids` passes them, is kept, not copied.
+    Adjacency is a neighbour table: across[ci][k] is the chamber on the
+    other side of the facet of chamber ci opposite its k-th smallest ray
+    index, whatever order the caller listed the rays in (`fan_from_ids`
+    permutes a search's rows to match).  A front-end's search knows it
+    (`wall_crossing_search`); without one it is derived from which chambers
+    own which facet, None marking a dangling face, and a face in more than
+    two chambers is an error.  A given table names a chamber across every
+    wall; it is taken over, each row replaced by its tuple once checked.
+    Every entry is checked: the neighbour has this chamber's rays with
+    exactly the k-th one swapped, and the table is reciprocal; so every
+    face of the table lies in two chambers, glued across it in pairs.  Each
+    entry is checked once, from the chamber reached first: the reciprocity
+    test there proves the reverse entry too, which a per-chamber bitmask
+    then skips, so the set difference, the test and the wall's pivot value
+    are computed once per wall.  Error messages name a wall by that same
     position k.
 
     One breadth-first pass over the table, component by component, does the
@@ -249,7 +253,9 @@ def build_fan(rays, chambers, base, across=None):
     Completeness is certified iff no face dangles and the test point
     y0 + eps e_1 + eps^2 e_2 + ... (y0 = `base_point`, eps > 0
     infinitesimal) lies in exactly one chamber; a chamber holds it iff each
-    of its rows does, which `holds_test_point` decides once per row.  If no
+    of its rows does, which `holds_test_point` decides once per row.  Each
+    chamber is tallied by its failing rows, the walls it crosses toward the
+    point (Fulton 1993, 5.2): the tally is h, and h_0 the count.  If no
     face dangles but the test point lies in d != 1 chambers, the chambers
     overlap and TiltfanError is raised.  A fan with a dangling face is
     still built, with status "unknown"; `Fan.complete` is the one verdict
@@ -279,7 +285,7 @@ def build_fan(rays, chambers, base, across=None):
 
     Rank 1 has only the two half-lines, where the count is 1 as well, and
     rank 0 the one empty chamber, which holds the point 0.  The certificate
-    costs one dot product per distinct row and a lookup per chamber row.
+    and h cost one dot product per distinct row and a lookup per chamber row.
     """
     rays = la.mat(rays)
     rank = len(rays[0]) if rays else 0
@@ -325,14 +331,14 @@ def build_fan(rays, chambers, base, across=None):
                     f"row {ci} of the neighbour table has {len(row)} entries, expected {rank}")
 
     y0 = base_point(rays, chambers[base])
-    covering = 0
+    h = [0] * (rank + 1)
     overlaps = []
     dangling = False
     n_rays, n_chambers = len(rays), len(chambers)
     reached = [False] * n_chambers
     proven = [0] * n_chambers  # bit m: across[ci][m] was checked from the other side
     # an inverse is a list of ids into `rows`; r ^ 1 negates row r
-    rows, row_ids, holds = [], {}, []
+    rows, row_ids, fails = [], {}, []
     pairing, updates = {}, {}
     inverses = [None] * n_chambers
 
@@ -343,7 +349,7 @@ def build_fan(rays, chambers, base, across=None):
             for t, x in enumerate((row, la.vneg(row))):
                 row_ids[x] = r + t
                 rows.append(x)
-                holds.append(holds_test_point(1, (x,), y0))
+                fails.append(not holds_test_point(1, (x,), y0))
         return r
 
     def pairing_of(r, i):
@@ -365,7 +371,7 @@ def build_fan(rays, chambers, base, across=None):
         while queue:
             ci, inv = queue.popleft()
             inverses[ci] = tuple(inv)
-            covering += all(map(holds.__getitem__, inv))
+            h[sum(map(fails.__getitem__, inv))] += 1
             p, row, done = chambers[ci], across[ci], proven[ci]
             for k in range(rank):
                 if done >> k & 1:
@@ -428,9 +434,9 @@ def build_fan(rays, chambers, base, across=None):
                  for face, (ca, cb) in overlaps]
     if problems:
         raise TiltfanError(min(problems)[1])
-    if not dangling and covering != 1:
-        raise TiltfanError(f"a generic point lies in {covering} chambers")
-    walls = Walls(chambers, tuple(across), tuple(inverses), tuple(rows))
+    if not dangling and h[0] != 1:
+        raise TiltfanError(f"a generic point lies in {h[0]} chambers")
+    walls = Walls(chambers, tuple(across), tuple(inverses), tuple(rows), tuple(h))
     return Fan(rank, rays, chambers, base, walls, UNKNOWN if dangling else CERTIFIED)
 
 
@@ -468,15 +474,13 @@ def _non_unimodular(rays, chambers):
             return NonUnimodularChamber(ci, det)
 
 
-def fan_from_cones(cones, base_cone, across=None):
+def fan_from_cones(cones, base_cone):
     """The Fan whose chambers are the given cones, each a sequence of ray
     vectors (tuples of integers), with base chamber base_cone.
 
     Interns each ray once and hands the ids to `fan_from_ids`, which makes
     the result independent of the order of the cones and of the rays
-    inside them.  `across`, a search's neighbour table over the cones as
-    given, is read against each cone's rays in the order given (see
-    `fan_from_ids`).  Equal cones are passed on to `build_fan`, which
+    inside them.  Equal cones are passed on to `build_fan`, which
     rejects them; cones that leave a face dangling give a fan with status
     "unknown".  A base cone that is not one of the cones is a TiltfanError.
     """
@@ -490,7 +494,7 @@ def fan_from_cones(cones, base_cone, across=None):
         base = next(ci for ci, c in enumerate(ids) if sorted(c) == key)
     except (KeyError, StopIteration):
         raise TiltfanError(f"the base cone {tuple(base_cone)} is not one of the cones") from None
-    return fan_from_ids(list(ray_ids), ids, across, base)
+    return fan_from_ids(list(ray_ids), ids, base=base)
 
 
 def fan_from_ids(rays, chambers, across=None, base=0):
@@ -506,12 +510,10 @@ def fan_from_ids(rays, chambers, across=None, base=0):
     given, across[i][k] opposite the k-th id of chamber i (see
     `build_fan`), is re-indexed to that chamber order, and each row is
     permuted to match its chamber's ray indices in increasing order, the
-    order in which `build_fan` reads every row.  The renumbered chambers in
-    the given order and the re-index map are let go before `build_fan`
-    runs, so of the tables made here only one chamber table and one
-    neighbour table are alive while it runs, and both end in the Fan:
-    `build_fan` keeps the canonical chamber tuple it is handed and turns
-    the table's rows into tuples in place.
+    order in which `build_fan` reads every row.  Only the canonical chamber
+    and neighbour tables are alive while `build_fan` runs, and both end in
+    the Fan: it keeps the chamber tuple and turns the rows into tuples in
+    place.
     """
     order = sorted(range(len(rays)), key=rays.__getitem__)
     new_id = [0] * len(rays)
@@ -776,12 +778,11 @@ def reduce_at_cone(fan, cone_ray_indices):
         return fan
     star = sorted((ci for ci, c in enumerate(fan.chambers) if sigma.issubset(c)),
                   key=fan.chamber_key)
-    star = [fan.chambers[ci] for ci in star]
     if not star:
         raise NotAFace(f"{tuple(sorted(sigma))} is not a face of any chamber")
-
-    inv = la.invert_unimodular(la.transpose([fan.rays[i] for i in star[0]]))
-    q = [row for i, row in zip(star[0], inv) if i not in sigma]
+    q = [row for i, row in zip(fan.chambers[star[0]], fan.walls.inverse(star[0]))
+         if i not in sigma]
+    star = [fan.chambers[ci] for ci in star]
     image = {i: la.matvec(q, fan.rays[i]) for i in set().union(*star) - sigma}
     cones = [[image[i] for i in c if i not in sigma] for c in star]
     y0 = la.matvec(q, base_point(fan.rays, fan.chambers[fan.base]))

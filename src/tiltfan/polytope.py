@@ -4,9 +4,9 @@ g-polytope and its dual, reflexivity, the smooth-Fano test, the rank-2
 classification, and root polytopes: of types A and C and of the short
 roots, hulls of the roots of `weyl.root_system`.
 
-Every chamber inverse is looked up in `fan.Walls`, which keeps it as ids
-into a table of rows: the normal of the wall of C opposite ray i, signed to
-be 1 on it, is row i of C's inverse ray matrix.  Their sum is v_C, with
+Every chamber inverse is looked up in `fan.Walls` (`Walls.inverse`), never
+computed again: the normal of the wall of C opposite ray i, signed to be 1
+on it, is row i of C's inverse ray matrix.  Their sum is v_C, with
 v_C . r = 1 on the rays of C.  The fan polytope is convex iff v_C . r_b <= 1
 across every wall, r_b the free ray of the chamber on the other side
 (Cox-Little-Schenck, Toric Varieties, 2011, section 6.1);
@@ -152,8 +152,7 @@ def _inverse_rows(fan):
     normal and its negative are one tuple each, shared by every row that
     is theirs."""
     require_certified(fan, "convexity")
-    rows = fan.walls.rows
-    return [tuple(map(rows.__getitem__, inv)) for inv in fan.walls.inverses]
+    return list(map(fan.walls.inverse, range(len(fan.chambers))))
 
 
 def _wall_class(fan, ca, k, free_b, rows):
@@ -280,14 +279,14 @@ def rank2_classify(fan):
     Returns the 1-based class, or None for every fan outside the seven
     classes, convex or not.  A complete rank-2 fan is determined by its ray
     set, and each canonical set is convex, so the rays alone decide: their
-    image under the inverse of the base chamber's ray matrix is matched as
+    image under the base chamber's inverse (`Walls.inverse`) is matched as
     it is, swapped, negated, and swapped and negated, the unimodular maps
     carrying the base chamber onto the positive quadrant or its negative.
     """
     if fan.rank != 2:
         raise NotRank2(f"fan has rank {fan.rank}")
     require_certified(fan, "classification")
-    s_inv = la.invert_unimodular(fan.ray_matrix(fan.base))
+    s_inv = fan.walls.inverse(fan.base)
     image = [la.matvec(s_inv, r) for r in fan.rays]
     for x, y in ((0, 1), (1, 0)):
         for sign in (1, -1):

@@ -294,6 +294,39 @@ def test_each_reduction_builds_one_fan(make, monkeypatch):
         assert len(red.chambers) == sum(1 for c in fan.chambers if i in c)
 
 
+@pytest.mark.parametrize("name", FRONT_END_FANS)
+def test_analyses_read_h_and_the_chamber_inverses_off_the_walls(name, monkeypatch):
+    """On a built fan, `f_vector` and `analyze` read h from `Walls` with no
+    test-point verdict, `rank2_classify` inverts no chamber, and
+    `reduce_at_cone` inverts one matrix: the reduced fan's base, for its
+    sign-coherence check."""
+    from tiltfan import combinatorics
+
+    fan = front_end_fan(name)
+    assert fan.complete == CERTIFIED
+    calls = []
+
+    def counted(original, what):
+        def call(*args):
+            calls.append(what)
+            return original(*args)
+        return call
+
+    point = counted(fan_module.holds_test_point, "test point")
+    for module in (fan_module, combinatorics):
+        monkeypatch.setattr(module, "holds_test_point", point, raising=False)
+    monkeypatch.setattr(la, "invert_unimodular", counted(la.invert_unimodular, "inverse"))
+    f_vector(fan)
+    combinatorics.analyze(fan)
+    if fan.rank == 2:
+        rank2_classify(fan)
+    assert calls == []
+    for i in range(len(fan.rays)):
+        calls.clear()
+        reduce_at_cone(fan, [i])
+        assert calls.count("inverse") == 1, i
+
+
 def test_reduce_a3_star_counts(a3_cluster_fan):
     fan = a3_cluster_fan
     for i in range(len(fan.rays)):
@@ -702,13 +735,14 @@ def test_an_exchange_that_is_not_an_involution_gives_a_refused_table():
         calls.append(k)
         return NOT_AN_INVOLUTION[rays[1 - k]][rays[k]]
 
-    chambers, across = vector_chambers(fan_module.wall_crossing_search([E1, E2], exchange, 100))
+    result = fan_module.wall_crossing_search([E1, E2], exchange, 100)
+    chambers, across = vector_chambers(result)
     assert chambers == [(E1, E2), (E1_NEG, E2), (E1, E2_NEG), (E1_NEG, E2_NEG),
                         (E12, E2_NEG), (E12, E2)]
     assert across == [[1, 2], [0, 3], [4, 0], [2, 1], [2, 5], [0, 4]]
     assert len(calls) == 12 - 5  # every entry but the 5 walls that new chambers came through
     with pytest.raises(TiltfanError, match=r"^the neighbour table is not reciprocal: "):
-        fan_from_cones(chambers, chambers[0], across=across)
+        fan_module.fan_from_ids(*result)
 
 
 @pytest.mark.parametrize("returned, ray", [(1, r"\(0, 1\)"), (0, r"\(-1, 0\)")],
@@ -961,6 +995,8 @@ def test_the_wall_columns_read_as_the_walls_of_full_elimination(name):
                                          for ci, k, _j in positions]
     assert all(tables.inverses[j][tables.across[j].index(ci)] == tables.inverses[ci][k] ^ 1
                for ci, k, j in positions)
+    assert [tables.inverse(ci) for ci in range(len(fan.chambers))] == [
+        la.invert_unimodular(fan.ray_matrix(ci)) for ci in range(len(fan.chambers))]
     assert tables.chambers is fan.chambers
     again = build_fan(fan.rays, fan.chambers, fan.base)
     assert (again, hash(again)) == (fan, hash(fan))
